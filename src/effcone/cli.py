@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Each verified statement maps to one subcommand with machine-readable
-output.  Exit codes: 0 = pass or pure query, 1 = verification failure,
-2 = invalid input.  Exact rationals are printed as "p/q"; only `fit`
-prints decimals (it is statistical by nature).
+output.  Exit codes: 0 = pass or pure query, 1 = verification or solver
+failure, 2 = invalid input.  Exact rationals are printed as "p/q"; only
+`fit` prints decimals (it is statistical by nature).
 """
 
 from __future__ import annotations
@@ -247,10 +247,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CSV_OPTIONS = ("--coeffs", "--matrix")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite `--coeffs -1,0,1` as `--coeffs=-1,0,1`.
+
+    argparse reads a separate token that starts with "-" and is not a plain
+    number as an option, so a list with a negative first entry would be
+    refused.
+    """
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in _CSV_OPTIONS and len(token) > 1
+                and token[0] == "-" and token[1].isdigit()):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
@@ -258,7 +279,8 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (cone.Infeasible, cone.NotAttainable, cone.MinusInfinity) as exc:
+    except (cone.Infeasible, cone.Unbounded, cone.PivotLimitExceeded,
+            cone.NotAttainable, cone.MinusInfinity) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,13 @@ every produced number is an exact rational.  The LP solver keeps tableau
 rows as gcd-reduced integer vectors (constraint rows are scale-free) and
 uses Bland's smallest-index rule for both the entering and the leaving
 variable, so it terminates on degenerate inputs.
+
+Every coordinate minimum over one normalized slice shares its feasible
+region, so phase one runs once per (ConeH, normalization) and each later
+`lp_min` on that ConeH warm-starts phase two from the previous optimal
+basis.  A witness may therefore depend on the order of the calls; a minimum
+never does.  Every result is re-checked by `verify_lp_minimum`, in scaled
+integers rather than `Fraction` arithmetic.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ def _vec(xs) -> tuple[Fraction, ...]:
 def _clear_denominators(qs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
     """Return (d, ints) with d > 0 and ints == d * qs entrywise."""
     d = lcm(*(q.denominator for q in qs)) if qs else 1
-    return d, [int(q * d) for q in qs]
+    return d, [q.numerator * (d // q.denominator) for q in qs]
 
 
 def _reduce_ints(row: list[int]) -> list[int]:
@@ -81,6 +88,13 @@ class ConeH:
         for r in self.rows:
             if len(r) != width:
                 raise DimensionMismatch("constraint row width does not match labels")
+        # Neither attribute is a dataclass field, so equality and hashing see
+        # only rows and labels.  _int_rows[i] = (d_i, R_i), R_i = d_i * rows[i]
+        # in ints with d_i > 0.  _warm holds lp_min's tableau at a feasible
+        # basis of one normalized slice: {normalization: (tableau, scale)}.
+        object.__setattr__(self, "_int_rows",
+                           tuple(_clear_denominators(r) for r in self.rows))
+        object.__setattr__(self, "_warm", {})
 
     @staticmethod
     def from_rows(rows, labels=None) -> "ConeH":
@@ -111,7 +125,11 @@ def default_normalization(num_vars: int) -> tuple[tuple[Fraction, ...], Fraction
 # exact simplex
 # ---------------------------------------------------------------------------
 
-_PIVOT_LIMIT = 200_000
+_PIVOT_LIMIT = 200_000  # per lp_min call
+
+
+class PivotLimitExceeded(RuntimeError):
+    """One lp_min call made more than _PIVOT_LIMIT simplex pivots."""
 
 
 class _Tableau:
@@ -177,7 +195,7 @@ class _Tableau:
         self.basis[r] = e
         self.pivots += 1
         if self.pivots > _PIVOT_LIMIT:
-            raise RuntimeError("simplex pivot limit exceeded")
+            raise PivotLimitExceeded("simplex pivot limit exceeded")
 
     def optimize(self) -> None:
         """Bland's rule loop; raises Unbounded if no leaving row exists."""
@@ -225,72 +243,78 @@ class LpResult:
 
 def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult,
                       normalization=None) -> bool:
-    """Re-check an LpResult from scratch; raises ConeError if anything fails."""
+    """Re-check an LpResult from scratch; raises ConeError if anything fails.
+
+    All vector arithmetic is in plain ints.  With the rows cleared once to
+    R_i = d_i * A_i and the witness to X = D * x, the sign and the zero set
+    of R_i . X are those of the slack A_i . x.  With N = d_norm * norm and
+    the integers G_i = q * mu_i / d_i, H = q * nu / d_norm over one common
+    denominator q, the identity sum_i mu_i A_i + nu * norm == e_obj becomes
+    sum_i G_i R_i + H * N == q * e_obj.
+    """
     k = cone.num_vars
     norm_coeffs, norm_rhs = normalization or default_normalization(k)
     norm_coeffs = _vec(norm_coeffs)
+    norm_rhs = _fr(norm_rhs)
     x = result.witness
     if len(x) != k or len(norm_coeffs) != k:
         raise DimensionMismatch("witness or normalization has wrong dimension")
-    slacks = [sum(a * b for a, b in zip(row, x)) for row in cone.rows]
+    d_x, xs = _clear_denominators(x)
+    slacks = [sum(a * b for a, b in zip(row, xs)) for _, row in cone._int_rows]
     if any(s < 0 for s in slacks):
         raise ConeError("witness violates a cone constraint")
-    if sum(a * b for a, b in zip(norm_coeffs, x)) != _fr(norm_rhs):
+    d_norm, norm_ints = _clear_denominators(norm_coeffs)
+    if (sum(a * b for a, b in zip(norm_ints, xs)) * norm_rhs.denominator
+            != d_norm * d_x * norm_rhs.numerator):
         raise ConeError("witness violates the normalization")
     if x[objective_index] != result.value:
         raise ConeError("witness coordinate does not equal the recorded minimum")
     mus = result.row_multipliers
-    nu = result.normalization_multiplier
+    nu = _fr(result.normalization_multiplier)
     if len(mus) != len(cone.rows):
         raise ConeError("one multiplier per constraint row required")
     if any(mu < 0 for mu in mus):
         raise ConeError("negative row multiplier")
-    for j in range(k):
-        lhs = sum(mu * row[j] for mu, row in zip(mus, cone.rows)) + nu * norm_coeffs[j]
-        if lhs != (1 if j == objective_index else 0):
-            raise ConeError("dual multipliers do not reproduce the objective")
-    if nu * _fr(norm_rhs) != result.value:
+    terms = [(_fr(mu) / d, row) for mu, (d, row) in zip(mus, cone._int_rows) if mu]
+    terms.append((nu / d_norm, norm_ints))
+    q = lcm(*(g.denominator for g, _ in terms))
+    lhs = [0] * k
+    for g, row in terms:
+        f = g.numerator * (q // g.denominator)
+        for j, a in enumerate(row):
+            lhs[j] += f * a
+    if any(v != (q if j == objective_index else 0) for j, v in enumerate(lhs)):
+        raise ConeError("dual multipliers do not reproduce the objective")
+    if nu * norm_rhs != result.value:
         raise ConeError("dual objective does not match the minimum")
-    if any(mu * s != 0 for mu, s in zip(mus, slacks)):
+    if any(mu and s for mu, s in zip(mus, slacks)):
         raise ConeError("complementary slackness fails")
     return True
 
 
-def lp_min(cone: ConeH, objective_index: int, normalization=None) -> LpResult:
-    """Exact minimum of coordinate `objective_index` over the normalized cone.
+def _phase_one(cone: ConeH, norm_coeffs: tuple[Fraction, ...],
+               norm_rhs: Fraction) -> tuple[_Tableau, Fraction]:
+    """Tableau of the normalized slice at a feasible basis, its artificial
+    variable banned, and the factor that turns the artificial column's
+    reduced cost into the normalization multiplier.  Raises Infeasible.
 
-    The feasible set is {x free : cone.rows . x >= 0, norm . x = rhs} with
-    norm defaulting to sum(x) = 1.  Free coordinates are split as u - v and
-    a single artificial variable covers the normalization row, so phase one
-    is short.  Raises Infeasible / Unbounded.
+    Free coordinates are split as u - v and a single artificial variable
+    covers the normalization row, so phase one is short.
     """
     k = cone.num_vars
-    if not 0 <= objective_index < k:
-        raise DimensionMismatch("objective index out of range")
-    norm_coeffs, norm_rhs = normalization or default_normalization(k)
-    norm_coeffs = _vec(norm_coeffs)
-    norm_rhs = _fr(norm_rhs)
-    if len(norm_coeffs) != k:
-        raise DimensionMismatch("normalization has wrong dimension")
-    if norm_rhs == 0:
-        raise ValueError("normalization right-hand side must be nonzero")
-
     m = len(cone.rows)
     # columns: u_0..u_{k-1}, v_0..v_{k-1}, s_0..s_{m-1}, artificial | rhs
     art = 2 * k + m
     ncols = art + 1
 
     rows: list[list[int]] = []
-    row_scales: list[int] = []
-    for i, g in enumerate(cone.rows):
-        d, ints = _clear_denominators(g)
+    for i, (_, ints) in enumerate(cone._int_rows):
         r = [0] * (ncols + 1)
         for j, num in enumerate(ints):
             r[j] = -num
             r[k + j] = num
-        r[2 * k + i] = 1  # slack: s_i = d * (g . x)
+        r[2 * k + i] = 1  # slack: s_i = d_i * (row_i . x)
         rows.append(r)
-        row_scales.append(d)
     d, ints = _clear_denominators(norm_coeffs + (norm_rhs,))
     sign = 1 if norm_rhs > 0 else -1
     er = [0] * (ncols + 1)
@@ -300,11 +324,8 @@ def lp_min(cone: ConeH, objective_index: int, normalization=None) -> LpResult:
     er[art] = 1
     er[-1] = sign * ints[k]
     rows.append(er)
-    norm_scale = Fraction(sign * d)
 
     tab = _Tableau(rows, [2 * k + i for i in range(m)] + [art])
-
-    # phase one: drive the artificial variable to zero
     cost1 = [0] * ncols
     cost1[art] = 1
     tab.set_cost(cost1)
@@ -322,17 +343,61 @@ def lp_min(cone: ConeH, objective_index: int, normalization=None) -> LpResult:
         else:
             raise ConeError("degenerate artificial row cannot be pivoted out")
     tab.banned.add(art)
+    return tab, Fraction(sign * d)
+
+
+def lp_min(cone: ConeH, objective_index: int, normalization=None) -> LpResult:
+    """Exact minimum of coordinate `objective_index` over the normalized cone.
+
+    The feasible set is {x free : cone.rows . x >= 0, norm . x = rhs} with
+    norm defaulting to sum(x) = 1.  Phase one runs on the first call for a
+    (cone, normalization); later calls on the same ConeH start phase two from
+    the basis the previous call ended at, which is feasible because the
+    region is shared.  The minimum does not depend on the order of the calls,
+    but at a degenerate optimum the witness and multipliers may.  The pivot
+    limit applies per call.  The result is re-checked in scaled integers by
+    `verify_lp_minimum` before it is returned.  Raises Infeasible /
+    Unbounded.
+    """
+    k = cone.num_vars
+    if not 0 <= objective_index < k:
+        raise DimensionMismatch("objective index out of range")
+    norm_coeffs, norm_rhs = normalization or default_normalization(k)
+    norm_coeffs = _vec(norm_coeffs)
+    norm_rhs = _fr(norm_rhs)
+    if len(norm_coeffs) != k:
+        raise DimensionMismatch("normalization has wrong dimension")
+    if norm_rhs == 0:
+        raise ValueError("normalization right-hand side must be nonzero")
+
+    # The tableau is off the cone while it pivots, so an exception in the
+    # middle of a pivot cannot leave a half-updated tableau for the next call.
+    key = (norm_coeffs, norm_rhs)
+    warm = cone._warm.pop(key, None)
+    cone._warm.clear()
+    if warm is None:
+        warm = _phase_one(cone, norm_coeffs, norm_rhs)
+    else:
+        warm[0].pivots = 0
+    tab, norm_scale = warm
 
     # phase two: minimize x_obj = u_obj - v_obj
-    cost2 = [0] * ncols
+    cost2 = [0] * tab.ncols
     cost2[objective_index] = 1
     cost2[k + objective_index] = -1
     tab.set_cost(cost2)
-    tab.optimize()
+    try:
+        tab.optimize()
+    except Unbounded:
+        cone._warm[key] = warm
+        raise
+    cone._warm[key] = warm
 
+    art = tab.ncols - 1
     witness = tuple(tab.value_of(j) - tab.value_of(k + j) for j in range(k))
     value = witness[objective_index]
-    mus = tuple(Fraction(tab.z[2 * k + i], tab.sigma) * row_scales[i] for i in range(m))
+    mus = tuple(Fraction(tab.z[2 * k + i], tab.sigma) * d
+                for i, (d, _) in enumerate(cone._int_rows))
     nu = -Fraction(tab.z[art], tab.sigma) * norm_scale
     result = LpResult(value, witness, mus, nu)
     verify_lp_minimum(cone, objective_index, result, (norm_coeffs, norm_rhs))

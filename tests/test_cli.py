@@ -145,3 +145,28 @@ def test_matrix_dump_matches_library(capsys):
     code, out, _ = run(capsys, "pairings", "--n", "6", "--format", "json")
     data = json.loads(out)
     assert [row["pairings"] for row in data["rows"]] == pairing_matrix(6)
+
+
+@pytest.mark.parametrize("failure", ["unbounded", "pivot limit"])
+def test_solver_failures_exit_one(capsys, monkeypatch, failure):
+    from effcone import cone, picard
+
+    if failure == "unbounded":
+        # {x0 >= |x1|}: the x1 minimum over sum(x) = 1 is unbounded below
+        monkeypatch.setattr(picard, "pairing_matrix", lambda n: [[1, 1], [1, -1]])
+    else:
+        monkeypatch.setattr(cone, "_PIVOT_LIMIT", 0)
+    code, out, err = run(capsys, "cone-cert", "--n", "3", "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_negative_first_coefficient_as_own_token(capsys):
+    for argv in (("count", "--bmax", "100", "--format", "csv"),
+                 ("disc", "--format", "json"),
+                 ("act", "--matrix", "-1,0,0,-1", "--format", "json")):
+        spaced = run(capsys, *argv, "--coeffs", "-1,0,1,1")
+        assert spaced[0] == 0
+        assert run(capsys, *argv, "--coeffs=-1,0,1,1") == spaced
+    assert json.loads(spaced[1])["matrix"] == [-1, 0, 0, -1]

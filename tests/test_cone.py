@@ -1,16 +1,20 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from effcone import cone as cone_module
 from effcone.cone import (
     Certificate,
+    ConeError,
     ConeH,
     DimensionMismatch,
     Infeasible,
     MinusInfinity,
     NotAttainable,
+    PivotLimitExceeded,
     Unbounded,
     default_normalization,
     dual_contained_in_orthant,
@@ -157,6 +161,187 @@ def test_verify_rejects_tampered_result():
                     res.normalization_multiplier)
     with pytest.raises(Exception):
         verify_lp_minimum(cone, 0, bad)
+
+
+def fraction_verify(cone, objective_index, result, normalization=None):
+    """Reference re-check in Fraction arithmetic, straight from the
+    definitions; returns the first failing check's message or None."""
+    norm_coeffs, norm_rhs = normalization or default_normalization(cone.num_vars)
+    x = result.witness
+    slacks = [sum(a * b for a, b in zip(row, x)) for row in cone.rows]
+    mus, nu = result.row_multipliers, result.normalization_multiplier
+    checks = (
+        (all(s >= 0 for s in slacks), "witness violates a cone constraint"),
+        (sum(a * b for a, b in zip(norm_coeffs, x)) == norm_rhs,
+         "witness violates the normalization"),
+        (x[objective_index] == result.value,
+         "witness coordinate does not equal the recorded minimum"),
+        (len(mus) == len(cone.rows), "one multiplier per constraint row required"),
+        (all(mu >= 0 for mu in mus), "negative row multiplier"),
+        (all(sum(mu * row[j] for mu, row in zip(mus, cone.rows)) + nu * norm_coeffs[j]
+             == (1 if j == objective_index else 0) for j in range(cone.num_vars)),
+         "dual multipliers do not reproduce the objective"),
+        (nu * norm_rhs == result.value, "dual objective does not match the minimum"),
+        (all(mu * s == 0 for mu, s in zip(mus, slacks)), "complementary slackness fails"),
+    )
+    return next((message for ok, message in checks if not ok), None)
+
+
+def integer_verify(cone, objective_index, result, normalization=None):
+    try:
+        verify_lp_minimum(cone, objective_index, result, normalization)
+    except ConeError as exc:
+        return str(exc)
+    return None
+
+
+# Fractional rows and a fractional normalization, so that every scaling in
+# the integer re-check (d_i, D, d_norm, q) is nontrivial.
+TAMPER_ROWS = [
+    [Q(3, 2), Q(-1, 2), 0], [Q(-1, 3), Q(1, 3), 0], [Q(1, 5), 0, Q(-2, 7)],
+    [0, 0, Q(3, 4)], [Q(1, 2), Q(1, 2), Q(1, 2)],
+]
+TAMPER_NORM = ((Q(1, 2), Q(1, 2), Q(1, 3)), Q(3, 4))
+# a feasible, normalized point where row 0 (positive multiplier) is slack
+SUBOPTIMAL = (Q(45, 74), Q(45, 74), Q(63, 148))
+
+
+def _set(vec, i, value):
+    return vec[:i] + (value,) + vec[i + 1:]
+
+
+# Given the earlier checks, x_obj - nu * rhs == sum_i mu_i * slack_i (weak
+# duality), so a complementary-slackness violation always trips the value or
+# the dual-objective check first.
+TAMPERS = {
+    "witness off the cone": (
+        lambda r: replace(r, witness=(Q(3, 2), Q(0), Q(0))), "cone constraint"),
+    "witness off the normalization": (
+        lambda r: replace(r, witness=tuple(2 * v for v in r.witness)), "normalization"),
+    "wrong value": (lambda r: replace(r, value=r.value + Q(1, 3)), "recorded minimum"),
+    "negative multiplier": (
+        lambda r: replace(r, row_multipliers=_set(r.row_multipliers, 1, Q(-1, 9))),
+        "negative row multiplier"),
+    "broken Farkas identity": (
+        lambda r: replace(r, row_multipliers=_set(r.row_multipliers, 0,
+                                                2 * r.row_multipliers[0])),
+        "do not reproduce the objective"),
+    "wrong dual objective": (
+        lambda r: replace(r, witness=SUBOPTIMAL, value=SUBOPTIMAL[0]), "dual objective"),
+    "complementary slackness violated": (
+        lambda r: replace(r, witness=SUBOPTIMAL), "recorded minimum"),
+}
+
+
+@pytest.mark.parametrize("case", list(TAMPERS))
+def test_verify_rejects_each_tampered_field(case):
+    cone = ConeH.from_rows(TAMPER_ROWS)
+    res = lp_min(cone, 0, TAMPER_NORM)
+    assert res.value == Q(45, 134)
+    assert res.row_multipliers[0] > 0 and res.row_multipliers[1] == 0
+    tamper, message = TAMPERS[case]
+    bad = tamper(res)
+    with pytest.raises(ConeError, match=message):
+        verify_lp_minimum(cone, 0, bad, TAMPER_NORM)
+    assert fraction_verify(cone, 0, bad, TAMPER_NORM) == integer_verify(
+        cone, 0, bad, TAMPER_NORM)
+
+
+def test_integer_verify_matches_fraction_reference():
+    rng = random.Random(31)
+    checked = rejected = 0
+    for _ in range(400):
+        k = rng.randint(2, 4)
+        rows = [[Q(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(k)]
+                for _ in range(rng.randint(1, 5))]
+        norm = (tuple(Q(rng.randint(-2, 4), rng.randint(1, 3)) for _ in range(k)),
+                Q(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)))
+        cone = ConeH.from_rows(rows)
+        j = rng.randrange(k)
+        try:
+            res = lp_min(cone, j, norm)
+        except (Infeasible, Unbounded):
+            continue
+        assert fraction_verify(cone, j, res, norm) is None
+        for _ in range(6):
+            field = rng.choice(["value", "witness", "row_multipliers",
+                                "normalization_multiplier"])
+            delta = Q(rng.choice([-1, 1]), rng.randint(1, 5))
+            if field in ("witness", "row_multipliers"):
+                vec = getattr(res, field)
+                i = rng.randrange(len(vec))
+                bad = replace(res, **{field: _set(vec, i, vec[i] + delta)})
+            else:
+                bad = replace(res, **{field: getattr(res, field) + delta})
+            expected = fraction_verify(cone, j, bad, norm)
+            assert integer_verify(cone, j, bad, norm) == expected
+            rejected += expected is not None
+        checked += 1
+    assert checked > 80 and rejected > 5 * checked
+
+
+def _outcome(cone, j, norm):
+    try:
+        res = lp_min(cone, j, norm)
+    except (Infeasible, Unbounded) as exc:
+        return type(exc)
+    assert verify_lp_minimum(cone, j, res, norm)
+    return res.value
+
+
+def test_warm_start_matches_cold_start():
+    rng = random.Random(13)
+    kinds = set()
+    for _ in range(120):
+        k = rng.randint(2, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 6))]
+        norms = (None, (tuple(Q(rng.randint(-1, 3)) for _ in range(k)),
+                        Q(rng.choice([-2, 1, 3]))))
+        calls = [(j, norm) for j in range(k) for norm in norms]
+        cold = {call: _outcome(ConeH.from_rows(rows), *call) for call in calls}
+        # in order, in reverse, and one normalization after the other
+        for visit in (calls, calls[::-1], calls[::2] + calls[1::2]):
+            cone = ConeH.from_rows(rows)
+            assert {call: _outcome(cone, *call) for call in visit} == cold
+        kinds.update(o if isinstance(o, type) else "min" for o in cold.values())
+    assert kinds == {"min", Infeasible, Unbounded}
+
+
+def test_warm_start_keeps_the_pivot_limit_per_call(monkeypatch):
+    from effcone.picard import pairing_matrix
+
+    pivots = [0]
+    pivot = cone_module._Tableau._pivot
+
+    def counting_pivot(self, r, e):
+        pivots[0] += 1
+        return pivot(self, r, e)
+
+    monkeypatch.setattr(cone_module._Tableau, "_pivot", counting_pivot)
+    matrix = pairing_matrix(10)
+    cone = ConeH.from_rows(matrix)
+    per_call = []
+    for j in range(cone.num_vars):
+        before = pivots[0]
+        lp_min(cone, j)
+        per_call.append(pivots[0] - before)
+    assert sum(per_call) > max(per_call)
+    monkeypatch.setattr(cone_module, "_PIVOT_LIMIT", max(per_call))
+    cone = ConeH.from_rows(matrix)
+    for j in range(cone.num_vars):
+        lp_min(cone, j)
+    monkeypatch.setattr(cone_module, "_PIVOT_LIMIT", max(per_call) - 1)
+    cone = ConeH.from_rows(matrix)
+    with pytest.raises(PivotLimitExceeded):
+        for j in range(cone.num_vars):
+            lp_min(cone, j)
+
+
+def test_warm_state_is_not_part_of_equality():
+    a = ConeH.from_rows([[3, -1], [-1, 1]])
+    b = ConeH.from_rows([[3, -1], [-1, 1]])
+    lp_min(a, 0)
+    assert a == b and hash(a) == hash(b)
 
 
 # ---------------------------------------------------------------------------
