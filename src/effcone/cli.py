@@ -169,7 +169,7 @@ def _cmd_count(args) -> int:
         if args.grid < 1 or args.bmax < 1:
             raise ValueError("grid length and bmax must be positive")
         grid = sorted({args.bmax // 2**k for k in range(args.grid)} - {0})
-        series = counting.count_series(f, grid, policy, shards=args.shards)
+        series = counting.count_series(f, grid, policy)
     except (ValueError, counting.NonGenericForm) as exc:
         raise SystemExit2(str(exc))
     payload = {"command": "count", "coeffs": list(f.coeffs),
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=int, default=8, help="initial matrix shell")
     p.add_argument("--growth", default="2", help="shell growth factor")
     p.add_argument("--stab", type=int, default=2, help="empty shells before stopping")
-    p.add_argument("--shards", type=int, default=1)
 
     p = add("fit", _cmd_fit, help="fit the growth exponent from a B,N csv file")
     p.add_argument("--in", dest="infile", required=True)

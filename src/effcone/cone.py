@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._terms import _fr
+
 
 class ConeError(Exception):
     """Base class for errors raised by this module."""
@@ -49,10 +51,6 @@ class NotAttainable(ConeError):
 
 class MinusInfinity(ConeError):
     """Every sufficiently negative shift lands in the cone (threshold -oo)."""
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _vec(xs) -> tuple[Fraction, ...]:

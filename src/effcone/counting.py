@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import BinaryForm, UnimodularMatrix, act, disc, height
+from .forms import BinaryForm, UnimodularMatrix, disc, evaluate, substitute
 
 
 class NonGenericForm(ValueError):
@@ -178,20 +178,21 @@ def enumerate_unimodular(bound: int):
 # integer windows around the root directions.  Partner columns come from the
 # det-1 family (b, d) = (b0 + t*a, d0 + t*c), where the same argument applied
 # to q(t) = f(b0 + t*a, d0 + t*c) confines t to windows around the roots of
-# q.  Floating-point roots only steer the search: windows are padded and
-# every candidate is checked in exact integer arithmetic, while the product
-# bound itself guarantees no qualifying matrix lies outside the windows.
+# q.  Both f(t, 1) and q have degree >= 1 when f has no repeated root, so
+# there is always a root to window around.  Floating-point roots only steer
+# the search: windows are padded and every candidate is checked in exact
+# integer arithmetic, while the product bound itself guarantees no
+# qualifying matrix lies outside the windows.
 # ---------------------------------------------------------------------------
 
 _WINDOW_PAD = 4.0
 
 
 def _poly_roots(coeffs: list[int]) -> list[complex]:
-    """All complex roots of an integer polynomial (leading coefficient
-    first, nonzero), by Durand-Kerner iteration in float precision."""
+    """All complex roots of an integer polynomial of degree at least one
+    (leading coefficient first, nonzero), by Durand-Kerner iteration in
+    float precision."""
     deg = len(coeffs) - 1
-    if deg < 1:
-        return []
     lead = coeffs[0]
     monic = [x / lead for x in coeffs]
     if deg == 1:
@@ -222,13 +223,14 @@ def _poly_roots(coeffs: list[int]) -> list[complex]:
 
 
 def _product_windows(centers: list[complex], lead_abs: float,
-                     bound: float) -> list[tuple[int, int]] | None:
+                     bound: float) -> list[tuple[int, int]]:
     """Merged integer intervals that must contain every integer u with
-    lead_abs * prod_j |u - centers[j]| <= bound; None means every u may
-    qualify (no centers to window around)."""
+    lead_abs * prod_j |u - centers[j]| <= bound.
+
+    `centers` is nonempty: callers pass the roots of a polynomial of degree
+    at least one.
+    """
     deg = len(centers)
-    if deg == 0:
-        return None if lead_abs <= bound else []
     radius = (bound / lead_abs) ** (1.0 / deg)
     spans = []
     for j, z in enumerate(centers):
@@ -251,62 +253,24 @@ def _product_windows(centers: list[complex], lead_abs: float,
     return merged
 
 
-def _eval_form(xs: tuple[int, ...], a: int, c: int) -> int:
-    """f(a, c) for the form with coefficient vector xs."""
-    acc = 0
-    power = 1
-    for x in xs:
-        acc = acc * a + x * power
-        power *= c
-    return acc
-
-
-def _linear_power_coeffs(const: int, slope: int, n: int) -> list[list[int]]:
-    """Coefficient lists of (const + slope*t)^j for j = 0..n, ascending in t."""
-    pows = [[1]]
-    for _ in range(n):
-        prev = pows[-1]
-        cur = [0] * (len(prev) + 1)
-        for i, v in enumerate(prev):
-            cur[i] += const * v
-            cur[i + 1] += slope * v
-        pows.append(cur)
-    return pows
-
-
 def _partner_parameters(xs: tuple[int, ...], a: int, c: int, b0: int, d0: int,
-                        b_max: int) -> list[int] | None:
-    """Integer t values that can make |f(b0 + t*a, d0 + t*c)| <= b_max.
+                        b_max: int) -> list[int]:
+    """Sorted complete list of the integer t that can make
+    |f(b0 + t*a, d0 + t*c)| <= b_max.
 
-    Returns a sorted complete candidate list, or None when every t may
-    qualify (never hit for forms with distinct roots, where the degree of
-    q drops by at most one).
+    q(t) = f(a*t + b0, c*t + d0) is the substitution with w = 1, leading
+    coefficient first.  Its degree drops below that of f by the multiplicity
+    of (a : c) as a root of f, so q is constant only for a form with a
+    repeated root, which raises NonGenericForm.
     """
-    n = len(xs) - 1
-    upow = _linear_power_coeffs(b0, a, n)
-    vpow = _linear_power_coeffs(d0, c, n)
-    q = [0] * (n + 1)
-    for i, x in enumerate(xs):
-        if not x:
-            continue
-        u = upow[n - i]
-        v = vpow[i]
-        for iu, cu in enumerate(u):
-            if cu:
-                xcu = x * cu
-                for iv, cv in enumerate(v):
-                    if cv:
-                        q[iu + iv] += xcu * cv
-    coeffs = list(reversed(q))  # leading first
-    while coeffs and coeffs[0] == 0:
+    coeffs = list(substitute(xs, a, b0, c, d0))
+    while coeffs[0] == 0:
         coeffs.pop(0)
-    if not coeffs or len(coeffs) == 1:
-        return None if not coeffs or abs(coeffs[0]) <= b_max else []
-    windows = _product_windows(_poly_roots(coeffs), abs(coeffs[0]), float(b_max))
-    if windows is None:
-        return None
+    if len(coeffs) == 1:
+        raise NonGenericForm("orbit counting requires a nonzero discriminant")
     out: list[int] = []
-    for lo, hi in windows:
+    for lo, hi in _product_windows(_poly_roots(coeffs), abs(coeffs[0]),
+                                   float(b_max)):
         out.extend(range(lo, hi + 1))
     return out
 
@@ -324,11 +288,9 @@ def _qualifying_columns(xs: tuple[int, ...], c_lo: int, c_hi: int, b_max: int,
         centers = [z * c for z in finite_roots]
         windows = _product_windows(centers, float(lead_abs * c ** inf_mult),
                                    float(b_max))
-        if windows is None:
-            raise ValueError("form has no finite root directions")
         for lo, hi in windows:
             for a in range(lo, hi + 1):
-                if math.gcd(a, c) == 1 and abs(_eval_form(xs, a, c)) <= b_max:
+                if math.gcd(a, c) == 1 and abs(evaluate(xs, a, c)) <= b_max:
                     yield a, c
 
 
@@ -340,41 +302,12 @@ def _substituted_coeffs(xs: tuple[int, ...], a: int, b: int, c: int, d: int,
     The outer coefficients of the image are f(a, c) and f(b, d), so those two
     evaluations reject most large matrices before the full expansion runs.
     """
-    n = len(xs) - 1
-    lead = 0
-    power = 1
-    for x in xs:
-        lead = lead * a + x * power
-        power *= c
-    if abs(lead) > b_max:
+    if abs(evaluate(xs, a, c)) > b_max or abs(evaluate(xs, b, d)) > b_max:
         return None
-    tail = 0
-    power = 1
-    for x in xs:
-        tail = tail * b + x * power
-        power *= d
-    if abs(tail) > b_max:
-        return None
-    h = [xs[0]]
-    qpow = [1]
-    for i in range(1, n + 1):
-        nh = [0] * (i + 1)
-        for t, hc in enumerate(h):
-            nh[t] += a * hc
-            nh[t + 1] += b * hc
-        nq = [0] * (i + 1)
-        for t, qc in enumerate(qpow):
-            nq[t] += c * qc
-            nq[t + 1] += d * qc
-        qpow = nq
-        x = xs[i]
-        if x:
-            for t, qc in enumerate(qpow):
-                nh[t] += x * qc
-        h = nh
+    h = substitute(xs, a, b, c, d)
     if max(abs(v) for v in h) > b_max:
         return None
-    return tuple(h)
+    return h
 
 
 class _Column:
@@ -397,23 +330,8 @@ class _Column:
         a, c, b0, d0 = self.a, self.c, self.b0, self.d0
         if max(abs(a), c) > shell:
             return
-        if self.params is None:  # degenerate partner family: scan the box
-            if a and c:
-                ra = _t_interval(b0, a, shell)
-                rc = _t_interval(d0, c, shell)
-                rng = None if ra is None or rc is None else (
-                    max(ra[0], rc[0]), min(ra[1], rc[1]))
-            elif a:  # c == 0: d is the constant d0
-                rng = _t_interval(b0, a, shell) if abs(d0) <= shell else None
-            else:    # a == 0: b is the constant b0
-                rng = _t_interval(d0, c, shell) if abs(b0) <= shell else None
-            if rng is None or rng[0] > rng[1]:
-                return
-            candidates = range(rng[0], rng[1] + 1)
-        else:
-            candidates = self.params
         inner = max(abs(a), c) <= prev
-        for t in candidates:
+        for t in self.params:
             b = b0 + t * a
             d = d0 + t * c
             if abs(b) > shell or abs(d) > shell:
@@ -423,19 +341,17 @@ class _Column:
             yield a, b, c, d
 
 
-def _orbit_heights(f: BinaryForm, b_max: int, policy: CountPolicy,
-                   shards: int = 1) -> list[int]:
+def _orbit_heights(f: BinaryForm, b_max: int, policy: CountPolicy) -> list[int]:
     """Sorted heights of the distinct orbit vectors with height <= b_max.
 
+    Requires a form without repeated roots (nonzero discriminant); a
+    repeated root reached through a partner family raises NonGenericForm.
     Shells grow per the policy; each round adds the matrices of the shell
     box beyond the previous box, taken from the cached qualifying-column
     families (only the half-box with c > 0 or (a, c) = (1, 0) is walked:
     the mate -m gives the same image up to a global sign, and both signs
-    are recorded per matrix).  Columns are partitioned across `shards` and
-    merged by set union, so results are shard-count independent.
+    are recorded per matrix).
     """
-    if shards < 1:
-        raise ValueError("shard count must be positive")
     xs = f.coeffs
     stripped = list(xs)
     inf_mult = 0
@@ -458,23 +374,15 @@ def _orbit_heights(f: BinaryForm, b_max: int, policy: CountPolicy,
                                         inf_mult):
             columns.append(_Column(xs, a, c, b_max))
         scanned_c = shell
-        new = 0
-        shard_sets: list[set[tuple[int, ...]]] = [set() for _ in range(shards)]
+        before = len(seen)
         for col in columns:
-            block = shard_sets[(col.a * 92821 + col.c) % shards]
             for a, b, c, d in col.matrices_in_shell(shell, prev):
                 coeffs = _substituted_coeffs(xs, a, b, c, d, b_max)
-                if coeffs is None:
-                    continue
-                block.add(coeffs)
-                if odd:
-                    block.add(tuple(-v for v in coeffs))
-        for block in shard_sets:
-            for coeffs in block:
-                if coeffs not in seen:
+                if coeffs is not None:
                     seen.add(coeffs)
-                    new += 1
-        quiet = quiet + 1 if new == 0 else 0
+                    if odd:
+                        seen.add(tuple(-v for v in coeffs))
+        quiet = quiet + 1 if len(seen) == before else 0
         if quiet >= policy.stable_rounds:
             break
         prev = shell
@@ -482,8 +390,8 @@ def _orbit_heights(f: BinaryForm, b_max: int, policy: CountPolicy,
     return sorted(max(abs(v) for v in coeffs) for coeffs in seen)
 
 
-def count_series(f: BinaryForm, b_grid, policy: CountPolicy | None = None,
-                 shards: int = 1) -> CountSeries:
+def count_series(f: BinaryForm, b_grid,
+                 policy: CountPolicy | None = None) -> CountSeries:
     """Counts N(B) of distinct orbit coefficient vectors with height <= B,
     for every B in the increasing grid, from one shared enumeration pass."""
     policy = policy or CountPolicy()
@@ -492,7 +400,7 @@ def count_series(f: BinaryForm, b_grid, policy: CountPolicy | None = None,
         raise ValueError("grid must be nonempty and strictly increasing")
     if disc(f) == 0:
         raise NonGenericForm("orbit counting requires a nonzero discriminant")
-    heights = _orbit_heights(f, grid[-1], policy, shards)
+    heights = _orbit_heights(f, grid[-1], policy)
     return CountSeries(tuple((b, bisect_right(heights, b)) for b in grid))
 
 

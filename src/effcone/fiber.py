@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cone
+from ._terms import _fr, format_terms, parse_terms
 
 
 class BadName(ValueError):
@@ -32,10 +33,6 @@ class BadIndex(ValueError):
 
 class NotInSpan(ValueError):
     """The class is not a combination of the two symmetric generators."""
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def basis_labels(n: int) -> list[str]:
@@ -73,13 +70,7 @@ class FiberClass:
         return self.scale(q)
 
     def __str__(self) -> str:
-        terms = [(q, lab) for q, lab in zip(self.coords, basis_labels(self.n)) if q]
-        if not terms:
-            return "0"
-        parts = [f"{terms[0][0]}*{terms[0][1]}"]
-        for q, lab in terms[1:]:
-            parts.append(f"{'-' if q < 0 else '+'} {abs(q)}*{lab}")
-        return " ".join(parts)
+        return format_terms(zip(self.coords, basis_labels(self.n)))
 
 
 def _unit(n: int, index: int) -> FiberClass:
@@ -88,32 +79,14 @@ def _unit(n: int, index: int) -> FiberClass:
     return FiberClass(n, tuple(coords))
 
 
-_TERM = re.compile(r"\s*(?:(?P<sign>[+-])\s*)?(?P<coef>\d+(?:/\d+)?)\s*\*\s*"
-                   r"(?P<gen>g[123]|E|F\d+)")
-
-
 def parse_fiber_class(text: str, n: int) -> FiberClass:
     """Parse the textual class format (mirrors the divisor format)."""
-    stripped = text.strip()
-    if stripped == "0":
-        return FiberClass(n, tuple(Fraction(0) for _ in range(n + 1)))
     coords = [Fraction(0)] * (n + 1)
     index = {lab: i for i, lab in enumerate(basis_labels(n))}
-    pos = 0
-    first = True
-    while pos < len(stripped):
-        mo = _TERM.match(stripped, pos)
-        if not mo or (not first and mo.group("sign") is None):
-            raise ValueError(f"cannot parse class text at: {stripped[pos:]!r}")
-        gen = mo.group("gen")
+    for q, gen in parse_terms(text, r"g[123]|E|F\d+"):
         if gen not in index:
             raise ValueError(f"{gen} is not a basis class for n={n}")
-        q = Fraction(mo.group("coef"))
-        if mo.group("sign") == "-":
-            q = -q
         coords[index[gen]] += q
-        pos = mo.end()
-        first = False
     return FiberClass(n, tuple(coords))
 
 

@@ -98,41 +98,49 @@ class UnimodularMatrix:
         return (self.a, self.b, self.c, self.d)
 
 
+def substitute(xs: tuple[int, ...], a: int, b: int, c: int,
+               d: int) -> tuple[int, ...]:
+    """Coefficients of f(a*z + b*w, c*z + d*w) for the coefficient vector xs.
+
+    The one expansion of the substitution, by Horner's rule in the first
+    linear form: h <- h * (a z + b w) + x_i * (c z + d w)^i.
+    """
+    h = [xs[0]]
+    qpow = [1]
+    for i in range(1, len(xs)):
+        nh = [0] * (i + 1)
+        for t, hc in enumerate(h):
+            nh[t] += a * hc
+            nh[t + 1] += b * hc
+        nq = [0] * (i + 1)
+        for t, qc in enumerate(qpow):
+            nq[t] += c * qc
+            nq[t + 1] += d * qc
+        qpow = nq
+        x = xs[i]
+        if x:
+            for t, qc in enumerate(qpow):
+                nh[t] += x * qc
+        h = nh
+    return tuple(h)
+
+
+def evaluate(xs: tuple[int, ...], a: int, c: int) -> int:
+    """f(a, c): the z^n coefficient of substitute(xs, a, b, c, d), for any b, d."""
+    acc = 0
+    power = 1
+    for x in xs:
+        acc = acc * a + x * power
+        power *= c
+    return acc
+
+
 def act(f: BinaryForm, m: UnimodularMatrix) -> BinaryForm:
     """Coefficients of f(a*z + b*w, c*z + d*w), expanded exactly.
 
     Satisfies the right-action law act(act(f, m), m2) == act(f, m @ m2).
     """
-    n = f.degree
-    # P[i][t] = coefficient of z^(i-t) w^t in (a z + b w)^i, likewise Q for (c z + d w)
-    P = _binomial_powers(m.a, m.b, n)
-    Q = _binomial_powers(m.c, m.d, n)
-    out = [0] * (n + 1)
-    for i, x in enumerate(f.coeffs):
-        if not x:
-            continue
-        pi = P[n - i]
-        qi = Q[i]
-        for u, pu in enumerate(pi):
-            if not pu:
-                continue
-            xpu = x * pu
-            for v, qv in enumerate(qi):
-                if qv:
-                    out[u + v] += xpu * qv
-    return BinaryForm(tuple(out))
-
-
-def _binomial_powers(a: int, b: int, n: int) -> list[list[int]]:
-    pows = [[1]]
-    for i in range(1, n + 1):
-        prev = pows[-1]
-        cur = [0] * (i + 1)
-        for t, c in enumerate(prev):
-            cur[t] += a * c
-            cur[t + 1] += b * c
-        pows.append(cur)
-    return pows
+    return BinaryForm(substitute(f.coeffs, m.a, m.b, m.c, m.d))
 
 
 def height(f: BinaryForm) -> int:

@@ -16,20 +16,16 @@ are not hard-coded but derived by pairing the relation with each curve.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import cone
+from ._terms import _fr, format_terms, parse_terms
 
 
 class InvalidSubset(ValueError):
     """A pairing was requested against a set outside {1, ..., n}."""
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -103,46 +99,20 @@ class DivisorClass:
 
 def format_divisor(c: DivisorClass) -> str:
     """Canonical text form: L term first, then B[s] ascending in s."""
-    terms: list[tuple[Fraction, str]] = []
-    if c.coeff_L:
-        terms.append((c.coeff_L, "L"))
-    for s in sorted(c.coeff_B):
-        terms.append((c.coeff_B[s], f"B[{s}]"))
-    if not terms:
-        return "0"
-    parts = [f"{terms[0][0]}*{terms[0][1]}"]
-    for q, name in terms[1:]:
-        parts.append(f"{'-' if q < 0 else '+'} {abs(q)}*{name}")
-    return " ".join(parts)
-
-
-_TERM = re.compile(r"\s*(?:(?P<sign>[+-])\s*)?(?P<coef>\d+(?:/\d+)?)\s*\*\s*"
-                   r"(?P<gen>L|B\[(?P<s>\d+)\])")
+    return format_terms([(c.coeff_L, "L")]
+                        + [(c.coeff_B[s], f"B[{s}]") for s in sorted(c.coeff_B)])
 
 
 def parse_divisor(text: str, n: int) -> DivisorClass:
     """Parse the textual divisor format; tolerant of whitespace variations."""
-    stripped = text.strip()
-    if stripped == "0":
-        return DivisorClass.zero(n)
     coeff_L = Fraction(0)
     coeff_B: dict[int, Fraction] = {}
-    pos = 0
-    first = True
-    while pos < len(stripped):
-        mo = _TERM.match(stripped, pos)
-        if not mo or (not first and mo.group("sign") is None):
-            raise ValueError(f"cannot parse divisor text at: {stripped[pos:]!r}")
-        q = Fraction(mo.group("coef"))
-        if mo.group("sign") == "-":
-            q = -q
-        if mo.group("gen") == "L":
+    for q, name in parse_terms(text, r"L|B\[\d+\]"):
+        if name == "L":
             coeff_L += q
         else:
-            s = int(mo.group("s"))
+            s = int(name[2:-1])
             coeff_B[s] = coeff_B.get(s, Fraction(0)) + q
-        pos = mo.end()
-        first = False
     return DivisorClass(n, coeff_L, coeff_B)
 
 

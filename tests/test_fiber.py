@@ -161,3 +161,6 @@ def test_parse_fiber_class():
         parse_fiber_class("1*F5", 4)
     with pytest.raises(ValueError):
         parse_fiber_class("1*g1 junk", 4)
+    for text in ("1/0*E", "", "   "):
+        with pytest.raises(ValueError):
+            parse_fiber_class(text, 4)

@@ -86,6 +86,59 @@ def test_act_negated_identity_parity():
         assert height(g) == height(f)
 
 
+def reference_substitution(xs, a, b, c, d):
+    """Sum of x_i * (a z + b w)^(n-i) * (c z + d w)^i, each product
+    multiplied out one linear factor at a time."""
+    n = len(xs) - 1
+    out = [0] * (n + 1)
+    for i, x in enumerate(xs):
+        poly = [x]  # coefficients of z^(k-t) w^t for the running degree k
+        for u, v in [(a, b)] * (n - i) + [(c, d)] * i:
+            nxt = [0] * (len(poly) + 1)
+            for t, p in enumerate(poly):
+                nxt[t] += u * p
+                nxt[t + 1] += v * p
+            poly = nxt
+        for t, p in enumerate(poly):
+            out[t] += p
+    return tuple(out)
+
+
+def random_det1_entries(rng, bound=50):
+    while True:
+        a, b, c = (rng.randint(-bound, bound) for _ in range(3))
+        if a == 0:
+            if b * c == -1:
+                return a, b, c, rng.randint(-bound, bound)
+        elif (1 + b * c) % a == 0 and abs((1 + b * c) // a) <= bound:
+            return a, b, c, (1 + b * c) // a
+
+
+def test_act_matches_reference_expansion():
+    from effcone.counting import _substituted_coeffs
+
+    rng = random.Random(15)
+    lead_only = tail_only = 0
+    for _ in range(300):
+        degree = rng.randint(1, 8)
+        xs = tuple(rng.choice([0, 0, rng.randint(-9, 9)])
+                   for _ in range(degree + 1))
+        if not any(xs):
+            xs = (1,) + xs[1:]
+        a, b, c, d = random_det1_entries(rng)
+        expected = reference_substitution(xs, a, b, c, d)
+        assert act(BinaryForm(xs), UnimodularMatrix(a, b, c, d)).coeffs == expected
+        lead, tail = abs(expected[0]), abs(expected[-1])
+        top = max(abs(v) for v in expected)
+        for b_max in {0, lead, lead - 1, tail, tail - 1, top, top - 1} - {-1}:
+            got = _substituted_coeffs(xs, a, b, c, d, b_max)
+            assert got == (None if top > b_max else expected)
+            lead_only += lead > b_max >= tail
+            tail_only += tail > b_max >= lead
+    # each early exit was the only one to fire in some case
+    assert lead_only and tail_only
+
+
 def test_unimodular_validation():
     with pytest.raises(ValueError):
         UnimodularMatrix(1, 0, 0, 2)

@@ -295,6 +295,9 @@ def test_parse_rejects_junk():
         parse_divisor("2*B[9]", 4)
     with pytest.raises(ValueError):
         parse_divisor("1*B[3] 2*B[4]", 4)  # missing sign between terms
+    for text in ("1/0*L", "", "   "):
+        with pytest.raises(ValueError):
+            parse_divisor(text, 4)
 
 
 def test_divisor_class_validation():
