@@ -164,8 +164,12 @@ def _cmd_act(args) -> int:
 
 def _cmd_count(args) -> int:
     try:
+        growth = Fraction(args.growth)
+    except (ValueError, ZeroDivisionError):  # "abc", "1/0"
+        raise SystemExit2(f"invalid growth factor: {args.growth}")
+    try:
         f = forms.BinaryForm.from_csv(args.coeffs)
-        policy = counting.CountPolicy(args.t0, Fraction(args.growth), args.stab)
+        policy = counting.CountPolicy(args.t0, growth, args.stab)
         if args.grid < 1 or args.bmax < 1:
             raise ValueError("grid length and bmax must be positive")
         grid = sorted({args.bmax // 2**k for k in range(args.grid)} - {0})

@@ -172,17 +172,26 @@ def enumerate_unimodular(bound: int):
 #
 # A matrix (a b; c d) can only produce a form of height <= B if both outer
 # image coefficients are small: f(a, c) (the z^n coefficient) and f(b, d)
-# (the w^n coefficient).  Writing f(a, c) = x_m * c^m * prod_j (a - theta_j c)
-# over the finite roots theta_j of f(t, 1), at least one factor must be below
-# (B / |x_m * c^m|)^(1/deg), so qualifying first columns live in short
-# integer windows around the root directions.  Partner columns come from the
-# det-1 family (b, d) = (b0 + t*a, d0 + t*c), where the same argument applied
-# to q(t) = f(b0 + t*a, d0 + t*c) confines t to windows around the roots of
-# q.  Both f(t, 1) and q have degree >= 1 when f has no repeated root, so
-# there is always a root to window around.  Floating-point roots only steer
-# the search: windows are padded and every candidate is checked in exact
-# integer arithmetic, while the product bound itself guarantees no
-# qualifying matrix lies outside the windows.
+# (the w^n coefficient).  Write f(x, y) = x_m * prod_j (x - theta_j y) * y^k
+# over the finite roots theta_j of f(t, 1) and the multiplicity k of the root
+# at infinity.  Then f(a, c) = x_m * c^k * prod_j (a - theta_j c), so at least
+# one factor must be below (B / |x_m * c^k|)^(1/deg), and qualifying first
+# columns live in short integer windows around the root directions.
+#
+# Partner columns come from the det-1 family (b, d) = (b0 + t*a, d0 + t*c).
+# q(t) = f(a t + b0, c t + d0) = x_m * prod_j ((a - theta_j c) t +
+# (b0 - theta_j d0)) * (c t + d0)^k is f seen through a unimodular matrix, so
+# its roots are Moebius images of the roots of f.  With a*d0 - b0*c = 1:
+#   c != 0:  t_j = -d0/c + 1/(c (a - theta_j c)), plus -d0/c k times;
+#   c == 0:  t_j = (theta_j d0 - b0)/a, which is theta_j for the column (1, 0).
+# The roots of f are therefore solved once per form, not once per column.
+# When f(a, c) = 0 the column direction a/c is itself a root of f and q loses
+# one degree, which its exact integer coefficients show: the theta_j that
+# minimizes |a - theta_j c| is dropped.  q has degree >= 1 when f has no
+# repeated root, so there is always a root to window around.  Floating-point
+# roots only steer the search: windows are padded and every candidate is
+# checked in exact integer arithmetic, while the product bound itself
+# guarantees no qualifying matrix lies outside the windows.
 # ---------------------------------------------------------------------------
 
 _WINDOW_PAD = 4.0
@@ -253,24 +262,47 @@ def _product_windows(centers: list[complex], lead_abs: float,
     return merged
 
 
+def _finite_roots(xs: tuple[int, ...]) -> tuple[list[complex], int, int]:
+    """(roots, lead_abs, inf_mult): the finite roots theta_j of f(t, 1), the
+    absolute value of its leading coefficient x_m, and the multiplicity of
+    the root of f at infinity (the number of leading zero coefficients)."""
+    inf_mult = 0
+    while inf_mult < len(xs) and xs[inf_mult] == 0:
+        inf_mult += 1
+    stripped = list(xs[inf_mult:])
+    if len(stripped) <= 1:
+        raise ValueError("form has no finite root directions")
+    return _poly_roots(stripped), abs(stripped[0]), inf_mult
+
+
 def _partner_parameters(xs: tuple[int, ...], a: int, c: int, b0: int, d0: int,
-                        b_max: int) -> list[int]:
+                        b_max: int, roots: list[complex],
+                        inf_mult: int) -> list[int]:
     """Sorted complete list of the integer t that can make
-    |f(b0 + t*a, d0 + t*c)| <= b_max.
+    |f(b0 + t*a, d0 + t*c)| <= b_max, given the finite roots of f and the
+    multiplicity of its root at infinity (see `_finite_roots`).
 
     q(t) = f(a*t + b0, c*t + d0) is the substitution with w = 1, leading
-    coefficient first.  Its degree drops below that of f by the multiplicity
-    of (a : c) as a root of f, so q is constant only for a form with a
-    repeated root, which raises NonGenericForm.
+    coefficient first; its roots are the Moebius images of the roots of f
+    described in the root-window section.  Its degree drops below that of f
+    by the multiplicity of (a : c) as a root of f, so q is constant only for
+    a form with a repeated root, which raises NonGenericForm.
     """
     coeffs = list(substitute(xs, a, b0, c, d0))
     while coeffs[0] == 0:
         coeffs.pop(0)
     if len(coeffs) == 1:
         raise NonGenericForm("orbit counting requires a nonzero discriminant")
+    if c == 0:
+        centers = [(z * d0 - b0) / a for z in roots]
+    else:
+        factors = [a - z * c for z in roots]
+        if len(coeffs) < len(xs):  # f(a, c) = 0: a/c is a root of f
+            factors.remove(min(factors, key=abs))
+        pole = -d0 / c
+        centers = [pole + 1 / (c * u) for u in factors] + [pole] * inf_mult
     out: list[int] = []
-    for lo, hi in _product_windows(_poly_roots(coeffs), abs(coeffs[0]),
-                                   float(b_max)):
+    for lo, hi in _product_windows(centers, abs(coeffs[0]), float(b_max)):
         out.extend(range(lo, hi + 1))
     return out
 
@@ -312,18 +344,25 @@ def _substituted_coeffs(xs: tuple[int, ...], a: int, b: int, c: int, d: int,
 
 class _Column:
     """A qualifying first column (a, c) with its det-1 partner family
-    (b, d) = (b0 + t*a, d0 + t*c) and the candidate t values."""
+    (b, d) = (b0 + t*a, d0 + t*c) and the candidate t values.
+
+    `roots` and `inf_mult` describe the root directions of f (see
+    `_finite_roots`); the partner windows are their Moebius images, so no
+    root is solved per column.
+    """
 
     __slots__ = ("a", "c", "b0", "d0", "params")
 
-    def __init__(self, xs: tuple[int, ...], a: int, c: int, b_max: int):
+    def __init__(self, xs: tuple[int, ...], a: int, c: int, b_max: int,
+                 roots: list[complex], inf_mult: int):
         g, x, y = _egcd(a, c)
         assert g == 1
         self.a = a
         self.c = c
         self.d0 = x
         self.b0 = -y  # a*d0 - c*b0 = 1
-        self.params = _partner_parameters(xs, a, c, self.b0, self.d0, b_max)
+        self.params = _partner_parameters(xs, a, c, self.b0, self.d0, b_max,
+                                          roots, inf_mult)
 
     def matrices_in_shell(self, shell: int, prev: int):
         """Matrix entries inside the shell box but not the previous box."""
@@ -353,14 +392,7 @@ def _orbit_heights(f: BinaryForm, b_max: int, policy: CountPolicy) -> list[int]:
     are recorded per matrix).
     """
     xs = f.coeffs
-    stripped = list(xs)
-    inf_mult = 0
-    while stripped and stripped[0] == 0:
-        stripped.pop(0)
-        inf_mult += 1
-    if len(stripped) <= 1:
-        raise ValueError("form has no finite root directions")
-    finite_roots = _poly_roots(stripped)
+    roots, lead_abs, inf_mult = _finite_roots(xs)
     odd = f.degree % 2 == 1
     columns: list[_Column] = []
     seen: set[tuple[int, ...]] = set()
@@ -370,9 +402,8 @@ def _orbit_heights(f: BinaryForm, b_max: int, policy: CountPolicy) -> list[int]:
     quiet = 0
     while True:
         for a, c in _qualifying_columns(xs, scanned_c + 1, shell, b_max,
-                                        finite_roots, abs(stripped[0]),
-                                        inf_mult):
-            columns.append(_Column(xs, a, c, b_max))
+                                        roots, lead_abs, inf_mult):
+            columns.append(_Column(xs, a, c, b_max, roots, inf_mult))
         scanned_c = shell
         before = len(seen)
         for col in columns:

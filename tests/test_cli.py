@@ -129,6 +129,8 @@ def test_exit_codes_for_invalid_input(capsys):
     assert run(capsys, "disc", "--coeffs", "5")[0] == 2
     assert run(capsys, "disc", "--coeffs", "1,x,2,3")[0] == 2
     assert run(capsys, "count", "--coeffs", "1,-2,1,0", "--bmax", "100")[0] == 2
+    assert run(capsys, "count", "--coeffs", "1,0,-1,-1", "--bmax", "100",
+               "--growth", "1/0")[0] == 2
     assert run(capsys, "fit", "--in", "/nonexistent.csv")[0] == 2
     assert run(capsys, "act", "--coeffs", "1,0,1", "--matrix", "1,1,1,1")[0] == 2
 

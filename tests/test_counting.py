@@ -20,6 +20,7 @@ from effcone.forms import (
     UnimodularMatrix,
     act,
     disc,
+    evaluate,
     form_from_roots,
     height,
 )
@@ -112,20 +113,16 @@ def test_orbit_heights_rejects_repeated_root():
 
 def window_box_images(f, bound, b_max):
     """Qualifying image set from the column-window search, single box."""
-    from effcone.counting import _Column, _poly_roots, _qualifying_columns
+    from effcone.counting import _Column, _finite_roots, _qualifying_columns
 
     xs = f.coeffs
-    stripped = list(xs)
-    inf_mult = 0
-    while stripped and stripped[0] == 0:
-        stripped.pop(0)
-        inf_mult += 1
-    roots = _poly_roots(stripped)
+    roots, lead_abs, inf_mult = _finite_roots(xs)
     odd = f.degree % 2 == 1
     images = set()
-    for a, c in _qualifying_columns(xs, 0, bound, b_max, roots,
-                                    abs(stripped[0]), inf_mult):
-        for entries in _Column(xs, a, c, b_max).matrices_in_shell(bound, 0):
+    for a, c in _qualifying_columns(xs, 0, bound, b_max, roots, lead_abs,
+                                    inf_mult):
+        column = _Column(xs, a, c, b_max, roots, inf_mult)
+        for entries in column.matrices_in_shell(bound, 0):
             g = act(f, UnimodularMatrix(*entries))
             if height(g) > b_max:
                 continue
@@ -157,16 +154,94 @@ def test_window_box_completeness():
         cases += 1
 
 
+def split_form(factors):
+    """Coefficients of prod (q z - p w) over the (q, p) pairs."""
+    coeffs = [1]
+    for q, p in factors:
+        nxt = [0] * (len(coeffs) + 1)
+        for i, x in enumerate(coeffs):
+            nxt[i] += q * x
+            nxt[i + 1] -= p * x
+        coeffs = nxt
+    return coeffs
+
+
+def test_partner_windows_cover_every_brute_partner():
+    # the partner windows of a qualifying column (a, c) are Moebius images of
+    # the roots of f; compare them at c up to 300 against an exact oracle:
+    # every t with |f(b0 + t*a, d0 + t*c)| <= B whose partner (b, d) has
+    # entries up to about `box`
+    from effcone.counting import (_finite_roots, _partner_parameters,
+                                  _qualifying_columns)
+
+    rng = random.Random(43)
+    box, b_max = 20000, 10 ** 5
+    zero_columns = 0
+    largest_c = 0
+    for kind in ("irrational", "split", "infinity") * 3:
+        while True:
+            degree = rng.choice([3, 4])
+            if kind == "irrational":
+                coeffs = [rng.randint(-5, 5) for _ in range(degree + 1)]
+            else:
+                factors = [(rng.randint(1, 3), rng.randint(-4, 4))
+                           for _ in range(degree - (kind == "infinity"))]
+                coeffs = [0] * (kind == "infinity") + split_form(factors)
+            if any(coeffs) and disc(BinaryForm(tuple(coeffs))) != 0:
+                break
+        xs = tuple(coeffs)
+        roots, lead_abs, inf_mult = _finite_roots(xs)
+        columns = sorted(_qualifying_columns(xs, 0, 300, b_max, roots,
+                                             lead_abs, inf_mult),
+                         key=lambda col: col[1])
+        zero = [(a, c) for a, c in columns if evaluate(xs, a, c) == 0]
+        # the best approximations to a root have partners far from -d0/c
+        best = sorted((col for col in columns
+                       if col[1] > 6 and col not in zero),
+                      key=lambda col: abs(evaluate(xs, *col)) / col[1])[:6]
+        rest = [col for col in columns if col not in zero + best]
+        picked = zero + best + rest[-4:] + rng.sample(rest, min(len(rest), 4))
+        for a, c in picked:
+            d0 = pow(a, -1, c) if c else a
+            b0 = (a * d0 - 1) // c if c else 0
+            assert a * d0 - b0 * c == 1
+            params = set(_partner_parameters(xs, a, c, b0, d0, b_max, roots,
+                                             inf_mult))
+            reach = box // max(abs(a), c) + 1
+            for t in range(-reach, reach + 1):
+                if abs(evaluate(xs, b0 + t * a, d0 + t * c)) <= b_max:
+                    assert t in params, (xs, a, c, t)
+        zero_columns += len(zero)
+        largest_c = max(largest_c, columns[-1][1])
+    assert zero_columns >= 5 and largest_c >= 250
+
+
 def test_window_search_matches_box_search():
     policy = CountPolicy(2, 2, 2)
     for coeffs, b_max in (((1, 0, -1, -1), 60),
                           ((1, -3, -25, 75, 0), 60),
                           ((0, 1, -1, 3), 40),
-                          ((2, 1, 0, -1, 1, 3), 40)):
+                          ((2, 1, 0, -1, 1, 3), 40),
+                          ((0, 60, -227, 286, -120), 120)):
         f = BinaryForm(coeffs)
         assert disc(f) != 0
         assert _orbit_heights(f, b_max, policy) == \
             brute_orbit_heights(f, b_max, policy)
+
+
+def test_one_root_solve_per_form(monkeypatch):
+    from effcone import counting
+
+    calls = []
+    solve = counting._poly_roots
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return solve(coeffs)
+
+    monkeypatch.setattr(counting, "_poly_roots", counted)
+    count_series(BinaryForm((1, -3, -25, 75, 0)), [100, 400, 1600])
+    assert calls == [[1, -3, -25, 75, 0]]
 
 
 def test_shared_pass_equals_pointwise_counts():
