@@ -172,7 +172,8 @@ def _cmd_count(args) -> int:
         policy = counting.CountPolicy(args.t0, growth, args.stab)
         if args.grid < 1 or args.bmax < 1:
             raise ValueError("grid length and bmax must be positive")
-        grid = sorted({args.bmax // 2**k for k in range(args.grid)} - {0})
+        steps = min(args.grid, args.bmax.bit_length())  # later steps give 0
+        grid = sorted({args.bmax // 2**k for k in range(steps)} - {0})
         series = counting.count_series(f, grid, policy)
     except (ValueError, counting.NonGenericForm) as exc:
         raise SystemExit2(str(exc))

@@ -7,14 +7,16 @@ clipped to the box.
 
 Orbit counting enumerates growing shells of matrices and stops once a
 configured number of consecutive shell growths contributes no new form
-under the height bound.  Away from the root directions of the form the
-image heights grow like the n-th power of the matrix norm, but rational
-approximations to the roots produce a thin tail of qualifying matrices of
-much larger norm, so the shell search walks short windows around the root
-directions (see the root-window section) instead of whole boxes.  The
-stopping rule is a documented heuristic, not a proof of completeness: the
-orbit intersected with a height box is finite, so the search terminates,
-but a form first reached beyond the stabilized shells would be missed.
+under the height bound.  The matrices come from one exact descent over the
+Farey (Stern-Brocot) tree in integer arithmetic (see the Farey-tree
+section): a subtree on which f keeps one sign and is already too large is
+dropped for good, and a subtree beyond the current shell waits on a
+frontier for the next one.  So every qualifying matrix of a shell box is
+found, while the walk only follows the root directions of the form and the
+regions where it is small.  The stopping rule is a documented heuristic,
+not a proof of completeness: the orbit intersected with a height box is
+finite, so the search terminates, but a form first reached beyond the
+stabilized shells would be missed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import BinaryForm, UnimodularMatrix, disc, evaluate, substitute
+from .forms import BinaryForm, UnimodularMatrix, disc, substitute
 
 
 class NonGenericForm(ValueError):
@@ -168,257 +170,98 @@ def enumerate_unimodular(bound: int):
 
 
 # ---------------------------------------------------------------------------
-# root windows
+# Farey-tree orbit search
 #
-# A matrix (a b; c d) can only produce a form of height <= B if both outer
-# image coefficients are small: f(a, c) (the z^n coefficient) and f(b, d)
-# (the w^n coefficient).  Write f(x, y) = x_m * prod_j (x - theta_j y) * y^k
-# over the finite roots theta_j of f(t, 1) and the multiplicity k of the root
-# at infinity.  Then f(a, c) = x_m * c^k * prod_j (a - theta_j c), so at least
-# one factor must be below (B / |x_m * c^k|)^(1/deg), and qualifying first
-# columns live in short integer windows around the root directions.
+# A node is an interval (p/q, r/s) of the Stern-Brocot tree, with
+# p*s - r*q = -1, and carries F(m, n) = f(p m + r n, q m + s n): f seen
+# through the matrix with columns u = (p, q) and v = (r, s).  The children
+# (p/q, mediant) and (mediant, r/s) carry F(m + n, n) and F(m, m + n), one
+# integer Taylor shift each.  The walk starts from two roots, (0/1, 1/0) and
+# (-1/0, 0/1); every pair of Farey neighbours, and so every determinant-1
+# matrix up to sign, is then reached as a node: [v u] with image F(w, z) and
+# [u -v] with image F(z, -w), both of height max |F|.
 #
-# Partner columns come from the det-1 family (b, d) = (b0 + t*a, d0 + t*c).
-# q(t) = f(a t + b0, c t + d0) = x_m * prod_j ((a - theta_j c) t +
-# (b0 - theta_j d0)) * (c t + d0)^k is f seen through a unimodular matrix, so
-# its roots are Moebius images of the roots of f.  With a*d0 - b0*c = 1:
-#   c != 0:  t_j = -d0/c + 1/(c (a - theta_j c)), plus -d0/c k times;
-#   c == 0:  t_j = (theta_j d0 - b0)/a, which is theta_j for the column (1, 0).
-# The roots of f are therefore solved once per form, not once per column.
-# When f(a, c) = 0 the column direction a/c is itself a root of f and q loses
-# one degree, which its exact integer coefficients show: the theta_j that
-# minimizes |a - theta_j c| is dropped.  q has degree >= 1 when f has no
-# repeated root, so there is always a root to window around.  Floating-point
-# roots only steer the search: windows are padded and every candidate is
-# checked in exact integer arithmetic, while the product bound itself
-# guarantees no qualifying matrix lies outside the windows.
+# Prune: every fraction strictly inside a node is m u + n v with m, n >= 1,
+# where f takes the value F(m, n).  When the nonzero coefficients of F share
+# one sign, |F(m, n)| >= |F(1, 1)|, so once |F(1, 1)| > B no node below has
+# an image of height <= B and the subtree is dropped (by Descartes' rule of
+# signs, a subtree around a root of f keeps a sign change in F).
+#
+# Frontier: every node below has an entry at least as large as the mediant
+# u + v, so a node whose mediant leaves the shell box waits on the frontier,
+# and the next shell resumes from there.
 # ---------------------------------------------------------------------------
 
-_WINDOW_PAD = 4.0
+class _FareyWalk:
+    """After `grow(shell)` (called with increasing shells), `seen` is the
+    set of images of f of height <= b_max under every determinant-1 matrix
+    with entries up to `shell`.
 
-
-def _poly_roots(coeffs: list[int]) -> list[complex]:
-    """All complex roots of an integer polynomial of degree at least one
-    (leading coefficient first, nonzero), by Durand-Kerner iteration in
-    float precision."""
-    deg = len(coeffs) - 1
-    lead = coeffs[0]
-    monic = [x / lead for x in coeffs]
-    if deg == 1:
-        return [complex(-monic[1])]
-    radius = 2 * max(abs(x) ** (1.0 / (i + 1)) for i, x in enumerate(monic[1:]))
-    radius = max(radius, 1.0)
-    seed = 0.4 + 0.9j
-    zs = [radius * seed ** (k + 1) for k in range(deg)]
-    for _ in range(300):
-        moved = 0.0
-        for k in range(deg):
-            num = 1.0 + 0j
-            val = 0j
-            for x in monic:
-                val = val * zs[k] + x
-            for j in range(deg):
-                if j != k:
-                    num *= zs[k] - zs[j]
-            if num == 0:
-                zs[k] += 1e-8 * (1 + abs(zs[k]))
-                continue
-            step = val / num
-            zs[k] -= step
-            moved = max(moved, abs(step))
-        if moved < 1e-12 * (1.0 + max(abs(z) for z in zs)):
-            break
-    return zs
-
-
-def _product_windows(centers: list[complex], lead_abs: float,
-                     bound: float) -> list[tuple[int, int]]:
-    """Merged integer intervals that must contain every integer u with
-    lead_abs * prod_j |u - centers[j]| <= bound.
-
-    `centers` is nonempty: callers pass the roots of a polynomial of degree
-    at least one.
-    """
-    deg = len(centers)
-    radius = (bound / lead_abs) ** (1.0 / deg)
-    spans = []
-    for j, z in enumerate(centers):
-        if abs(z.imag) > radius + _WINDOW_PAD:
-            continue
-        others = 1.0
-        for k, zk in enumerate(centers):
-            if k != j:
-                others *= max(abs(z - zk) - radius, abs(zk.imag), 0.0)
-        width = radius if others <= 0 else min(radius, bound / (lead_abs * others))
-        width += _WINDOW_PAD + 1e-6 * (1.0 + abs(z))
-        spans.append((math.ceil(z.real - width), math.floor(z.real + width)))
-    spans.sort()
-    merged: list[tuple[int, int]] = []
-    for lo, hi in spans:
-        if merged and lo <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-def _finite_roots(xs: tuple[int, ...]) -> tuple[list[complex], int, int]:
-    """(roots, lead_abs, inf_mult): the finite roots theta_j of f(t, 1), the
-    absolute value of its leading coefficient x_m, and the multiplicity of
-    the root of f at infinity (the number of leading zero coefficients)."""
-    inf_mult = 0
-    while inf_mult < len(xs) and xs[inf_mult] == 0:
-        inf_mult += 1
-    stripped = list(xs[inf_mult:])
-    if len(stripped) <= 1:
-        raise ValueError("form has no finite root directions")
-    return _poly_roots(stripped), abs(stripped[0]), inf_mult
-
-
-def _partner_parameters(xs: tuple[int, ...], a: int, c: int, b0: int, d0: int,
-                        b_max: int, roots: list[complex],
-                        inf_mult: int) -> list[int]:
-    """Sorted complete list of the integer t that can make
-    |f(b0 + t*a, d0 + t*c)| <= b_max, given the finite roots of f and the
-    multiplicity of its root at infinity (see `_finite_roots`).
-
-    q(t) = f(a*t + b0, c*t + d0) is the substitution with w = 1, leading
-    coefficient first; its roots are the Moebius images of the roots of f
-    described in the root-window section.  Its degree drops below that of f
-    by the multiplicity of (a : c) as a root of f, so q is constant only for
-    a form with a repeated root, which raises NonGenericForm.
-    """
-    coeffs = list(substitute(xs, a, b0, c, d0))
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-    if len(coeffs) == 1:
-        raise NonGenericForm("orbit counting requires a nonzero discriminant")
-    if c == 0:
-        centers = [(z * d0 - b0) / a for z in roots]
-    else:
-        factors = [a - z * c for z in roots]
-        if len(coeffs) < len(xs):  # f(a, c) = 0: a/c is a root of f
-            factors.remove(min(factors, key=abs))
-        pole = -d0 / c
-        centers = [pole + 1 / (c * u) for u in factors] + [pole] * inf_mult
-    out: list[int] = []
-    for lo, hi in _product_windows(centers, abs(coeffs[0]), float(b_max)):
-        out.extend(range(lo, hi + 1))
-    return out
-
-
-def _qualifying_columns(xs: tuple[int, ...], c_lo: int, c_hi: int, b_max: int,
-                        finite_roots: list[complex], lead_abs: int,
-                        inf_mult: int):
-    """Coprime columns (a, c) with c in [c_lo, c_hi] and |f(a, c)| <= b_max.
-
-    c = 0 contributes the single half-box column (1, 0) when it qualifies.
-    """
-    if c_lo <= 0 <= c_hi and abs(xs[0]) <= b_max:
-        yield 1, 0
-    for c in range(max(c_lo, 1), c_hi + 1):
-        centers = [z * c for z in finite_roots]
-        windows = _product_windows(centers, float(lead_abs * c ** inf_mult),
-                                   float(b_max))
-        for lo, hi in windows:
-            for a in range(lo, hi + 1):
-                if math.gcd(a, c) == 1 and abs(evaluate(xs, a, c)) <= b_max:
-                    yield a, c
-
-
-def _substituted_coeffs(xs: tuple[int, ...], a: int, b: int, c: int, d: int,
-                        b_max: int) -> tuple[int, ...] | None:
-    """Coefficients of f(a z + b w, c z + d w), or None once the height bound
-    is exceeded.
-
-    The outer coefficients of the image are f(a, c) and f(b, d), so those two
-    evaluations reject most large matrices before the full expansion runs.
-    """
-    if abs(evaluate(xs, a, c)) > b_max or abs(evaluate(xs, b, d)) > b_max:
-        return None
-    h = substitute(xs, a, b, c, d)
-    if max(abs(v) for v in h) > b_max:
-        return None
-    return h
-
-
-class _Column:
-    """A qualifying first column (a, c) with its det-1 partner family
-    (b, d) = (b0 + t*a, d0 + t*c) and the candidate t values.
-
-    `roots` and `inf_mult` describe the root directions of f (see
-    `_finite_roots`); the partner windows are their Moebius images, so no
-    root is solved per column.
+    A node stands for the matrices [v u] and [u -v] and their negatives,
+    which give the same two images up to the global sign (-1)^n, so for odd
+    degree both signs are recorded.
     """
 
-    __slots__ = ("a", "c", "b0", "d0", "params")
+    __slots__ = ("b_max", "odd", "seen", "frontier")
 
-    def __init__(self, xs: tuple[int, ...], a: int, c: int, b_max: int,
-                 roots: list[complex], inf_mult: int):
-        g, x, y = _egcd(a, c)
-        assert g == 1
-        self.a = a
-        self.c = c
-        self.d0 = x
-        self.b0 = -y  # a*d0 - c*b0 = 1
-        self.params = _partner_parameters(xs, a, c, self.b0, self.d0, b_max,
-                                          roots, inf_mult)
+    def __init__(self, xs: tuple[int, ...], b_max: int):
+        self.b_max = b_max
+        self.odd = len(xs) % 2 == 0
+        self.seen: set[tuple[int, ...]] = set()
+        self.frontier: list[tuple] = []
+        self._enter(substitute(xs, 0, 1, 1, 0), 0, 1, 1, 0, self.frontier)
+        self._enter(substitute(xs, -1, 0, 0, 1), -1, 0, 0, 1, self.frontier)
 
-    def matrices_in_shell(self, shell: int, prev: int):
-        """Matrix entries inside the shell box but not the previous box."""
-        a, c, b0, d0 = self.a, self.c, self.b0, self.d0
-        if max(abs(a), c) > shell:
+    def _enter(self, F, p, q, r, s, nodes):
+        """Record the two images of a new node; keep it unless pruned."""
+        b_max = self.b_max
+        if max(map(abs, F)) <= b_max:
+            flipped = F[::-1]
+            alternating = tuple(-x if i % 2 else x for i, x in enumerate(F))
+            self.seen.add(flipped)
+            self.seen.add(alternating)
+            if self.odd:
+                self.seen.add(tuple(-x for x in flipped))
+                self.seen.add(tuple(-x for x in alternating))
+        if (min(F) >= 0 or max(F) <= 0) and abs(sum(F)) > b_max:
             return
-        inner = max(abs(a), c) <= prev
-        for t in self.params:
-            b = b0 + t * a
-            d = d0 + t * c
-            if abs(b) > shell or abs(d) > shell:
+        nodes.append((F, p, q, r, s))
+
+    def grow(self, shell: int) -> None:
+        """Visit every node whose matrices lie in the box of entries up to
+        `shell`; the second entries q, s are never negative."""
+        stack, self.frontier = self.frontier, []
+        while stack:
+            node = stack.pop()
+            F, p, q, r, s = node
+            mp, mq = p + r, q + s
+            if abs(mp) > shell or mq > shell:
+                self.frontier.append(node)
                 continue
-            if inner and abs(b) <= prev and abs(d) <= prev:
-                continue  # inner box already processed
-            yield a, b, c, d
+            self._enter(substitute(F, 1, 1, 0, 1), p, q, mp, mq, stack)
+            self._enter(substitute(F, 1, 0, 1, 1), mp, mq, r, s, stack)
 
 
 def _orbit_heights(f: BinaryForm, b_max: int, policy: CountPolicy) -> list[int]:
     """Sorted heights of the distinct orbit vectors with height <= b_max.
 
-    Requires a form without repeated roots (nonzero discriminant); a
-    repeated root reached through a partner family raises NonGenericForm.
-    Shells grow per the policy; each round adds the matrices of the shell
-    box beyond the previous box, taken from the cached qualifying-column
-    families (only the half-box with c > 0 or (a, c) = (1, 0) is walked:
-    the mate -m gives the same image up to a global sign, and both signs
-    are recorded per matrix).
+    Requires a form without repeated roots: a zero discriminant raises
+    NonGenericForm.  Shells grow per the policy, and each round adds the
+    images of the shell box beyond the previous box.
     """
-    xs = f.coeffs
-    roots, lead_abs, inf_mult = _finite_roots(xs)
-    odd = f.degree % 2 == 1
-    columns: list[_Column] = []
-    seen: set[tuple[int, ...]] = set()
-    scanned_c = -1
-    prev = 0
+    if disc(f) == 0:
+        raise NonGenericForm("orbit counting requires a nonzero discriminant")
+    walk = _FareyWalk(f.coeffs, b_max)
     shell = policy.initial_shell
-    quiet = 0
+    before = quiet = 0
     while True:
-        for a, c in _qualifying_columns(xs, scanned_c + 1, shell, b_max,
-                                        roots, lead_abs, inf_mult):
-            columns.append(_Column(xs, a, c, b_max, roots, inf_mult))
-        scanned_c = shell
-        before = len(seen)
-        for col in columns:
-            for a, b, c, d in col.matrices_in_shell(shell, prev):
-                coeffs = _substituted_coeffs(xs, a, b, c, d, b_max)
-                if coeffs is not None:
-                    seen.add(coeffs)
-                    if odd:
-                        seen.add(tuple(-v for v in coeffs))
-        quiet = quiet + 1 if len(seen) == before else 0
+        walk.grow(shell)
+        quiet = quiet + 1 if len(walk.seen) == before else 0
         if quiet >= policy.stable_rounds:
             break
-        prev = shell
+        before = len(walk.seen)
         shell = policy.next_shell(shell)
-    return sorted(max(abs(v) for v in coeffs) for coeffs in seen)
+    return sorted(max(map(abs, coeffs)) for coeffs in walk.seen)
 
 
 def count_series(f: BinaryForm, b_grid,
@@ -429,8 +272,6 @@ def count_series(f: BinaryForm, b_grid,
     grid = [int(b) for b in b_grid]
     if not grid or any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("grid must be nonempty and strictly increasing")
-    if disc(f) == 0:
-        raise NonGenericForm("orbit counting requires a nonzero discriminant")
     heights = _orbit_heights(f, grid[-1], policy)
     return CountSeries(tuple((b, bisect_right(heights, b)) for b in grid))
 

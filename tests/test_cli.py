@@ -172,3 +172,22 @@ def test_negative_first_coefficient_as_own_token(capsys):
         assert spaced[0] == 0
         assert run(capsys, *argv, "--coeffs=-1,0,1,1") == spaced
     assert json.loads(spaced[1])["matrix"] == [-1, 0, 0, -1]
+
+
+def test_count_grid_longer_than_bmax_bits(capsys):
+    # grid steps past the bit length of bmax all give B = 0 and are skipped
+    # without being computed, so a huge --grid returns at once
+    argv = ("count", "--coeffs=1,0,-1,-1", "--bmax", "200", "--format", "csv")
+    short = run(capsys, *argv, "--grid", "8")
+    assert short[0] == 0
+    assert run(capsys, *argv, "--grid", "1000000") == short
+
+
+def test_count_form_with_huge_root(capsys):
+    # a real root near 1e15: a cubic of height <= 20000 has a far smaller
+    # |disc| than this form, so no orbit form qualifies
+    coeffs = "1,0,0,-1000000000000000000000000000000000000000000012345"
+    code, out, err = run(capsys, "count", "--coeffs=" + coeffs, "--bmax",
+                         "20000", "--grid", "3", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["series"] == [[5000, 0], [10000, 0], [20000, 0]]

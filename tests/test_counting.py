@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -112,29 +113,17 @@ def test_orbit_heights_rejects_repeated_root():
 
 
 def window_box_images(f, bound, b_max):
-    """Qualifying image set from the column-window search, single box."""
-    from effcone.counting import _Column, _finite_roots, _qualifying_columns
+    """Qualifying image set from the Farey-tree search, single box."""
+    from effcone.counting import _FareyWalk
 
-    xs = f.coeffs
-    roots, lead_abs, inf_mult = _finite_roots(xs)
-    odd = f.degree % 2 == 1
-    images = set()
-    for a, c in _qualifying_columns(xs, 0, bound, b_max, roots, lead_abs,
-                                    inf_mult):
-        column = _Column(xs, a, c, b_max, roots, inf_mult)
-        for entries in column.matrices_in_shell(bound, 0):
-            g = act(f, UnimodularMatrix(*entries))
-            if height(g) > b_max:
-                continue
-            images.add(g.coeffs)
-            if odd:
-                images.add(tuple(-v for v in g.coeffs))
-    return images
+    walk = _FareyWalk(f.coeffs, b_max)
+    walk.grow(bound)
+    return walk.seen
 
 
 def test_window_box_completeness():
-    # every qualifying matrix of the full box is recovered by the root-window
-    # column search (up to the global-sign pairing)
+    # every qualifying matrix of the full box is recovered by the Farey-tree
+    # search (up to the global-sign pairing)
     rng = random.Random(31)
     cases = 0
     while cases < 14:
@@ -166,13 +155,40 @@ def split_form(factors):
     return coeffs
 
 
-def test_partner_windows_cover_every_brute_partner():
-    # the partner windows of a qualifying column (a, c) are Moebius images of
-    # the roots of f; compare them at c up to 300 against an exact oracle:
-    # every t with |f(b0 + t*a, d0 + t*c)| <= B whose partner (b, d) has
-    # entries up to about `box`
-    from effcone.counting import (_finite_roots, _partner_parameters,
-                                  _qualifying_columns)
+def exact_columns(xs, c_max, b_max, rho):
+    """Every coprime (a, c) with 0 < c <= c_max and |f(a, c)| <= b_max, and
+    (1, 0) when |f(1, 0)| <= b_max.  rho must exceed |theta| for every
+    complex root theta of f(t, 1): beyond rho * c, |f(a, c)| grows with |a|,
+    and inside, a bound on the slope in a skips every a whose value cannot
+    have come back under b_max.  Integer arithmetic throughout."""
+    n = len(xs) - 1
+    if abs(xs[0]) <= b_max:
+        yield 1, 0
+    for c in range(1, c_max + 1):
+        lo, hi = -rho * c, rho * c
+        while abs(evaluate(xs, hi + 1, c)) <= b_max:
+            hi += 1
+        while abs(evaluate(xs, lo - 1, c)) <= b_max:
+            lo -= 1
+        top = max(-lo, hi)
+        slope = sum(abs(x) * (n - i) * top ** (n - i - 1) * c ** i
+                    for i, x in enumerate(xs[:-1]))
+        a = lo
+        while a <= hi:
+            value = abs(evaluate(xs, a, c))
+            if value <= b_max:
+                if math.gcd(a, c) == 1:
+                    yield a, c
+                a += 1
+            else:
+                a += -(-(value - b_max) // slope)
+
+
+def test_farey_walk_finds_every_brute_partner():
+    # exact oracle: every qualifying column (a, c) with c <= 300, and for the
+    # picked columns every det-1 partner (b, d) in a 20,000 box whose image
+    # has height <= B; each such image must be among the walk's images
+    from effcone.counting import _FareyWalk
 
     rng = random.Random(43)
     box, b_max = 20000, 10 ** 5
@@ -190,12 +206,18 @@ def test_partner_windows_cover_every_brute_partner():
             if any(coeffs) and disc(BinaryForm(tuple(coeffs))) != 0:
                 break
         xs = tuple(coeffs)
-        roots, lead_abs, inf_mult = _finite_roots(xs)
-        columns = sorted(_qualifying_columns(xs, 0, 300, b_max, roots,
-                                             lead_abs, inf_mult),
+        if kind == "irrational":  # Cauchy's bound on the roots
+            lead = abs(next(x for x in xs if x))
+            rho = 1 + -(-max(map(abs, xs)) // lead)
+        else:
+            rho = 1 + max(abs(p) // q for q, p in factors)
+        walk = _FareyWalk(xs, b_max)
+        walk.grow(box)
+        columns = sorted(exact_columns(xs, 300, b_max, rho),
                          key=lambda col: col[1])
         zero = [(a, c) for a, c in columns if evaluate(xs, a, c) == 0]
-        # the best approximations to a root have partners far from -d0/c
+        # the best approximations to a root have qualifying partners at
+        # large |t|
         best = sorted((col for col in columns
                        if col[1] > 6 and col not in zero),
                       key=lambda col: abs(evaluate(xs, *col)) / col[1])[:6]
@@ -205,12 +227,16 @@ def test_partner_windows_cover_every_brute_partner():
             d0 = pow(a, -1, c) if c else a
             b0 = (a * d0 - 1) // c if c else 0
             assert a * d0 - b0 * c == 1
-            params = set(_partner_parameters(xs, a, c, b0, d0, b_max, roots,
-                                             inf_mult))
             reach = box // max(abs(a), c) + 1
             for t in range(-reach, reach + 1):
-                if abs(evaluate(xs, b0 + t * a, d0 + t * c)) <= b_max:
-                    assert t in params, (xs, a, c, t)
+                b, d = b0 + t * a, d0 + t * c
+                if max(abs(b), abs(d)) > box:
+                    continue
+                if abs(evaluate(xs, b, d)) > b_max:
+                    continue
+                image = act(BinaryForm(xs), UnimodularMatrix(a, b, c, d))
+                if height(image) <= b_max:
+                    assert image.coeffs in walk.seen, (xs, a, b, c, d)
         zero_columns += len(zero)
         largest_c = max(largest_c, columns[-1][1])
     assert zero_columns >= 5 and largest_c >= 250
@@ -229,19 +255,36 @@ def test_window_search_matches_box_search():
             brute_orbit_heights(f, b_max, policy)
 
 
-def test_one_root_solve_per_form(monkeypatch):
-    from effcone import counting
-
-    calls = []
-    solve = counting._poly_roots
-
-    def counted(coeffs):
-        calls.append(coeffs)
-        return solve(coeffs)
-
-    monkeypatch.setattr(counting, "_poly_roots", counted)
-    count_series(BinaryForm((1, -3, -25, 75, 0)), [100, 400, 1600])
-    assert calls == [[1, -3, -25, 75, 0]]
+def test_orbit_heights_match_box_search_on_random_forms():
+    # seeded property check: roots at infinity and at zero, split forms, the
+    # clustered split cubics (k z - (k+1) w)((k+1) z - (k+2) w)((k+2) z -
+    # (k+3) w), and every policy of the grid below
+    rng = random.Random(53)
+    cases = [(split_form([(k, k + 1), (k + 1, k + 2), (k + 2, k + 3)]), 12)
+             for k in (1, 2)]
+    kinds = ("irrational", "infinity", "zero", "both", "split")
+    while len(cases) < 20:
+        degree = rng.randint(3, 5)
+        kind = rng.choice(kinds)
+        if kind == "split":
+            coeffs = split_form([(rng.randint(1, 3), rng.randint(-3, 3))
+                                 for _ in range(degree)])
+        else:
+            coeffs = [rng.randint(-4, 4) for _ in range(degree + 1)]
+            if kind in ("infinity", "both"):
+                coeffs[0] = 0
+            if kind in ("zero", "both"):
+                coeffs[-1] = 0
+        if any(coeffs) and disc(BinaryForm(tuple(coeffs))) != 0:
+            cases.append((coeffs, rng.choice([10, 20] if degree == 3
+                                             else [10, 30, 60])))
+    policies = itertools.cycle(itertools.product((2, 4, 8), (2, Fraction(3, 2)),
+                                                 (1, 2)))
+    for coeffs, b_max in cases:
+        f = BinaryForm(tuple(coeffs))
+        policy = CountPolicy(*next(policies))
+        assert _orbit_heights(f, b_max, policy) == \
+            brute_orbit_heights(f, b_max, policy), (coeffs, b_max, policy)
 
 
 def test_shared_pass_equals_pointwise_counts():
