@@ -6,17 +6,20 @@ thresholds along a ray, and Fourier-Motzkin projection as an independent
 cross-check for small systems.
 
 No floating point anywhere: inputs are coerced to `fractions.Fraction` and
-every produced number is an exact rational.  The LP solver keeps tableau
-rows as gcd-reduced integer vectors (constraint rows are scale-free) and
-uses Bland's smallest-index rule for both the entering and the leaving
-variable, so it terminates on degenerate inputs.
+every produced number is an exact rational.  The LP solver is a simplex in
+dictionary form: it stores only the nonbasic columns, as gcd-reduced
+integer rows (constraint rows are scale-free), and uses Bland's
+smallest-index rule for both the entering and the leaving variable, so it
+terminates on degenerate inputs.  The coordinates are free variables; each
+is pivoted into the basis once, before phase one, and never leaves.
 
 Every coordinate minimum over one normalized slice shares its feasible
 region, so phase one runs once per (ConeH, normalization) and each later
 `lp_min` on that ConeH warm-starts phase two from the previous optimal
 basis.  A witness may therefore depend on the order of the calls; a minimum
 never does.  Every result is re-checked by `verify_lp_minimum`, in scaled
-integers rather than `Fraction` arithmetic.
+integers rather than `Fraction` arithmetic, over the nonzero entries of the
+constraint rows.
 """
 
 from __future__ import annotations
@@ -63,6 +66,12 @@ def _clear_denominators(qs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
     return d, [q.numerator * (d // q.denominator) for q in qs]
 
 
+def _sparse_ints(qs: tuple[Fraction, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(d, ((j, d * qs[j]), ...)) over the nonzero entries, with d > 0."""
+    d, ints = _clear_denominators(qs)
+    return d, tuple((j, a) for j, a in enumerate(ints) if a)
+
+
 def _reduce_ints(row: list[int]) -> list[int]:
     g = gcd(*row) if row else 0
     if g > 1:
@@ -88,10 +97,11 @@ class ConeH:
                 raise DimensionMismatch("constraint row width does not match labels")
         # Neither attribute is a dataclass field, so equality and hashing see
         # only rows and labels.  _int_rows[i] = (d_i, R_i), R_i = d_i * rows[i]
-        # in ints with d_i > 0.  _warm holds lp_min's tableau at a feasible
-        # basis of one normalized slice: {normalization: (tableau, scale)}.
+        # in ints with d_i > 0, stored sparsely as ((j, R_ij), ...) over the
+        # nonzero entries.  _warm holds lp_min's tableau at a feasible basis
+        # of one normalized slice: {normalization: (tableau, scale)}.
         object.__setattr__(self, "_int_rows",
-                           tuple(_clear_denominators(r) for r in self.rows))
+                           tuple(_sparse_ints(r) for r in self.rows))
         object.__setattr__(self, "_warm", {})
 
     @staticmethod
@@ -131,85 +141,90 @@ class PivotLimitExceeded(RuntimeError):
 
 
 class _Tableau:
-    """Scaled-integer simplex tableau.
+    """Scaled-integer simplex dictionary.
 
-    Every row is an integer vector (last entry = right-hand side) that may be
-    rescaled by any positive integer without changing the system, which keeps
-    all arithmetic in plain ints.  Invariants: rows[i][basis[i]] > 0, the
-    basis column is zero in every other row, and all right-hand sides are
-    >= 0.  The objective row z satisfies z[j] = sigma * reduced_cost(j) with
-    sigma > 0, hence z[basis[i]] == 0.
+    Variables are numbered x_0..x_{k-1} (free), s_0..s_{m-1} (slacks, >= 0)
+    and the artificial variable k+m (>= 0).  Only nonbasic columns are
+    stored: row i reads
+
+        rows[i][0] * basis[i] + sum_c rows[i][1 + c] * nonbasic[c] == rows[i][-1]
+
+    and may be rescaled by any positive integer without changing the
+    system, which keeps all arithmetic in plain ints.  Invariants:
+    rows[i][0] > 0, and rows[i][-1] >= 0 unless basis[i] is free.  The
+    objective row z has the same layout, with z[0] = sigma > 0 and
+    z[1 + c] = sigma * reduced_cost(nonbasic[c]).
+
+    A free variable is pivoted in once, before phase one, and never leaves:
+    its row takes no part in the ratio test.  A free variable whose column
+    is zero in every row with a bounded basic variable stays nonbasic; the
+    pivots keep that column zero, so its reduced cost can never change sign
+    and a nonzero one means the objective is unbounded.
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int]):
+    def __init__(self, rows: list[list[int]], basis: list[int], nonbasic: list[int],
+                 num_free: int):
         self.rows = rows
         self.basis = basis
-        self.ncols = len(rows[0]) - 1  # last column is the rhs
-        self.z: list[int] = []
-        self.sigma = 1
+        self.nonbasic = nonbasic
+        self.num_free = num_free  # variables 0..num_free-1 are free
+        self.z = [1] + [0] * (len(nonbasic) + 1)  # no objective yet
         self.banned: set[int] = set()
         self.pivots = 0
 
-    def set_cost(self, cost: list[int]) -> None:
-        z = list(cost) + [0]
-        sigma = 1
-        for i, b in enumerate(self.basis):
-            if z[b]:
-                p = self.rows[i][b]
-                f = z[b]
-                row = self.rows[i]
-                z = [p * a - f * c for a, c in zip(z, row)]
-                sigma *= p
-        g = gcd(sigma, *z)
-        if g > 1:
-            z = [a // g for a in z]
-            sigma //= g
-        self.z = z
-        self.sigma = sigma
+    def set_objective(self, var: int) -> None:
+        """Minimize the single variable `var`."""
+        if var in self.basis:
+            row = self.rows[self.basis.index(var)]
+            self.z = [row[0]] + [-a for a in row[1:]]
+        else:
+            self.z = [1] + [0] * len(self.nonbasic) + [0]
+            self.z[1 + self.nonbasic.index(var)] = 1
 
-    def value_of(self, col: int) -> Fraction:
-        if col in self.basis:
-            i = self.basis.index(col)
-            return Fraction(self.rows[i][-1], self.rows[i][col])
+    def value_of(self, var: int) -> Fraction:
+        if var in self.basis:
+            row = self.rows[self.basis.index(var)]
+            return Fraction(row[-1], row[0])
         return Fraction(0)
 
-    def _pivot(self, r: int, e: int) -> None:
-        p = self.rows[r][e]
-        assert p > 0
+    def reduced_cost(self, var: int) -> Fraction:
+        if var in self.nonbasic:
+            return Fraction(self.z[1 + self.nonbasic.index(var)], self.z[0])
+        return Fraction(0)
+
+    def _pivot(self, r: int, c: int) -> None:
+        """Swap nonbasic[c] into the basis at row r."""
         prow = self.rows[r]
+        assert prow[1 + c] > 0
+        prow[0], prow[1 + c] = prow[1 + c], prow[0]
+        prow = self.rows[r] = _reduce_ints(prow)
         for i, row in enumerate(self.rows):
-            if i != r and row[e]:
-                f = row[e]
-                self.rows[i] = _reduce_ints([p * a - f * b for a, b in zip(row, prow)])
-        f = self.z[e]
-        if f:
-            self.z = [p * a - f * b for a, b in zip(self.z, prow)]
-            self.sigma *= p
-            g = gcd(self.sigma, *self.z)
-            if g > 1:
-                self.z = [a // g for a in self.z]
-                self.sigma //= g
-        self.rows[r] = _reduce_ints(prow)
-        self.basis[r] = e
+            if i != r and row[1 + c]:
+                self.rows[i] = _eliminate(row, prow, c)
+        if self.z[1 + c]:
+            self.z = _eliminate(self.z, prow, c)
+        self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
         self.pivots += 1
         if self.pivots > _PIVOT_LIMIT:
             raise PivotLimitExceeded("simplex pivot limit exceeded")
 
     def optimize(self) -> None:
         """Bland's rule loop; raises Unbounded if no leaving row exists."""
+        if any(self.z[1 + c] for c, v in enumerate(self.nonbasic) if v < self.num_free):
+            raise Unbounded("objective unbounded below")
         while True:
             enter = -1
-            for j in range(self.ncols):
-                if j not in self.banned and self.z[j] < 0:
-                    enter = j
-                    break
+            for c, v in enumerate(self.nonbasic):
+                if (self.z[1 + c] < 0 and v not in self.banned
+                        and (enter < 0 or v < self.nonbasic[enter])):
+                    enter = c
             if enter < 0:
                 return
             leave = -1
             best_rhs = best_coef = 0
             for i, row in enumerate(self.rows):
-                coef = row[enter]
-                if coef <= 0:
+                coef = row[1 + enter]
+                if coef <= 0 or self.basis[i] < self.num_free:
                     continue
                 rhs = row[-1]
                 if leave < 0 or rhs * best_coef < best_rhs * coef or (
@@ -219,6 +234,20 @@ class _Tableau:
             if leave < 0:
                 raise Unbounded("objective unbounded below")
             self._pivot(leave, enter)
+
+
+def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
+    """Remove the entering column c from `row` with the swapped pivot row.
+
+    prow[0] is the entering variable's coefficient and prow[1 + c] the
+    leaving variable's; `row` keeps its own basic variable, so its entry 0
+    only scales, and its entry 1 + c becomes the leaving variable's.
+    """
+    q, f = prow[0], row[1 + c]
+    out = [q * a - f * b for a, b in zip(row, prow)]
+    out[0] = q * row[0]
+    out[1 + c] = -f * prow[1 + c]
+    return _reduce_ints(out)
 
 
 @dataclass(frozen=True)
@@ -243,11 +272,12 @@ def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult,
                       normalization=None) -> bool:
     """Re-check an LpResult from scratch; raises ConeError if anything fails.
 
-    All vector arithmetic is in plain ints.  With the rows cleared once to
-    R_i = d_i * A_i and the witness to X = D * x, the sign and the zero set
-    of R_i . X are those of the slack A_i . x.  With N = d_norm * norm and
-    the integers G_i = q * mu_i / d_i, H = q * nu / d_norm over one common
-    denominator q, the identity sum_i mu_i A_i + nu * norm == e_obj becomes
+    All vector arithmetic is in plain ints, over the nonzero entries of the
+    rows only.  With the rows cleared once to R_i = d_i * A_i and the
+    witness to X = D * x, the sign and the zero set of R_i . X are those of
+    the slack A_i . x.  With N = d_norm * norm and the integers
+    G_i = q * mu_i / d_i, H = q * nu / d_norm over one common denominator q,
+    the identity sum_i mu_i A_i + nu * norm == e_obj becomes
     sum_i G_i R_i + H * N == q * e_obj.
     """
     k = cone.num_vars
@@ -258,11 +288,11 @@ def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult,
     if len(x) != k or len(norm_coeffs) != k:
         raise DimensionMismatch("witness or normalization has wrong dimension")
     d_x, xs = _clear_denominators(x)
-    slacks = [sum(a * b for a, b in zip(row, xs)) for _, row in cone._int_rows]
+    slacks = [sum(a * xs[j] for j, a in row) for _, row in cone._int_rows]
     if any(s < 0 for s in slacks):
         raise ConeError("witness violates a cone constraint")
-    d_norm, norm_ints = _clear_denominators(norm_coeffs)
-    if (sum(a * b for a, b in zip(norm_ints, xs)) * norm_rhs.denominator
+    d_norm, norm_ints = _sparse_ints(norm_coeffs)
+    if (sum(a * xs[j] for j, a in norm_ints) * norm_rhs.denominator
             != d_norm * d_x * norm_rhs.numerator):
         raise ConeError("witness violates the normalization")
     if x[objective_index] != result.value:
@@ -279,7 +309,7 @@ def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult,
     lhs = [0] * k
     for g, row in terms:
         f = g.numerator * (q // g.denominator)
-        for j, a in enumerate(row):
+        for j, a in row:
             lhs[j] += f * a
     if any(v != (q if j == objective_index else 0) for j, v in enumerate(lhs)):
         raise ConeError("dual multipliers do not reproduce the objective")
@@ -290,56 +320,63 @@ def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult,
     return True
 
 
+def _pivot_either_sign(tab: _Tableau, r: int, c: int) -> None:
+    """Pivot on a nonzero entry of either sign.  Negating row r (all of it,
+    the basic coefficient too) turns a negative entry positive; the leaving
+    variable takes the negated coefficient with it, and the new basic
+    variable is free or the right-hand side is 0, so no bound is broken."""
+    if tab.rows[r][1 + c] < 0:
+        tab.rows[r] = [-a for a in tab.rows[r]]
+    tab._pivot(r, c)
+
+
 def _phase_one(cone: ConeH, norm_coeffs: tuple[Fraction, ...],
                norm_rhs: Fraction) -> tuple[_Tableau, Fraction]:
-    """Tableau of the normalized slice at a feasible basis, its artificial
+    """Dictionary of the normalized slice at a feasible basis, its artificial
     variable banned, and the factor that turns the artificial column's
     reduced cost into the normalization multiplier.  Raises Infeasible.
 
-    Free coordinates are split as u - v and a single artificial variable
-    covers the normalization row, so phase one is short.
+    The start basis is the slacks plus one artificial variable on the
+    normalization row.  Each free x_j is then pivoted in once, on the first
+    constraint row with a bounded basic variable and a nonzero entry for it:
+    that row's right-hand side is 0, so the pivot keeps every right-hand side
+    as it is, whatever the sign of the entry.  Only when no such constraint
+    row exists is the normalization row used; every bounded row then has a
+    zero entry and keeps its right-hand side, and the artificial variable
+    leaves at 0.  A free variable with neither stays nonbasic.
     """
     k = cone.num_vars
     m = len(cone.rows)
-    # columns: u_0..u_{k-1}, v_0..v_{k-1}, s_0..s_{m-1}, artificial | rhs
-    art = 2 * k + m
-    ncols = art + 1
-
+    art = k + m
     rows: list[list[int]] = []
-    for i, (_, ints) in enumerate(cone._int_rows):
-        r = [0] * (ncols + 1)
-        for j, num in enumerate(ints):
-            r[j] = -num
-            r[k + j] = num
-        r[2 * k + i] = 1  # slack: s_i = d_i * (row_i . x)
+    for _, ints in cone._int_rows:
+        r = [1] + [0] * (k + 1)  # s_i - d_i * (row_i . x) = 0
+        for j, num in ints:
+            r[1 + j] = -num
         rows.append(r)
     d, ints = _clear_denominators(norm_coeffs + (norm_rhs,))
     sign = 1 if norm_rhs > 0 else -1
-    er = [0] * (ncols + 1)
-    for j in range(k):
-        er[j] = sign * ints[j]
-        er[k + j] = -sign * ints[j]
-    er[art] = 1
-    er[-1] = sign * ints[k]
-    rows.append(er)
+    rows.append([1] + [sign * a for a in ints])
+    tab = _Tableau(rows, [k + i for i in range(m)] + [art], list(range(k)), k)
 
-    tab = _Tableau(rows, [2 * k + i for i in range(m)] + [art])
-    cost1 = [0] * ncols
-    cost1[art] = 1
-    tab.set_cost(cost1)
+    for j in range(k):
+        c = tab.nonbasic.index(j)
+        # the normalization row is last, so a constraint row comes first
+        r = next((i for i, b in enumerate(tab.basis) if b >= k and tab.rows[i][1 + c]),
+                 None)
+        if r is not None:
+            _pivot_either_sign(tab, r, c)
+
+    tab.set_objective(art)
     tab.optimize()
     if tab.value_of(art) != 0:
         raise Infeasible("normalized cone slice is empty")
     if art in tab.basis:
         r = tab.basis.index(art)
-        for e in range(ncols):
-            if e != art and tab.rows[r][e]:
-                if tab.rows[r][e] < 0:
-                    tab.rows[r] = [-a for a in tab.rows[r]]
-                tab._pivot(r, e)
-                break
-        else:
+        nonzero = [c for c in range(k) if tab.rows[r][1 + c]]
+        if not nonzero:
             raise ConeError("degenerate artificial row cannot be pivoted out")
+        _pivot_either_sign(tab, r, min(nonzero, key=tab.nonbasic.__getitem__))
     tab.banned.add(art)
     return tab, Fraction(sign * d)
 
@@ -348,11 +385,12 @@ def lp_min(cone: ConeH, objective_index: int, normalization=None) -> LpResult:
     """Exact minimum of coordinate `objective_index` over the normalized cone.
 
     The feasible set is {x free : cone.rows . x >= 0, norm . x = rhs} with
-    norm defaulting to sum(x) = 1.  Phase one runs on the first call for a
-    (cone, normalization); later calls on the same ConeH start phase two from
-    the basis the previous call ended at, which is feasible because the
-    region is shared.  The minimum does not depend on the order of the calls,
-    but at a degenerate optimum the witness and multipliers may.  The pivot
+    norm defaulting to sum(x) = 1.  The free coordinates enter the basis
+    once, in phase one, which runs on the first call for a (cone,
+    normalization); later calls on the same ConeH start phase two from the
+    basis the previous call ended at, which is feasible because the region
+    is shared.  The minimum does not depend on the order of the calls, but
+    at a degenerate optimum the witness and multipliers may.  The pivot
     limit applies per call.  The result is re-checked in scaled integers by
     `verify_lp_minimum` before it is returned.  Raises Infeasible /
     Unbounded.
@@ -379,11 +417,7 @@ def lp_min(cone: ConeH, objective_index: int, normalization=None) -> LpResult:
         warm[0].pivots = 0
     tab, norm_scale = warm
 
-    # phase two: minimize x_obj = u_obj - v_obj
-    cost2 = [0] * tab.ncols
-    cost2[objective_index] = 1
-    cost2[k + objective_index] = -1
-    tab.set_cost(cost2)
+    tab.set_objective(objective_index)
     try:
         tab.optimize()
     except Unbounded:
@@ -391,12 +425,10 @@ def lp_min(cone: ConeH, objective_index: int, normalization=None) -> LpResult:
         raise
     cone._warm[key] = warm
 
-    art = tab.ncols - 1
-    witness = tuple(tab.value_of(j) - tab.value_of(k + j) for j in range(k))
+    witness = tuple(tab.value_of(j) for j in range(k))
     value = witness[objective_index]
-    mus = tuple(Fraction(tab.z[2 * k + i], tab.sigma) * d
-                for i, (d, _) in enumerate(cone._int_rows))
-    nu = -Fraction(tab.z[art], tab.sigma) * norm_scale
+    mus = tuple(tab.reduced_cost(k + i) * d for i, (d, _) in enumerate(cone._int_rows))
+    nu = -tab.reduced_cost(k + len(mus)) * norm_scale
     result = LpResult(value, witness, mus, nu)
     verify_lp_minimum(cone, objective_index, result, (norm_coeffs, norm_rhs))
     return result

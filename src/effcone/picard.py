@@ -120,17 +120,18 @@ def derive_l_relation(n: int) -> DivisorClass:
     """The class (n-1)*L - sum_s s(s-1)/2 * B[s], which is zero in the
     invariant Picard group.
 
-    The B-coefficients are produced by counting: each pair of marked points
-    lies in comb(n-2, s-2) subsets of size s, the incidence total over all
-    pairs is spread over the comb(n, s) subsets of that size, and the count
-    per subset is checked against the closed form s(s-1)/2.
+    The B-coefficients are produced by counting: each of the comb(n, 2)
+    pairs of marked points lies in comb(n-2, s-2) subsets of size s, the
+    incidence total over all pairs is spread over the comb(n, s) subsets of
+    that size, and the count per subset is checked against the closed form
+    s(s-1)/2.
     """
     if n < 3:
         raise ValueError("need at least 3 marked points")
     coeffs: dict[int, Fraction] = {}
     pairs = comb(n, 2)
     for s in range(2, n + 1):
-        incidences = sum(comb(n - 2, s - 2) for _ in range(pairs))
+        incidences = pairs * comb(n - 2, s - 2)
         per_subset, rem = divmod(incidences, comb(n, s))
         if rem or per_subset != s * (s - 1) // 2:
             raise ArithmeticError(
@@ -299,7 +300,7 @@ def pair_averaged(curve: CurveClass, j: int, n: int) -> int:
     if not 2 <= j <= n:
         raise InvalidSubset(f"B[{j}] does not exist for n={n}")
     s = curve.s
-    total = Fraction(0)
+    total = 0
     if curve.kind == "C":
         if j == s - 1:
             total += s
@@ -309,9 +310,10 @@ def pair_averaged(curve: CurveClass, j: int, n: int) -> int:
         if j == 2:
             total += n - s - 1
     if j == s:
-        total += derive_self_pairing(curve.kind, s, n)
-    assert total.denominator == 1
-    return int(total)
+        q = derive_self_pairing(curve.kind, s, n)
+        assert q.denominator == 1
+        total += int(q)
+    return total
 
 
 def pair(c: DivisorClass, curve: CurveClass) -> Fraction:

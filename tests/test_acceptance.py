@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from effcone import cone, counting, fiber, forms, picard
 
@@ -46,11 +47,15 @@ def test_criterion_2_fiber_kodaira_energy():
 def test_criterion_3_effective_cone_certificates():
     start = time.monotonic()
     ok = True
-    for n in range(3, 21):
+    for n in range(3, 41):
         cert = picard.cone_certificate(n)
-        ok = ok and cert.passed  # construction re-verifies the dual proofs
+        # construction re-verifies the dual proofs
+        expected = ((Q(1, 4), Q(1, 2)) if n == 3
+                    else (Q(1, comb(n + 1, 3)),) + (Q(0),) * (n - 2))
+        ok = ok and cert.passed and cert.minima == expected
     elapsed = time.monotonic() - start
-    report(3, "orthant-containment certificates pass for n=3..20", ok, elapsed)
+    report(3, "orthant-containment certificates pass for n=3..40, "
+              "minima 1/C(n+1,3) and 0", ok, elapsed)
     assert ok
     assert elapsed < 10.0
 

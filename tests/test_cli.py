@@ -135,6 +135,19 @@ def test_exit_codes_for_invalid_input(capsys):
     assert run(capsys, "act", "--coeffs", "1,0,1", "--matrix", "1,1,1,1")[0] == 2
 
 
+def test_size_guard_exits_two(capsys, monkeypatch):
+    from effcone import cli
+
+    for command in ("cone-cert", "pairings"):
+        code, out, err = run(capsys, command, "--n", "10000")
+        assert (code, out) == (2, "")
+        assert err == f"error: n must be at most {cli.MAX_N} (got 10000)\n"
+    monkeypatch.setattr(cli, "MAX_N", 5)
+    for command in ("cone-cert", "pairings"):
+        assert run(capsys, command, "--n", "5")[0] == 0
+        assert run(capsys, command, "--n", "6")[0] == 2
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["kodaira"]) == 2  # missing --n

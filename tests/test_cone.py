@@ -108,6 +108,52 @@ def test_lp_min_rejects_zero_rhs():
         lp_min(cone, 0, ((Q(1), Q(1)), Q(0)))
 
 
+def test_lp_min_rank_deficient_constraints():
+    # rank 2 of 3: the lineality of {x : rows . x >= 0} is spanned by
+    # (0, 1, -1), which lies in sum(x) = 0, so x1 and x2 run off along it
+    # while x0 = 1 across it is pinned
+    rows = [[1, 0, 0], [0, 1, 1], [0, -1, -1]]
+    cone = ConeH.from_rows(rows)
+    res = lp_min(cone, 0)
+    assert res.value == 1 and fm_minimum(rows, 0) == ("min", 1)
+    for j in (1, 2):
+        assert fm_minimum(rows, j) == ("unbounded",)
+        with pytest.raises(Unbounded):
+            lp_min(cone, j)
+    # x1 appears in no row and not in the normalization: it stays
+    # nonbasic, its reduced cost is nonzero only as the objective
+    cone = ConeH.from_rows([[1, 0]])
+    norm = ((Q(1), Q(0)), Q(1))
+    assert lp_min(cone, 0, norm).value == 1
+    with pytest.raises(Unbounded):
+        lp_min(cone, 1, norm)
+    assert lp_min(cone, 0, norm).value == 1
+
+
+def test_lp_min_coordinate_only_the_normalization_touches():
+    rows = [[1, -1, 0], [0, 1, 0]]  # x0 >= x1 >= 0, x2 unconstrained
+    cone = ConeH.from_rows(rows)
+    res = lp_min(cone, 0)
+    assert res.value == 0 and res.witness == (0, 0, 1)
+    assert fm_minimum(rows, 2) == ("unbounded",)
+    with pytest.raises(Unbounded):
+        lp_min(cone, 2)
+    norm = ((Q(0), Q(0), Q(2)), Q(3))  # x2 = 3/2 on the slice
+    for j, value in ((2, Q(3, 2)), (0, 0), (1, 0)):
+        res = lp_min(cone, j, norm)
+        assert res.value == value and res.witness[2] == Q(3, 2)
+
+
+def test_lp_min_negative_normalization_rhs():
+    cone = ConeH.from_rows([[-1, 0], [0, -1]])  # x <= 0
+    norm = ((Q(1), Q(2)), Q(-3, 2))
+    res = lp_min(cone, 0, norm)
+    assert res.value == Q(-3, 2) and res.witness == (Q(-3, 2), 0)
+    res = lp_min(cone, 1, norm)
+    assert res.value == Q(-3, 4) and res.witness == (0, Q(-3, 4))
+    assert verify_lp_minimum(cone, 1, res, norm)
+
+
 def test_lp_min_degenerate_ties_terminate():
     # scaled duplicate rows force degenerate pivots at every step
     rows = [[1, -1, 0], [-1, 1, 0], [2, -2, 0], [5, -5, 0],
