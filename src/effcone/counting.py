@@ -9,11 +9,13 @@ Orbit counting enumerates growing shells of matrices and stops once a
 configured number of consecutive shell growths contributes no new form
 under the height bound.  The matrices come from one exact descent over the
 Farey (Stern-Brocot) tree in integer arithmetic (see the Farey-tree
-section): a subtree on which f keeps one sign and is already too large is
-dropped for good, and a subtree beyond the current shell waits on a
-frontier for the next one.  So every qualifying matrix of a shell box is
-found, while the walk only follows the root directions of the form and the
-regions where it is small.  The stopping rule is a documented heuristic,
+section): each child node costs one additions-only Taylor shift, a subtree
+on which f keeps one sign and is already too large is dropped for good, and
+a subtree beyond the current shell waits on a frontier for the next one.
+So every qualifying matrix of a shell box is found, while the walk only
+follows the root directions of the form and the regions where it is small.
+The distinct images are kept in one map from image to height, so the
+heights are never recomputed.  The stopping rule is a documented heuristic,
 not a proof of completeness: the orbit intersected with a height box is
 finite, so the search terminates, but a form first reached beyond the
 stabilized shells would be missed.
@@ -25,8 +27,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 
-from .forms import BinaryForm, UnimodularMatrix, disc, substitute
+from .forms import (BinaryForm, UnimodularMatrix, disc, substitute,
+                    taylor_shift)
 
 
 class NonGenericForm(ValueError):
@@ -175,11 +179,13 @@ def enumerate_unimodular(bound: int):
 # A node is an interval (p/q, r/s) of the Stern-Brocot tree, with
 # p*s - r*q = -1, and carries F(m, n) = f(p m + r n, q m + s n): f seen
 # through the matrix with columns u = (p, q) and v = (r, s).  The children
-# (p/q, mediant) and (mediant, r/s) carry F(m + n, n) and F(m, m + n), one
-# integer Taylor shift each.  The walk starts from two roots, (0/1, 1/0) and
-# (-1/0, 0/1); every pair of Farey neighbours, and so every determinant-1
-# matrix up to sign, is then reached as a node: [v u] with image F(w, z) and
-# [u -v] with image F(z, -w), both of height max |F|.
+# (p/q, mediant) and (mediant, r/s) carry F(m + n, n) and F(m, m + n): one
+# Taylor shift by 1 (forms.taylor_shift, k(k+1)/2 additions and no
+# multiplication in degree k) of F and of its reversal.  The walk starts
+# from two roots, (0/1, 1/0) and (-1/0, 0/1); every pair of Farey
+# neighbours, and so every determinant-1 matrix up to sign, is then reached
+# as a node: [v u] with image F(w, z) and [u -v] with image F(z, -w), both of
+# height max |F|, read off min(F) and max(F) with the one-sign test below.
 #
 # Prune: every fraction strictly inside a node is m u + n v with m, n >= 1,
 # where f takes the value F(m, n).  When the nonzero coefficients of F share
@@ -193,21 +199,23 @@ def enumerate_unimodular(bound: int):
 # ---------------------------------------------------------------------------
 
 class _FareyWalk:
-    """After `grow(shell)` (called with increasing shells), `seen` is the
-    set of images of f of height <= b_max under every determinant-1 matrix
-    with entries up to `shell`.
+    """After `grow(shell)` (called with increasing shells), `seen` maps
+    each image of f of height <= b_max under every determinant-1 matrix
+    with entries up to `shell` to its height.  A child node's F is one
+    additions-only Taylor shift of its parent's.
 
     A node stands for the matrices [v u] and [u -v] and their negatives,
     which give the same two images up to the global sign (-1)^n, so for odd
     degree both signs are recorded.
     """
 
-    __slots__ = ("b_max", "odd", "seen", "frontier")
+    __slots__ = ("b_max", "odd", "odd_index", "seen", "frontier")
 
     def __init__(self, xs: tuple[int, ...], b_max: int):
         self.b_max = b_max
         self.odd = len(xs) % 2 == 0
-        self.seen: set[tuple[int, ...]] = set()
+        self.odd_index = range(1, len(xs), 2)  # negated in F(z, -w)
+        self.seen: dict[tuple[int, ...], int] = {}
         self.frontier: list[tuple] = []
         self._enter(substitute(xs, 0, 1, 1, 0), 0, 1, 1, 0, self.frontier)
         self._enter(substitute(xs, -1, 0, 0, 1), -1, 0, 0, 1, self.frontier)
@@ -215,15 +223,20 @@ class _FareyWalk:
     def _enter(self, F, p, q, r, s, nodes):
         """Record the two images of a new node; keep it unless pruned."""
         b_max = self.b_max
-        if max(map(abs, F)) <= b_max:
+        lo, hi = min(F), max(F)
+        height = hi if hi >= -lo else -lo
+        if height <= b_max:
+            seen = self.seen
             flipped = F[::-1]
-            alternating = tuple(-x if i % 2 else x for i, x in enumerate(F))
-            self.seen.add(flipped)
-            self.seen.add(alternating)
+            alternating = list(F)
+            for i in self.odd_index:
+                alternating[i] = -alternating[i]
+            alternating = tuple(alternating)
+            seen[flipped] = seen[alternating] = height
             if self.odd:
-                self.seen.add(tuple(-x for x in flipped))
-                self.seen.add(tuple(-x for x in alternating))
-        if (min(F) >= 0 or max(F) <= 0) and abs(sum(F)) > b_max:
+                seen[tuple(map(neg, flipped))] = height
+                seen[tuple(map(neg, alternating))] = height
+        if (lo >= 0 or hi <= 0) and abs(sum(F)) > b_max:
             return
         nodes.append((F, p, q, r, s))
 
@@ -238,8 +251,8 @@ class _FareyWalk:
             if abs(mp) > shell or mq > shell:
                 self.frontier.append(node)
                 continue
-            self._enter(substitute(F, 1, 1, 0, 1), p, q, mp, mq, stack)
-            self._enter(substitute(F, 1, 0, 1, 1), mp, mq, r, s, stack)
+            self._enter(taylor_shift(F), p, q, mp, mq, stack)
+            self._enter(taylor_shift(F[::-1])[::-1], mp, mq, r, s, stack)
 
 
 def _orbit_heights(f: BinaryForm, b_max: int, policy: CountPolicy) -> list[int]:
@@ -261,7 +274,7 @@ def _orbit_heights(f: BinaryForm, b_max: int, policy: CountPolicy) -> list[int]:
             break
         before = len(walk.seen)
         shell = policy.next_shell(shell)
-    return sorted(max(map(abs, coeffs)) for coeffs in walk.seen)
+    return sorted(walk.seen.values())
 
 
 def count_series(f: BinaryForm, b_grid,

@@ -125,6 +125,20 @@ def substitute(xs: tuple[int, ...], a: int, b: int, c: int,
     return tuple(h)
 
 
+def taylor_shift(xs: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of f(z + w, w), the case substitute(xs, 1, 1, 0, 1).
+
+    The Taylor shift p(t) -> p(t + 1) of p(t) = f(t, 1) by repeated
+    synthetic division: n(n+1)/2 additions and no multiplication.  The
+    mirror f(z, z + w) is taylor_shift(xs[::-1])[::-1].
+    """
+    h = list(xs)
+    for top in range(len(h) - 1, 0, -1):
+        for j in range(1, top + 1):
+            h[j] += h[j - 1]
+    return tuple(h)
+
+
 def evaluate(xs: tuple[int, ...], a: int, c: int) -> int:
     """f(a, c): the z^n coefficient of substitute(xs, a, b, c, d), for any b, d."""
     acc = 0

@@ -93,6 +93,22 @@ def test_fiber_check(capsys):
     assert "large_diagonal_coherence" in names
 
 
+def test_fiber_check_large_n(capsys, monkeypatch):
+    from effcone import fiber
+
+    code, out, _ = run(capsys, "fiber-check", "--n", "1000", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+    # every F_m term is read from the class table: a wrong entry fails
+    table = fiber.fiber_class
+    monkeypatch.setattr(fiber, "fiber_class", lambda n, name: table(
+        n, "F6" if name == "F5" else name))
+    code, out, _ = run(capsys, "fiber-check", "--n", "8", "--format", "json")
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed == ["hyperplane_expansion"]
+
+
 def test_disc_repeated_root(capsys):
     code, out, _ = run(capsys, "disc", "--coeffs", "1,-2,1,0",
                        "--format", "json")
@@ -138,12 +154,12 @@ def test_exit_codes_for_invalid_input(capsys):
 def test_size_guard_exits_two(capsys, monkeypatch):
     from effcone import cli
 
-    for command in ("cone-cert", "pairings"):
+    for command in ("cone-cert", "pairings", "relation"):
         code, out, err = run(capsys, command, "--n", "10000")
         assert (code, out) == (2, "")
         assert err == f"error: n must be at most {cli.MAX_N} (got 10000)\n"
     monkeypatch.setattr(cli, "MAX_N", 5)
-    for command in ("cone-cert", "pairings"):
+    for command in ("cone-cert", "pairings", "relation"):
         assert run(capsys, command, "--n", "5")[0] == 0
         assert run(capsys, command, "--n", "6")[0] == 2
 

@@ -106,8 +106,8 @@ def test_count_rejects_degenerate_form():
 
 
 def test_orbit_heights_rejects_repeated_root():
-    # (z + w)^3: the column (-1, 1) is the triple root, so its partner
-    # family has a constant image polynomial and no root to window around
+    # (z + w)^3 has the triple root (-1, 1): its discriminant is 0, and
+    # the form is refused before the Farey-tree walk starts
     with pytest.raises(NonGenericForm):
         _orbit_heights(BinaryForm((1, 3, 3, 1)), 50, CountPolicy(2, 2, 2))
 
@@ -118,7 +118,30 @@ def window_box_images(f, bound, b_max):
 
     walk = _FareyWalk(f.coeffs, b_max)
     walk.grow(bound)
-    return walk.seen
+    return set(walk.seen)
+
+
+def test_walk_records_heights_and_keeps_no_prunable_node():
+    # every image carries its height, and every node left on the frontier
+    # lies beyond the shell and has no one-sign F above the bound
+    from effcone.counting import _FareyWalk
+
+    waiting = 0
+    for coeffs, b_max in (((1, 0, -1, -1), 500),
+                          ((0, 2, -3, 1, 5), 400),
+                          ((1, -3, -25, 75, 0), 3000),
+                          ((2, 1, 0, -1, 1, 3), 300)):
+        walk = _FareyWalk(coeffs, b_max)
+        for shell in (4, 16, 64):
+            walk.grow(shell)
+            waiting += len(walk.frontier)
+            for F, p, q, r, s in walk.frontier:
+                assert abs(p + r) > shell or q + s > shell
+                assert min(F) < 0 < max(F) or abs(sum(F)) <= b_max
+        assert len(walk.seen) > 20
+        for image, h in walk.seen.items():
+            assert h == max(abs(x) for x in image) <= b_max
+    assert waiting > 20
 
 
 def test_window_box_completeness():

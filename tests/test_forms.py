@@ -16,6 +16,8 @@ from effcone.forms import (
     disc_cubic_reference,
     form_from_roots,
     height,
+    substitute,
+    taylor_shift,
 )
 
 
@@ -125,6 +127,19 @@ def test_act_matches_reference_expansion():
         a, b, c, d = random_det1_entries(rng)
         expected = reference_substitution(xs, a, b, c, d)
         assert act(BinaryForm(xs), UnimodularMatrix(a, b, c, d)).coeffs == expected
+
+
+def test_taylor_shift_and_mirror_match_substitute():
+    # F(m + n, n) and its mirror F(m, m + n) = rev(shift(rev F))
+    rng = random.Random(16)
+    for _ in range(2000):
+        degree = rng.randint(1, 8)
+        xs = tuple(rng.choice([0, rng.randint(-10**12, 10**12)])
+                   for _ in range(degree + 1))
+        assert taylor_shift(xs) == substitute(xs, 1, 1, 0, 1)
+        assert taylor_shift(xs[::-1])[::-1] == substitute(xs, 1, 0, 1, 1)
+    assert taylor_shift((1, 0, 0, 0)) == (1, 3, 3, 1)
+    assert taylor_shift((0, 0, 0, 1)) == (0, 0, 0, 1)
 
 
 def test_unimodular_validation():
