@@ -17,9 +17,15 @@ Every coordinate minimum over one normalized slice shares its feasible
 region, so phase one runs once per (ConeH, normalization) and each later
 `lp_min` on that ConeH warm-starts phase two from the previous optimal
 basis.  A witness may therefore depend on the order of the calls; a minimum
-never does.  Every result is re-checked by `verify_lp_minimum`, in scaled
-integers rather than `Fraction` arithmetic, over the nonzero entries of the
-constraint rows.
+never does.
+
+The arithmetic stays in scaled integers from the input rows to the result:
+a ConeH clears each row, and the default normalization sum(x) = 1, to
+integers once; the dictionary is integer; the result is read out of it with
+one `Fraction(numerator, denominator)` per nonzero entry; and
+`verify_lp_minimum` re-checks every result from the numerators and
+denominators of its entries, over the nonzero entries of the constraint
+rows, with no `Fraction` arithmetic.
 """
 
 from __future__ import annotations
@@ -28,8 +34,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from ._terms import _fr
+
+_ZERO = Fraction(0)
 
 
 class ConeError(Exception):
@@ -57,19 +66,28 @@ class MinusInfinity(ConeError):
 
 
 def _vec(xs) -> tuple[Fraction, ...]:
-    return tuple(_fr(x) for x in xs)
+    return tuple([x if isinstance(x, Fraction) else Fraction(x) for x in xs])
 
 
 def _clear_denominators(qs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
     """Return (d, ints) with d > 0 and ints == d * qs entrywise."""
-    d = lcm(*(q.denominator for q in qs)) if qs else 1
-    return d, [q.numerator * (d // q.denominator) for q in qs]
+    dens = [q.denominator for q in qs]
+    d = lcm(*dens)
+    return d, [q.numerator * (d // e) for q, e in zip(qs, dens)]
 
 
 def _sparse_ints(qs: tuple[Fraction, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(d, ((j, d * qs[j]), ...)) over the nonzero entries, with d > 0."""
     d, ints = _clear_denominators(qs)
     return d, tuple((j, a) for j, a in enumerate(ints) if a)
+
+
+def _clear_normalization(normalization) -> tuple[int, tuple[int, ...], int]:
+    """(d, N, R) for the slice norm . x = rhs: integers with d > 0,
+    N = d * norm entrywise and R = d * rhs."""
+    norm_coeffs, norm_rhs = normalization
+    d, ints = _clear_denominators(_vec(norm_coeffs) + (_fr(norm_rhs),))
+    return d, tuple(ints[:-1]), ints[-1]
 
 
 def _reduce_ints(row: list[int]) -> list[int]:
@@ -91,22 +109,40 @@ class ConeH:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        # A row of ints is its own integer row, and each distinct int becomes
+        # a Fraction once; any other row is coerced to Fractions and cleared.
         width = len(self.labels)
-        for r in self.rows:
-            if len(r) != width:
-                raise DimensionMismatch("constraint row width does not match labels")
-        # Neither attribute is a dataclass field, so equality and hashing see
-        # only rows and labels.  _int_rows[i] = (d_i, R_i), R_i = d_i * rows[i]
-        # in ints with d_i > 0, stored sparsely as ((j, R_ij), ...) over the
-        # nonzero entries.  _warm holds lp_min's tableau at a feasible basis
-        # of one normalized slice: {normalization: (tableau, scale)}.
-        object.__setattr__(self, "_int_rows",
-                           tuple(_sparse_ints(r) for r in self.rows))
+        raw = [tuple(r) for r in self.rows]
+        if any(len(r) != width for r in raw):
+            raise DimensionMismatch("constraint row width does not match labels")
+        exact: dict[int, Fraction] = {}
+        rows, int_rows = [], []
+        for r in raw:
+            if all(type(a) is int for a in r):
+                for a in set(r).difference(exact):
+                    exact[a] = Fraction(a)
+                int_rows.append((1, tuple((j, a) for j, a in enumerate(r) if a)))
+                r = tuple(map(exact.__getitem__, r))
+            else:
+                r = _vec(r)
+                int_rows.append(_sparse_ints(r))
+            rows.append(r)
+        object.__setattr__(self, "rows", tuple(rows))
+        # None of the attributes below is a dataclass field, so equality and
+        # hashing see only rows and labels.  _int_rows[i] = (d_i, R_i),
+        # R_i = d_i * rows[i] in ints with d_i > 0, stored sparsely as
+        # ((j, R_ij), ...) over the nonzero entries.  _norm is the default
+        # normalization sum(x) = 1 cleared by _clear_normalization.  _warm
+        # holds lp_min's tableau at a feasible basis of one normalized
+        # slice: {cleared normalization: (tableau, scale)}.
+        object.__setattr__(self, "_int_rows", tuple(int_rows))
+        object.__setattr__(self, "_norm",
+                           _clear_normalization(default_normalization(width)))
         object.__setattr__(self, "_warm", {})
 
     @staticmethod
     def from_rows(rows, labels=None) -> "ConeH":
-        mat = tuple(_vec(r) for r in rows)
+        mat = tuple(map(tuple, rows))
         if labels is None:
             if not mat:
                 raise ValueError("need labels to build a cone with no constraints")
@@ -151,9 +187,10 @@ class _Tableau:
 
     and may be rescaled by any positive integer without changing the
     system, which keeps all arithmetic in plain ints.  Invariants:
-    rows[i][0] > 0, and rows[i][-1] >= 0 unless basis[i] is free.  The
-    objective row z has the same layout, with z[0] = sigma > 0 and
-    z[1 + c] = sigma * reduced_cost(nonbasic[c]).
+    rows[i][0] > 0, and rows[i][-1] >= 0 unless basis[i] is free, so
+    basis[i] has the value rows[i][-1] / rows[i][0] and every nonbasic
+    variable is 0.  The objective row z has the same layout, with
+    z[0] = sigma > 0 and z[1 + c] / sigma the reduced cost of nonbasic[c].
 
     A free variable is pivoted in once, before phase one, and never leaves:
     its row takes no part in the ratio test.  A free variable whose column
@@ -180,17 +217,6 @@ class _Tableau:
         else:
             self.z = [1] + [0] * len(self.nonbasic) + [0]
             self.z[1 + self.nonbasic.index(var)] = 1
-
-    def value_of(self, var: int) -> Fraction:
-        if var in self.basis:
-            row = self.rows[self.basis.index(var)]
-            return Fraction(row[-1], row[0])
-        return Fraction(0)
-
-    def reduced_cost(self, var: int) -> Fraction:
-        if var in self.nonbasic:
-            return Fraction(self.z[1 + self.nonbasic.index(var)], self.z[0])
-        return Fraction(0)
 
     def _pivot(self, r: int, c: int) -> None:
         """Swap nonbasic[c] into the basis at row r."""
@@ -272,50 +298,66 @@ def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult,
                       normalization=None) -> bool:
     """Re-check an LpResult from scratch; raises ConeError if anything fails.
 
-    All vector arithmetic is in plain ints, over the nonzero entries of the
-    rows only.  With the rows cleared once to R_i = d_i * A_i and the
-    witness to X = D * x, the sign and the zero set of R_i . X are those of
-    the slack A_i . x.  With N = d_norm * norm and the integers
-    G_i = q * mu_i / d_i, H = q * nu / d_norm over one common denominator q,
-    the identity sum_i mu_i A_i + nu * norm == e_obj becomes
-    sum_i G_i R_i + H * N == q * e_obj.
+    `normalization` is None for the default sum(x) = 1, which the cone
+    holds cleared.  Entries of the result may be int or Fraction; only
+    their numerators and denominators are read, and all arithmetic is in
+    plain ints over the nonzero entries of the rows.  With the rows cleared
+    to R_i = d_i * A_i, the normalization to N = d * norm, R = d * rhs, and
+    the witness to X = D * x, the sign and the zero set of R_i . X are those
+    of the slack A_i . x.  Each term mu_i * A_i is (mu_i.numerator /
+    (mu_i.denominator * d_i)) * R_i, and nu * norm is likewise a multiple
+    of N; over the lcm q of the term denominators the identity
+    sum_i mu_i A_i + nu * norm == e_obj becomes an identity of integer
+    vectors with q in place of 1.
     """
     k = cone.num_vars
-    norm_coeffs, norm_rhs = normalization or default_normalization(k)
-    norm_coeffs = _vec(norm_coeffs)
-    norm_rhs = _fr(norm_rhs)
+    if not 0 <= objective_index < k:
+        raise DimensionMismatch("objective index out of range")
+    d_norm, norm_ints, norm_rhs = (_clear_normalization(normalization)
+                                   if normalization else cone._norm)
     x = result.witness
-    if len(x) != k or len(norm_coeffs) != k:
+    if len(x) != k or len(norm_ints) != k:
         raise DimensionMismatch("witness or normalization has wrong dimension")
     d_x, xs = _clear_denominators(x)
-    slacks = [sum(a * xs[j] for j, a in row) for _, row in cone._int_rows]
-    if any(s < 0 for s in slacks):
-        raise ConeError("witness violates a cone constraint")
-    d_norm, norm_ints = _sparse_ints(norm_coeffs)
-    if (sum(a * xs[j] for j, a in norm_ints) * norm_rhs.denominator
-            != d_norm * d_x * norm_rhs.numerator):
+    slacks = []
+    for _, row in cone._int_rows:
+        s = 0
+        for j, a in row:
+            s += a * xs[j]
+        if s < 0:
+            raise ConeError("witness violates a cone constraint")
+        slacks.append(s)
+    if sum(map(mul, norm_ints, xs)) != d_x * norm_rhs:
         raise ConeError("witness violates the normalization")
-    if x[objective_index] != result.value:
+    value = result.value
+    if xs[objective_index] * value.denominator != d_x * value.numerator:
         raise ConeError("witness coordinate does not equal the recorded minimum")
     mus = result.row_multipliers
-    nu = _fr(result.normalization_multiplier)
-    if len(mus) != len(cone.rows):
+    nu = result.normalization_multiplier
+    if len(mus) != len(slacks):
         raise ConeError("one multiplier per constraint row required")
-    if any(mu < 0 for mu in mus):
-        raise ConeError("negative row multiplier")
-    terms = [(_fr(mu) / d, row) for mu, (d, row) in zip(mus, cone._int_rows) if mu]
-    terms.append((nu / d_norm, norm_ints))
-    q = lcm(*(g.denominator for g, _ in terms))
-    lhs = [0] * k
-    for g, row in terms:
-        f = g.numerator * (q // g.denominator)
+    terms = []  # (numerator, denominator, R_i, slack_i) over mu_i != 0
+    for mu, (d, row), s in zip(mus, cone._int_rows, slacks):
+        num = mu.numerator
+        if num:
+            if num < 0:
+                raise ConeError("negative row multiplier")
+            terms.append((num, mu.denominator * d, row, s))
+    nu_den = nu.denominator * d_norm
+    q = lcm(nu_den, *(den for _, den, _, _ in terms))
+    f = nu.numerator * (q // nu_den)
+    lhs = [f * a for a in norm_ints]
+    lhs[objective_index] -= q
+    for num, den, row, _ in terms:
+        f = num * (q // den)
         for j, a in row:
             lhs[j] += f * a
-    if any(v != (q if j == objective_index else 0) for j, v in enumerate(lhs)):
+    if any(lhs):
         raise ConeError("dual multipliers do not reproduce the objective")
-    if nu * norm_rhs != result.value:
+    if (nu.numerator * norm_rhs * value.denominator
+            != value.numerator * nu_den):
         raise ConeError("dual objective does not match the minimum")
-    if any(mu and s for mu, s in zip(mus, slacks)):
+    if any(s for _, _, _, s in terms):
         raise ConeError("complementary slackness fails")
     return True
 
@@ -330,11 +372,11 @@ def _pivot_either_sign(tab: _Tableau, r: int, c: int) -> None:
     tab._pivot(r, c)
 
 
-def _phase_one(cone: ConeH, norm_coeffs: tuple[Fraction, ...],
-               norm_rhs: Fraction) -> tuple[_Tableau, Fraction]:
+def _phase_one(cone: ConeH, norm: tuple[int, tuple[int, ...], int]) -> tuple[_Tableau, int]:
     """Dictionary of the normalized slice at a feasible basis, its artificial
     variable banned, and the factor that turns the artificial column's
-    reduced cost into the normalization multiplier.  Raises Infeasible.
+    reduced cost into the normalization multiplier.  `norm` is the slice
+    cleared by _clear_normalization.  Raises Infeasible.
 
     The start basis is the slacks plus one artificial variable on the
     normalization row.  Each free x_j is then pivoted in once, on the first
@@ -354,9 +396,9 @@ def _phase_one(cone: ConeH, norm_coeffs: tuple[Fraction, ...],
         for j, num in ints:
             r[1 + j] = -num
         rows.append(r)
-    d, ints = _clear_denominators(norm_coeffs + (norm_rhs,))
+    d, norm_ints, norm_rhs = norm
     sign = 1 if norm_rhs > 0 else -1
-    rows.append([1] + [sign * a for a in ints])
+    rows.append([1] + [sign * a for a in norm_ints] + [sign * norm_rhs])
     tab = _Tableau(rows, [k + i for i in range(m)] + [art], list(range(k)), k)
 
     for j in range(k):
@@ -369,50 +411,51 @@ def _phase_one(cone: ConeH, norm_coeffs: tuple[Fraction, ...],
 
     tab.set_objective(art)
     tab.optimize()
-    if tab.value_of(art) != 0:
-        raise Infeasible("normalized cone slice is empty")
     if art in tab.basis:
         r = tab.basis.index(art)
+        if tab.rows[r][-1]:
+            raise Infeasible("normalized cone slice is empty")
         nonzero = [c for c in range(k) if tab.rows[r][1 + c]]
         if not nonzero:
             raise ConeError("degenerate artificial row cannot be pivoted out")
         _pivot_either_sign(tab, r, min(nonzero, key=tab.nonbasic.__getitem__))
     tab.banned.add(art)
-    return tab, Fraction(sign * d)
+    return tab, sign * d
 
 
 def lp_min(cone: ConeH, objective_index: int, normalization=None) -> LpResult:
     """Exact minimum of coordinate `objective_index` over the normalized cone.
 
     The feasible set is {x free : cone.rows . x >= 0, norm . x = rhs} with
-    norm defaulting to sum(x) = 1.  The free coordinates enter the basis
-    once, in phase one, which runs on the first call for a (cone,
-    normalization); later calls on the same ConeH start phase two from the
-    basis the previous call ended at, which is feasible because the region
-    is shared.  The minimum does not depend on the order of the calls, but
-    at a degenerate optimum the witness and multipliers may.  The pivot
-    limit applies per call.  The result is re-checked in scaled integers by
-    `verify_lp_minimum` before it is returned.  Raises Infeasible /
-    Unbounded.
+    norm defaulting to sum(x) = 1 (normalization None).  The free
+    coordinates enter the basis once, in phase one, which runs on the first
+    call for a (cone, normalization); later calls on the same ConeH start
+    phase two from the basis the previous call ended at, which is feasible
+    because the region is shared.  The minimum does not depend on the order
+    of the calls, but at a degenerate optimum the witness and multipliers
+    may.  The pivot limit applies per call.
+
+    The result is read out of the integer dictionary in one pass over the
+    basis and one over the nonbasic columns, with one Fraction per nonzero
+    entry, and re-checked by `verify_lp_minimum` with the caller's
+    normalization before it is returned.  Raises Infeasible / Unbounded.
     """
     k = cone.num_vars
     if not 0 <= objective_index < k:
         raise DimensionMismatch("objective index out of range")
-    norm_coeffs, norm_rhs = normalization or default_normalization(k)
-    norm_coeffs = _vec(norm_coeffs)
-    norm_rhs = _fr(norm_rhs)
-    if len(norm_coeffs) != k:
+    norm = _clear_normalization(normalization) if normalization else cone._norm
+    _, norm_ints, norm_rhs = norm
+    if len(norm_ints) != k:
         raise DimensionMismatch("normalization has wrong dimension")
     if norm_rhs == 0:
         raise ValueError("normalization right-hand side must be nonzero")
 
     # The tableau is off the cone while it pivots, so an exception in the
     # middle of a pivot cannot leave a half-updated tableau for the next call.
-    key = (norm_coeffs, norm_rhs)
-    warm = cone._warm.pop(key, None)
+    warm = cone._warm.pop(norm, None)
     cone._warm.clear()
     if warm is None:
-        warm = _phase_one(cone, norm_coeffs, norm_rhs)
+        warm = _phase_one(cone, norm)
     else:
         warm[0].pivots = 0
     tab, norm_scale = warm
@@ -421,16 +464,23 @@ def lp_min(cone: ConeH, objective_index: int, normalization=None) -> LpResult:
     try:
         tab.optimize()
     except Unbounded:
-        cone._warm[key] = warm
+        cone._warm[norm] = warm
         raise
-    cone._warm[key] = warm
+    cone._warm[norm] = warm
 
-    witness = tuple(tab.value_of(j) for j in range(k))
-    value = witness[objective_index]
-    mus = tuple(tab.reduced_cost(k + i) * d for i, (d, _) in enumerate(cone._int_rows))
-    nu = -tab.reduced_cost(k + len(mus)) * norm_scale
-    result = LpResult(value, witness, mus, nu)
-    verify_lp_minimum(cone, objective_index, result, (norm_coeffs, norm_rhs))
+    # basic coordinates with a nonzero value, and the nonzero reduced costs
+    # times sigma = z[0] by nonbasic variable
+    values = {v: row for v, row in zip(tab.basis, tab.rows) if v < k and row[-1]}
+    z = tab.z
+    costs = {v: z[1 + c] for c, v in enumerate(tab.nonbasic) if z[1 + c]}
+    witness = tuple(Fraction(values[j][-1], values[j][0]) if j in values else _ZERO
+                    for j in range(k))
+    mus = tuple(Fraction(costs[k + i] * d, z[0]) if k + i in costs else _ZERO
+                for i, (d, _) in enumerate(cone._int_rows))
+    art = k + len(mus)
+    nu = Fraction(-costs[art] * norm_scale, z[0]) if art in costs else _ZERO
+    result = LpResult(witness[objective_index], witness, mus, nu)
+    verify_lp_minimum(cone, objective_index, result, normalization)
     return result
 
 
@@ -445,6 +495,8 @@ class Certificate:
     Passing (all minima >= 0) certifies that the dual cone of the constraint
     rows is contained in the nonnegative orthant.  Witnesses attain the
     minima; the dual multiplier blocks prove optimality (see LpResult).
+    Construction re-checks every coordinate and raises ConeError unless
+    there is exactly one of each per label.
     """
 
     labels: tuple[str, ...]
@@ -457,9 +509,12 @@ class Certificate:
 
     def __post_init__(self):
         cone = ConeH(self.constraints, self.labels)
-        for j, (mn, wit, mus, nu) in enumerate(zip(
-                self.minima, self.witnesses, self.row_multipliers,
-                self.normalization_multipliers)):
+        fields = (self.minima, self.witnesses, self.row_multipliers,
+                  self.normalization_multipliers)
+        if any(len(f) != len(self.labels) for f in fields):
+            raise ConeError("one minimum, witness, multiplier block and "
+                            "normalization multiplier per label required")
+        for j, (mn, wit, mus, nu) in enumerate(zip(*fields)):
             verify_lp_minimum(cone, j, LpResult(mn, wit, mus, nu))
 
     @property
@@ -586,4 +641,4 @@ def fourier_motzkin_project(cone: ConeH, var: int) -> ConeH:
                 seen.add(r)
                 out.append(r)
     labels = tuple(lab for j, lab in enumerate(cone.labels) if j != var)
-    return ConeH(tuple(tuple(Fraction(x) for x in r) for r in out), labels)
+    return ConeH(tuple(out), labels)

@@ -335,12 +335,29 @@ def b_labels(n: int) -> list[str]:
     return [f"B[{s}]" for s in range(2, n + 1)]
 
 
+def _pairing_row(curve: CurveClass, n: int) -> list[int]:
+    """The row (pair_averaged(curve, j, n) for j = 2..n), built from the
+    same tables with one validation and one derived self term."""
+    curve.validate(n)
+    s = curve.s
+    row = [0] * (n - 1)  # entry j - 2 pairs with B[j]
+    if curve.kind == "C":
+        row[s - 3] += s
+    else:
+        row[s - 1] += 1
+        row[0] += n - s - 1
+    q = derive_self_pairing(curve.kind, s, n)
+    assert q.denominator == 1
+    row[s - 2] += int(q)
+    return row
+
+
 def pairing_matrix(n: int) -> list[list[int]]:
-    """(2n-4) x (n-1) integer matrix of curve/boundary pairings."""
+    """(2n-4) x (n-1) integer matrix of curve/boundary pairings, row by row;
+    `pair_averaged` is the per-entry reference."""
     if n < 3:
         raise ValueError("need at least 3 marked points")
-    return [[pair_averaged(curve, j, n) for j in range(2, n + 1)]
-            for curve in matrix_curves(n)]
+    return [_pairing_row(curve, n) for curve in matrix_curves(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from effcone.cone import (
     lp_min,
     verify_lp_minimum,
 )
+from effcone.picard import pairing_matrix
 
 Q = Fraction
 
@@ -293,9 +294,43 @@ def test_verify_rejects_each_tampered_field(case):
         cone, 0, bad, TAMPER_NORM)
 
 
+def _int_entries(result):
+    """The same result with every integral entry an int instead of a Fraction."""
+    def plain(q):
+        return int(q) if q.denominator == 1 else q
+    return replace(result, value=plain(result.value),
+                   witness=tuple(map(plain, result.witness)),
+                   row_multipliers=tuple(map(plain, result.row_multipliers)),
+                   normalization_multiplier=plain(result.normalization_multiplier))
+
+
+def _agree_on_tampers(rng, cone, j, res, norm):
+    """Tamper one field of res six times; both re-checks must agree on each
+    tampered result, also with its integral entries as ints.  Returns how
+    many the reference rejects."""
+    rejected = 0
+    for _ in range(6):
+        field = rng.choice(["value", "witness", "row_multipliers",
+                            "normalization_multiplier"])
+        delta = Q(rng.choice([-1, 1]), rng.randint(1, 5))
+        if field in ("witness", "row_multipliers"):
+            vec = getattr(res, field)
+            i = rng.randrange(len(vec))
+            bad = replace(res, **{field: _set(vec, i, vec[i] + delta)})
+        else:
+            bad = replace(res, **{field: getattr(res, field) + delta})
+        expected = fraction_verify(cone, j, bad, norm)
+        assert integer_verify(cone, j, bad, norm) == expected
+        assert integer_verify(cone, j, _int_entries(bad), norm) == expected
+        rejected += expected is not None
+    return rejected
+
+
 def test_integer_verify_matches_fraction_reference():
     rng = random.Random(31)
+    rng_default = random.Random(32)
     checked = rejected = 0
+    default_checked = default_rejected = 0
     for _ in range(400):
         k = rng.randint(2, 4)
         rows = [[Q(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(k)]
@@ -307,23 +342,63 @@ def test_integer_verify_matches_fraction_reference():
         try:
             res = lp_min(cone, j, norm)
         except (Infeasible, Unbounded):
+            res = None
+        if res is not None:
+            assert fraction_verify(cone, j, res, norm) is None
+            assert integer_verify(cone, j, _int_entries(res), norm) is None
+            rejected += _agree_on_tampers(rng, cone, j, res, norm)
+            checked += 1
+        # normalization None: the sum(x) = 1 slice the cone holds cleared
+        try:
+            res = lp_min(cone, j)
+        except (Infeasible, Unbounded):
             continue
-        assert fraction_verify(cone, j, res, norm) is None
-        for _ in range(6):
-            field = rng.choice(["value", "witness", "row_multipliers",
-                                "normalization_multiplier"])
-            delta = Q(rng.choice([-1, 1]), rng.randint(1, 5))
-            if field in ("witness", "row_multipliers"):
-                vec = getattr(res, field)
-                i = rng.randrange(len(vec))
-                bad = replace(res, **{field: _set(vec, i, vec[i] + delta)})
-            else:
-                bad = replace(res, **{field: getattr(res, field) + delta})
-            expected = fraction_verify(cone, j, bad, norm)
-            assert integer_verify(cone, j, bad, norm) == expected
-            rejected += expected is not None
-        checked += 1
+        assert fraction_verify(cone, j, res) is None
+        assert integer_verify(cone, j, _int_entries(res), None) is None
+        default_rejected += _agree_on_tampers(rng_default, cone, j, res, None)
+        default_checked += 1
     assert checked > 80 and rejected > 5 * checked
+    assert default_checked > 80 and default_rejected > 5 * default_checked
+
+
+def test_lp_min_results_pass_the_fraction_reference():
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(150):
+        k = rng.randint(2, 6)
+        rows = [[rng.choice([rng.randint(-5, 5), Q(rng.randint(-5, 5), rng.randint(1, 4))])
+                 for _ in range(k)] for _ in range(rng.randint(1, 8))]
+        norms = (None, (tuple(Q(rng.randint(-1, 3), rng.randint(1, 2)) for _ in range(k)),
+                        Q(rng.choice([-2, 1, 3]), rng.randint(1, 3))))
+        cone = ConeH.from_rows(rows)
+        for norm in norms:
+            for j in range(k):  # warm starts in order, then cold
+                for c in (cone, ConeH.from_rows(rows)):
+                    try:
+                        res = lp_min(c, j, norm)
+                    except (Infeasible, Unbounded):
+                        continue
+                    assert fraction_verify(c, j, res, norm) is None
+                    checked += 1
+    assert checked > 400
+
+
+def test_verify_rejects_a_negative_multiplier_on_a_zero_row():
+    # a zero row drops out of the Farkas identity and has slack 0, so only
+    # the sign check sees its multiplier
+    cone = ConeH.from_rows([[3, -1], [0, 0], [-1, 1]])
+    res = lp_min(cone, 0)
+    bad = replace(res, row_multipliers=_set(res.row_multipliers, 1, Q(-1, 2)))
+    assert fraction_verify(cone, 0, bad) == "negative row multiplier"
+    assert integer_verify(cone, 0, bad) == "negative row multiplier"
+
+
+@pytest.mark.parametrize("index", [99, -1])
+def test_verify_rejects_objective_index_out_of_range(index):
+    cone = ConeH.from_rows([[3, -1], [-1, 1]])
+    res = lp_min(cone, 1)  # index -1 would read this coordinate
+    with pytest.raises(DimensionMismatch, match="objective index out of range"):
+        verify_lp_minimum(cone, index, res)
 
 
 def _outcome(cone, j, norm):
@@ -354,8 +429,6 @@ def test_warm_start_matches_cold_start():
 
 
 def test_warm_start_keeps_the_pivot_limit_per_call(monkeypatch):
-    from effcone.picard import pairing_matrix
-
     pivots = [0]
     pivot = cone_module._Tableau._pivot
 
@@ -437,6 +510,24 @@ def test_certificate_json_round_trip():
     assert data["minima"] == {"B[2]": "1/4", "B[3]": "1/2"}
     assert data["witnesses"][0] == ["1/4", "3/4"]
     assert json.dumps(data, sort_keys=True) == cert.to_json()
+
+
+def test_certificate_requires_one_entry_per_label():
+    cert = dual_contained_in_orthant(pairing_matrix(5))
+    fields = (cert.minima, cert.witnesses, cert.row_multipliers,
+              cert.normalization_multipliers)
+    assert len(cert.labels) == 4
+    truncations = [
+        tuple(() for _ in fields),
+        tuple(f[:2] for f in fields),
+        (cert.minima, cert.witnesses[:3], cert.row_multipliers,
+         cert.normalization_multipliers),
+        (cert.minima, cert.witnesses, cert.row_multipliers,
+         cert.normalization_multipliers + (Q(0),)),
+    ]
+    for short in truncations:
+        with pytest.raises(ConeError, match="per label required"):
+            Certificate(cert.labels, cert.constraints, *short)
 
 
 def test_certificate_validates_on_construction():

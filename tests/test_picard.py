@@ -240,6 +240,12 @@ def test_pairing_matrix_small_cases():
     assert b_labels(3) == ["B[2]", "B[3]"]
 
 
+def test_pairing_matrix_equals_per_entry_tables():
+    for n in range(3, 61):
+        assert pairing_matrix(n) == [[pair_averaged(curve, j, n) for j in range(2, n + 1)]
+                                     for curve in matrix_curves(n)]
+
+
 def test_pairing_matrix_shape():
     for n in range(3, 12):
         m = pairing_matrix(n)
