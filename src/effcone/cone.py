@@ -11,7 +11,12 @@ dictionary form: it stores only the nonbasic columns, as gcd-reduced
 integer rows (constraint rows are scale-free), and uses Bland's
 smallest-index rule for both the entering and the leaving variable, so it
 terminates on degenerate inputs.  The coordinates are free variables; each
-is pivoted into the basis once, before phase one, and never leaves.
+enters the basis once, before phase one, and never leaves.  These k entries
+rewrite no other row: each pivot row is frozen as it stands when its free
+variable enters, a bounded row replays the frozen rows it has missed only
+when the choice of the next pivot row reads it, and at the end every row
+replaces each free variable it still holds once, by that variable's final
+row.  The resulting dictionary is the one Gauss-Jordan pivots would give.
 
 Every coordinate minimum over one normalized slice shares its feasible
 region, so phase one runs once per (ConeH, normalization) and each later
@@ -192,11 +197,11 @@ class _Tableau:
     variable is 0.  The objective row z has the same layout, with
     z[0] = sigma > 0 and z[1 + c] / sigma the reduced cost of nonbasic[c].
 
-    A free variable is pivoted in once, before phase one, and never leaves:
-    its row takes no part in the ratio test.  A free variable whose column
-    is zero in every row with a bounded basic variable stays nonbasic; the
-    pivots keep that column zero, so its reduced cost can never change sign
-    and a nonzero one means the objective is unbounded.
+    A free variable is pivoted in once, by _freeze before phase one, and
+    never leaves: its row takes no part in the ratio test.  A free variable
+    whose column is zero in every row with a bounded basic variable stays
+    nonbasic; the pivots keep that column zero, so its reduced cost can
+    never change sign and a nonzero one means the objective is unbounded.
     """
 
     def __init__(self, rows: list[list[int]], basis: list[int], nonbasic: list[int],
@@ -230,6 +235,27 @@ class _Tableau:
         if self.z[1 + c]:
             self.z = _eliminate(self.z, prow, c)
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
+        self._count_pivot()
+
+    def _freeze(self, r: int, c: int) -> None:
+        """Swap the free variable nonbasic[c] into the basis at row r, on an
+        entry of either sign, and rewrite no other row.
+
+        A negative entry is made positive by negating all of row r; the new
+        basic variable is free, so its right-hand side may take either
+        sign.  The caller brings the other rows up to date (see _phase_one).
+        The objective row is zero until phase one sets it, so it needs no
+        update.
+        """
+        prow = self.rows[r]
+        if prow[1 + c] < 0:
+            prow = [-a for a in prow]
+        prow[0], prow[1 + c] = prow[1 + c], prow[0]
+        self.rows[r] = _reduce_ints(prow)
+        self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
+        self._count_pivot()
+
+    def _count_pivot(self) -> None:
         self.pivots += 1
         if self.pivots > _PIVOT_LIMIT:
             raise PivotLimitExceeded("simplex pivot limit exceeded")
@@ -372,6 +398,32 @@ def _pivot_either_sign(tab: _Tableau, r: int, c: int) -> None:
     tab._pivot(r, c)
 
 
+def _substitute(row: list[int], pending: list[tuple[int, int]],
+                rows: list[list[int]]) -> list[int]:
+    """`row` with each x-column in `pending` replaced by a final free row.
+
+    pending[t] = (r, c): column c of `row` still holds the free variable
+    that has since entered the basis at row r, while column c of rows[r]
+    (and of the result) holds the variable that left for it.  So the
+    x-coefficients are set aside before any row is added, and each free
+    variable is replaced once, over the lcm q of the basic coefficients.
+    """
+    terms = [(rows[r], c, row[1 + c]) for r, c in pending if row[1 + c]]
+    if not terms:
+        return row
+    out = list(row)
+    for _, c, _ in terms:
+        out[1 + c] = 0
+    q = lcm(*(prow[0] for prow, _, _ in terms))
+    if q > 1:
+        out = [q * a for a in out]
+    for prow, _, f in terms:
+        g = f * (q // prow[0])
+        out = [a - g * b for a, b in zip(out, prow)]
+    out[0] = q * row[0]
+    return _reduce_ints(out)
+
+
 def _phase_one(cone: ConeH, norm: tuple[int, tuple[int, ...], int]) -> tuple[_Tableau, int]:
     """Dictionary of the normalized slice at a feasible basis, its artificial
     variable banned, and the factor that turns the artificial column's
@@ -386,6 +438,19 @@ def _phase_one(cone: ConeH, norm: tuple[int, tuple[int, ...], int]) -> tuple[_Ta
     row exists is the normalization row used; every bounded row then has a
     zero entry and keeps its right-hand side, and the artificial variable
     leaves at 0.  A free variable with neither stays nonbasic.
+
+    These pivots rewrite no other row when they happen.  A pivot row is
+    frozen as it stands when its free variable enters.  A bounded row is
+    brought up to date by replaying, in order, the frozen rows it has not
+    seen, and only when the search for a pivot row reads its entry: that is
+    exactly what the pivots would have done to it, so every pivot row is
+    the same.  After the last free pivot, each row still holds the
+    x-columns of the variables that entered after its last replay.  The
+    frozen rows are finished newest first, so each draws only on finished
+    rows, and then every bounded row; each replaces each of its x-columns
+    once (_substitute).  A gcd-reduced dictionary row with a positive basic
+    coefficient is determined by the basis, so the dictionary is the one
+    that rewriting every row at every pivot would give.
     """
     k = cone.num_vars
     m = len(cone.rows)
@@ -401,13 +466,30 @@ def _phase_one(cone: ConeH, norm: tuple[int, tuple[int, ...], int]) -> tuple[_Ta
     rows.append([1] + [sign * a for a in norm_ints] + [sign * norm_rhs])
     tab = _Tableau(rows, [k + i for i in range(m)] + [art], list(range(k)), k)
 
+    frozen: list[tuple[int, int]] = []  # (row, column) of each free pivot
+    level = [0] * len(rows)  # how many frozen rows each row has replayed
     for j in range(k):
         c = tab.nonbasic.index(j)
         # the normalization row is last, so a constraint row comes first
-        r = next((i for i, b in enumerate(tab.basis) if b >= k and tab.rows[i][1 + c]),
-                 None)
-        if r is not None:
-            _pivot_either_sign(tab, r, c)
+        for i, b in enumerate(tab.basis):
+            if b < k:
+                continue
+            row = tab.rows[i]
+            for r, col in frozen[level[i]:]:
+                if row[1 + col]:
+                    row = _eliminate(row, tab.rows[r], col)
+            tab.rows[i] = row
+            level[i] = len(frozen)
+            if row[1 + c]:
+                tab._freeze(i, c)
+                frozen.append((i, c))
+                level[i] += 1
+                break
+
+    order = [r for r, _ in reversed(frozen)]
+    order += [i for i, b in enumerate(tab.basis) if b >= k]
+    for i in order:
+        tab.rows[i] = _substitute(tab.rows[i], frozen[level[i]:], tab.rows)
 
     tab.set_objective(art)
     tab.optimize()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -54,6 +55,27 @@ def test_cone_cert_passes(capsys):
     data = json.loads(out)
     assert data["verdict"] == "pass"
     assert data["certificate"]["minima"] == {"B[2]": "1/4", "B[3]": "1/2"}
+
+
+# sha256 of `cone-cert --n N --format json` stdout, recorded before the
+# phase-one rewrite that froze the free pivot rows: the certificates must
+# stay byte for byte the same
+CONE_CERT_JSON_SHA256 = {
+    3: "b2b7c2e36c75e26764a9ec57a0158a5fa7d778ddd25203087af8deaa76041e2e",
+    4: "93afc5fc73bc232df07ab3c14eaa1d67a48c14dfa390f78f921e93571046f58e",
+    5: "98ccedc6730f7cf73a9cb154321996ed5be934ea4d1ad972c20e501bd00a5a28",
+    10: "473ffd98c138183b566c6431b99a7d903c84edcd2ea9c292c8b498d2250cd003",
+    32: "e1f698275230b7bee4d03d756bc411f671682edd875b49d2ce5b2442c9a00624",
+    64: "c6ba3b126f3df55a9e5dd985c131d2c262d380320d4aa30274b175f2d5c0c1e7",
+    100: "330d4850353bef1f658e9650d6cc696548d2c34fb68f76cbc4dee16a5b22f72f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CONE_CERT_JSON_SHA256))
+def test_cone_cert_json_bytes_are_pinned(capsys, n):
+    code, out, err = run(capsys, "cone-cert", "--n", str(n), "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CONE_CERT_JSON_SHA256[n]
 
 
 def test_cone_cert_csv(capsys):
@@ -168,6 +190,23 @@ def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["kodaira"]) == 2  # missing --n
     assert main([]) == 2
+
+
+def test_repeated_calls_share_one_parser(capsys):
+    from effcone.cli import build_parser
+
+    assert build_parser() is build_parser()
+    full = run(capsys, "kodaira", "--n", "5", "--format", "json")
+    assert json.loads(full[1])["space"] == "full"
+    code, out, _ = run(capsys, "kodaira", "--n", "5", "--space", "fiber",
+                       "--format", "json")
+    assert (code, json.loads(out)["space"]) == (0, "fiber")
+    assert run(capsys, "kodaira", "--n", "5", "--format", "json") == full
+    assert run(capsys, "kodaira", "--n", "5", "--space", "other")[0] == 2
+    assert run(capsys, "kodaira", "--n", "5", "--format", "json") == full
+    for argv in (["--help"], ["kodaira", "--help"]):
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "kodaira", "--n", "5", "--format", "json") == full
 
 
 def test_matrix_dump_matches_library(capsys):

@@ -430,13 +430,18 @@ def test_warm_start_matches_cold_start():
 
 def test_warm_start_keeps_the_pivot_limit_per_call(monkeypatch):
     pivots = [0]
-    pivot = cone_module._Tableau._pivot
 
-    def counting_pivot(self, r, e):
-        pivots[0] += 1
-        return pivot(self, r, e)
+    def counted(step):
+        def counting_step(self, r, e):
+            pivots[0] += 1
+            return step(self, r, e)
+        return counting_step
 
-    monkeypatch.setattr(cone_module._Tableau, "_pivot", counting_pivot)
+    # every pivot that counts toward the limit: the simplex pivots and the
+    # free variables' entries in phase one
+    for name in ("_pivot", "_freeze"):
+        monkeypatch.setattr(cone_module._Tableau, name,
+                            counted(getattr(cone_module._Tableau, name)))
     matrix = pairing_matrix(10)
     cone = ConeH.from_rows(matrix)
     per_call = []
@@ -454,6 +459,86 @@ def test_warm_start_keeps_the_pivot_limit_per_call(monkeypatch):
     with pytest.raises(PivotLimitExceeded):
         for j in range(cone.num_vars):
             lp_min(cone, j)
+
+
+def _gauss_jordan_phase_one(cone, norm):
+    """Reference phase one that rewrites every row at every free pivot."""
+    k, m = cone.num_vars, len(cone.rows)
+    art = k + m
+    rows = []
+    for _, ints in cone._int_rows:
+        row = [1] + [0] * (k + 1)
+        for j, num in ints:
+            row[1 + j] = -num
+        rows.append(row)
+    d, norm_ints, norm_rhs = norm
+    sign = 1 if norm_rhs > 0 else -1
+    rows.append([1] + [sign * a for a in norm_ints] + [sign * norm_rhs])
+    tab = cone_module._Tableau(rows, [k + i for i in range(m)] + [art],
+                               list(range(k)), k)
+    for j in range(k):
+        c = tab.nonbasic.index(j)
+        r = next((i for i, b in enumerate(tab.basis) if b >= k and tab.rows[i][1 + c]),
+                 None)
+        if r is not None:
+            cone_module._pivot_either_sign(tab, r, c)
+    tab.set_objective(art)
+    tab.optimize()
+    if art in tab.basis:
+        r = tab.basis.index(art)
+        if tab.rows[r][-1]:
+            raise Infeasible("normalized cone slice is empty")
+        nonzero = [c for c in range(k) if tab.rows[r][1 + c]]
+        if not nonzero:
+            raise ConeError("degenerate artificial row cannot be pivoted out")
+        cone_module._pivot_either_sign(tab, r, min(nonzero, key=tab.nonbasic.__getitem__))
+    tab.banned.add(art)
+    return tab, sign * d
+
+
+def _phase_one_outcome(phase_one, cone, norm):
+    try:
+        tab, scale = phase_one(cone, norm)
+    except ConeError as exc:
+        return type(exc)
+    return tab.rows, tab.basis, tab.nonbasic, tab.pivots, scale, tab.z, tab.banned
+
+
+def test_phase_one_matches_gauss_jordan_on_pairing_matrices():
+    for n in range(3, 61):
+        cone = ConeH.from_rows(pairing_matrix(n))
+        expected = _phase_one_outcome(_gauss_jordan_phase_one, cone, cone._norm)
+        assert not isinstance(expected, type)
+        assert _phase_one_outcome(cone_module._phase_one, cone, cone._norm) == expected
+
+
+def test_phase_one_matches_gauss_jordan_on_random_cones():
+    rng = random.Random(29)
+    kinds = set()
+    for trial in range(1000):
+        k = rng.randint(2, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 8))]
+        if trial % 3 == 0:
+            rows = [[Q(a, rng.randint(1, 4)) for a in row] for row in rows]
+        norm = None
+        if trial % 2:
+            norm = (tuple(Q(rng.randint(-2, 3), rng.randint(1, 2)) for _ in range(k)),
+                    Q(rng.choice([-2, 1, 3])))
+        cone = ConeH.from_rows(rows)
+        cleared = cone_module._clear_normalization(norm) if norm else cone._norm
+        expected = _phase_one_outcome(_gauss_jordan_phase_one, cone, cleared)
+        assert _phase_one_outcome(cone_module._phase_one, cone, cleared) == expected
+        if expected is Infeasible:
+            kinds.add(Infeasible)
+            continue
+        for j in range(k):
+            try:
+                lp_min(cone, j, norm)
+            except Unbounded:
+                kinds.add(Unbounded)
+            else:
+                kinds.add("min")
+    assert kinds == {"min", Infeasible, Unbounded}
 
 
 def test_warm_state_is_not_part_of_equality():
