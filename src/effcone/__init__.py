@@ -18,7 +18,6 @@ from .cone import (
     verify_lp_minimum,
 )
 from .counting import (
-    CountPolicy,
     CountSeries,
     FitResult,
     InsufficientData,

@@ -44,23 +44,22 @@ class SystemExit2(Exception):
 # 1.6 s and 55 MiB as a process on a 2-core Xeon (CPython 3.11) and prints
 # 2.6 MB of JSON.  The relation trace prints O(n^2) digits.
 MAX_N = 300
+# Largest n for kodaira and fiber-check.  fiber-check reads n + 1 Fraction
+# coordinates for each of n - 3 classes: --n 1000 takes about 0.6 s as a
+# process on the same host and --n 2000 1.5 s.
+MAX_N_FIBER = 1000
 
 
-def _require_n(args) -> int:
+def _require_n(args, limit: int) -> int:
     if args.n < 3:
         raise SystemExit2(f"n must be at least 3 (got {args.n})")
+    if args.n > limit:
+        raise SystemExit2(f"n must be at most {limit} (got {args.n})")
     return args.n
 
 
-def _require_n_up_to_max(args) -> int:
-    n = _require_n(args)
-    if n > MAX_N:
-        raise SystemExit2(f"n must be at most {MAX_N} (got {n})")
-    return n
-
-
 def _cmd_pairings(args) -> int:
-    n = _require_n_up_to_max(args)
+    n = _require_n(args, MAX_N)
     matrix = picard.pairing_matrix(n)
     curves = [c.label() for c in picard.matrix_curves(n)]
     cols = picard.b_labels(n)
@@ -74,7 +73,7 @@ def _cmd_pairings(args) -> int:
 
 
 def _cmd_cone_cert(args) -> int:
-    n = _require_n_up_to_max(args)
+    n = _require_n(args, MAX_N)
     cert = picard.cone_certificate(n)
     payload = {"command": "cone-cert", "n": n,
                "certificate": cert.as_dict(),
@@ -87,7 +86,7 @@ def _cmd_cone_cert(args) -> int:
 
 
 def _cmd_kodaira(args) -> int:
-    n = _require_n(args)
+    n = _require_n(args, MAX_N_FIBER)
     value = picard.kodaira_full(n) if args.space == "full" else fiber.kodaira_fiber(n)
     expected = Fraction(2, n)
     verdict = "pass" if value == expected else "fail"
@@ -98,7 +97,7 @@ def _cmd_kodaira(args) -> int:
 
 
 def _cmd_relation(args) -> int:
-    n = _require_n_up_to_max(args)
+    n = _require_n(args, MAX_N)
     rel = picard.derive_l_relation(n)
     trace = []
     for s in range(2, n + 1):
@@ -117,7 +116,7 @@ def _cmd_relation(args) -> int:
 
 
 def _cmd_fiber_check(args) -> int:
-    n = _require_n(args)
+    n = _require_n(args, MAX_N_FIBER)
     checks: list[tuple[str, bool]] = []
 
     k = fiber.fiber_class(n, "K")
@@ -184,17 +183,12 @@ def _cmd_act(args) -> int:
 
 def _cmd_count(args) -> int:
     try:
-        growth = Fraction(args.growth)
-    except (ValueError, ZeroDivisionError):  # "abc", "1/0"
-        raise SystemExit2(f"invalid growth factor: {args.growth}")
-    try:
         f = forms.BinaryForm.from_csv(args.coeffs)
-        policy = counting.CountPolicy(args.t0, growth, args.stab)
         if args.grid < 1 or args.bmax < 1:
             raise ValueError("grid length and bmax must be positive")
         steps = min(args.grid, args.bmax.bit_length())  # later steps give 0
         grid = sorted({args.bmax // 2**k for k in range(steps)} - {0})
-        series = counting.count_series(f, grid, policy)
+        series = counting.count_series(f, grid)
     except (ValueError, counting.NonGenericForm) as exc:
         raise SystemExit2(str(exc))
     payload = {"command": "count", "coeffs": list(f.coeffs),
@@ -265,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True)
     p.add_argument("--bmax", type=int, required=True)
     p.add_argument("--grid", type=int, default=9, help="number of grid points")
-    p.add_argument("--t0", type=int, default=8, help="initial matrix shell")
-    p.add_argument("--growth", default="2", help="shell growth factor")
-    p.add_argument("--stab", type=int, default=2, help="empty shells before stopping")
 
     p = add("fit", _cmd_fit, help="fit the growth exponent from a B,N csv file")
     p.add_argument("--in", dest="infile", required=True)

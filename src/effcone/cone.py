@@ -81,12 +81,6 @@ def _clear_denominators(qs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
     return d, [q.numerator * (d // e) for q, e in zip(qs, dens)]
 
 
-def _sparse_ints(qs: tuple[Fraction, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(d, ((j, d * qs[j]), ...)) over the nonzero entries, with d > 0."""
-    d, ints = _clear_denominators(qs)
-    return d, tuple((j, a) for j, a in enumerate(ints) if a)
-
-
 def _clear_normalization(normalization) -> tuple[int, tuple[int, ...], int]:
     """(d, N, R) for the slice norm . x = rhs: integers with d > 0,
     N = d * norm entrywise and R = d * rhs."""
@@ -115,7 +109,9 @@ class ConeH:
 
     def __post_init__(self):
         # A row of ints is its own integer row, and each distinct int becomes
-        # a Fraction once; any other row is coerced to Fractions and cleared.
+        # a Fraction once; any other row is coerced to Fractions, and its
+        # numerators are its integer row when every denominator is 1 (as in
+        # a certificate's constraints), else it is cleared.
         width = len(self.labels)
         raw = [tuple(r) for r in self.rows]
         if any(len(r) != width for r in raw):
@@ -126,11 +122,13 @@ class ConeH:
             if all(type(a) is int for a in r):
                 for a in set(r).difference(exact):
                     exact[a] = Fraction(a)
-                int_rows.append((1, tuple((j, a) for j, a in enumerate(r) if a)))
-                r = tuple(map(exact.__getitem__, r))
+                d, ints, r = 1, r, tuple(map(exact.__getitem__, r))
             else:
                 r = _vec(r)
-                int_rows.append(_sparse_ints(r))
+                d, ints = 1, [a.numerator for a in r if a.denominator == 1]
+                if len(ints) < width:
+                    d, ints = _clear_denominators(r)
+            int_rows.append((d, tuple((j, a) for j, a in enumerate(ints) if a)))
             rows.append(r)
         object.__setattr__(self, "rows", tuple(rows))
         # None of the attributes below is a dataclass field, so equality and

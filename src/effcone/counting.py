@@ -5,20 +5,18 @@ for each coprime top row (a, b) the bottom rows form the integer family
 (c, d) = (c0 + t*a, d0 + t*b) through one extended-gcd base solution,
 clipped to the box.
 
-Orbit counting enumerates growing shells of matrices and stops once a
-configured number of consecutive shell growths contributes no new form
-under the height bound.  The matrices come from one exact descent over the
-Farey (Stern-Brocot) tree in integer arithmetic (see the Farey-tree
-section): each child node costs one additions-only Taylor shift, a subtree
-on which f keeps one sign and is already too large is dropped for good, and
-a subtree beyond the current shell waits on a frontier for the next one.
-So every qualifying matrix of a shell box is found, while the walk only
+Orbit counts are exact.  For a form f of degree n >= 3 with nonzero
+discriminant, `entry_bound(f, B)` is an integer T such that every
+determinant-1 matrix g with height(f o g) <= B has all entries in [-T, T];
+its docstring states and proves the lemma.  One exact descent over the
+Farey (Stern-Brocot) tree in integer arithmetic then visits every matrix of
+that box up to sign (see the Farey-tree section): each child node costs one
+additions-only Taylor shift, and a subtree is dropped for good when f keeps
+one sign on it and is already too large, or when it leaves the box.  So
+N(B) is the number of distinct images the walk finds, while the walk only
 follows the root directions of the form and the regions where it is small.
 The distinct images are kept in one map from image to height, so the
-heights are never recomputed.  The stopping rule is a documented heuristic,
-not a proof of completeness: the orbit intersected with a height box is
-finite, so the search terminates, but a form first reached beyond the
-stabilized shells would be missed.
+heights are never recomputed.
 """
 
 from __future__ import annotations
@@ -26,11 +24,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import neg
 
-from .forms import (BinaryForm, UnimodularMatrix, disc, substitute,
-                    taylor_shift)
+from .forms import (BinaryForm, UnimodularMatrix, bareiss_det, disc,
+                    substitute, sylvester_matrix, taylor_shift)
 
 
 class NonGenericForm(ValueError):
@@ -39,24 +36,6 @@ class NonGenericForm(ValueError):
 
 class InsufficientData(ValueError):
     """Exponent fits need at least 3 nonzero counts."""
-
-
-@dataclass(frozen=True)
-class CountPolicy:
-    """Shell schedule: start at `initial_shell`, multiply by `growth`, stop
-    after `stable_rounds` consecutive shells add no new qualifying form."""
-
-    initial_shell: int = 8
-    growth: Fraction = Fraction(2)
-    stable_rounds: int = 2
-
-    def __post_init__(self):
-        object.__setattr__(self, "growth", Fraction(self.growth))
-        if self.initial_shell < 1 or self.stable_rounds < 1 or self.growth <= 1:
-            raise ValueError("policy fields must be positive (growth > 1)")
-
-    def next_shell(self, t: int) -> int:
-        return max(t + 1, math.floor(t * self.growth))
 
 
 @dataclass(frozen=True)
@@ -174,6 +153,66 @@ def enumerate_unimodular(bound: int):
 
 
 # ---------------------------------------------------------------------------
+# entry bound
+# ---------------------------------------------------------------------------
+
+def entry_bound(f: BinaryForm, b: int) -> int:
+    """Largest integer T with |R| * T^(n-2) <= (n+1) * L * b, for R and L
+    below: every determinant-1 matrix g with height(f o g) <= b has all
+    entries in [-T, T].
+
+    f needs degree n >= 3 (ValueError otherwise) and a nonzero discriminant
+    (NonGenericForm otherwise).
+
+    Lemma.  Let g have columns u, v, let T be its largest absolute entry
+    and H = height(f o g).  Then |R| * T^(n-2) <= (n+1) * L * H.
+
+    1. The z^n and z^(n-1) w coefficients of f o g are x0 = f(u) and
+       x1 = grad f(u) . v, and Euler's identity gives grad f(u) . u =
+       n f(u).  This 2x2 system has matrix g^T of determinant 1, so its
+       solution grad f(u) = (f_z(u), f_w(u)) is bounded entrywise by
+       T (n |x0| + |x1|) <= (n+1) T H.  The w^n and z w^(n-1)
+       coefficients f(v) and grad f(v) . u bound grad f(v) the same way.
+    2. R = Res(f_z, f_w) is the determinant of the Sylvester matrix S of
+       the two partial derivatives at formal degree n-1; it is nonzero
+       exactly when disc f is (|R| = n^(n-2) |disc f|).  The first row of
+       adj S, the signed (2n-3)-minors of S along its first column, holds
+       the coefficients of forms A, B of degree n-2 with
+       A f_z + B f_w = R z^(2n-3); the minors along its last column give
+       such a pair for R w^(2n-3).
+    3. L is the larger of the two l1 norms of those (A, B) coefficient
+       vectors.  For a column (a, c) with t = max(|a|, |c|), the identity
+       whose right side carries the larger coordinate gives
+       |R| t^(2n-3) <= L t^(n-2) max(|f_z|, |f_w|) at (a, c).  On the
+       column holding T, step 1 turns this into |R| T^(n-1) <= L (n+1) T H.
+
+    For n >= 3 the left side grows with T, so H <= b bounds T.
+    """
+    n = f.degree
+    if n < 3:
+        raise ValueError(f"orbit counting needs degree n >= 3 (got {n})")
+    if disc(f) == 0:
+        raise NonGenericForm("orbit counting requires a nonzero discriminant")
+    xs = f.coeffs
+    s = sylvester_matrix([(n - i) * xs[i] for i in range(n)],
+                         [i * xs[i] for i in range(1, n + 1)])
+    l1 = max(sum(abs(bareiss_det([row[:j] + row[j + 1:]
+                                  for k, row in enumerate(s) if k != i]))
+                 for i in range(len(s)))
+             for j in (0, len(s) - 1))
+    top = (n + 1) * l1 * b // abs(bareiss_det(s))
+    # the largest T with T^(n-2) <= top, bisecting lo^(n-2) <= top < hi^(n-2)
+    lo, hi = 0, 1 << -(-top.bit_length() // (n - 2))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** (n - 2) <= top:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# ---------------------------------------------------------------------------
 # Farey-tree orbit search
 #
 # A node is an interval (p/q, r/s) of the Stern-Brocot tree, with
@@ -193,105 +232,76 @@ def enumerate_unimodular(bound: int):
 # an image of height <= B and the subtree is dropped (by Descartes' rule of
 # signs, a subtree around a root of f keeps a sign change in F).
 #
-# Frontier: every node below has an entry at least as large as the mediant
-# u + v, so a node whose mediant leaves the shell box waits on the frontier,
-# and the next shell resumes from there.
+# Box: every node below has an entry at least as large as the mediant
+# u + v, so a node whose mediant leaves the box has no descendant in it and
+# is dropped as well.
 # ---------------------------------------------------------------------------
 
-class _FareyWalk:
-    """After `grow(shell)` (called with increasing shells), `seen` maps
-    each image of f of height <= b_max under every determinant-1 matrix
-    with entries up to `shell` to its height.  A child node's F is one
+def _farey_walk(xs: tuple[int, ...], b_max: int,
+                box: int) -> dict[tuple[int, ...], int]:
+    """Map each image of f of height <= b_max under a determinant-1 matrix
+    with entries in [-box, box] to its height.  A child node's F is one
     additions-only Taylor shift of its parent's.
 
     A node stands for the matrices [v u] and [u -v] and their negatives,
     which give the same two images up to the global sign (-1)^n, so for odd
     degree both signs are recorded.
     """
+    odd = len(xs) % 2 == 0
+    odd_index = range(1, len(xs), 2)  # negated in F(z, -w)
+    seen: dict[tuple[int, ...], int] = {}
+    stack: list[tuple] = []
 
-    __slots__ = ("b_max", "odd", "odd_index", "seen", "frontier")
-
-    def __init__(self, xs: tuple[int, ...], b_max: int):
-        self.b_max = b_max
-        self.odd = len(xs) % 2 == 0
-        self.odd_index = range(1, len(xs), 2)  # negated in F(z, -w)
-        self.seen: dict[tuple[int, ...], int] = {}
-        self.frontier: list[tuple] = []
-        self._enter(substitute(xs, 0, 1, 1, 0), 0, 1, 1, 0, self.frontier)
-        self._enter(substitute(xs, -1, 0, 0, 1), -1, 0, 0, 1, self.frontier)
-
-    def _enter(self, F, p, q, r, s, nodes):
+    def enter(F, p, q, r, s):
         """Record the two images of a new node; keep it unless pruned."""
-        b_max = self.b_max
         lo, hi = min(F), max(F)
         height = hi if hi >= -lo else -lo
         if height <= b_max:
-            seen = self.seen
             flipped = F[::-1]
             alternating = list(F)
-            for i in self.odd_index:
+            for i in odd_index:
                 alternating[i] = -alternating[i]
             alternating = tuple(alternating)
             seen[flipped] = seen[alternating] = height
-            if self.odd:
+            if odd:
                 seen[tuple(map(neg, flipped))] = height
                 seen[tuple(map(neg, alternating))] = height
         if (lo >= 0 or hi <= 0) and abs(sum(F)) > b_max:
             return
-        nodes.append((F, p, q, r, s))
+        stack.append((F, p, q, r, s))
 
-    def grow(self, shell: int) -> None:
-        """Visit every node whose matrices lie in the box of entries up to
-        `shell`; the second entries q, s are never negative."""
-        stack, self.frontier = self.frontier, []
-        while stack:
-            node = stack.pop()
-            F, p, q, r, s = node
-            mp, mq = p + r, q + s
-            if abs(mp) > shell or mq > shell:
-                self.frontier.append(node)
-                continue
-            self._enter(taylor_shift(F), p, q, mp, mq, stack)
-            self._enter(taylor_shift(F[::-1])[::-1], mp, mq, r, s, stack)
+    enter(substitute(xs, 0, 1, 1, 0), 0, 1, 1, 0)
+    enter(substitute(xs, -1, 0, 0, 1), -1, 0, 0, 1)
+    while stack:  # the second entries q, s are never negative
+        F, p, q, r, s = stack.pop()
+        mp, mq = p + r, q + s
+        if abs(mp) > box or mq > box:
+            continue
+        enter(taylor_shift(F), p, q, mp, mq)
+        enter(taylor_shift(F[::-1])[::-1], mp, mq, r, s)
+    return seen
 
 
-def _orbit_heights(f: BinaryForm, b_max: int, policy: CountPolicy) -> list[int]:
-    """Sorted heights of the distinct orbit vectors with height <= b_max.
-
-    Requires a form without repeated roots: a zero discriminant raises
-    NonGenericForm.  Shells grow per the policy, and each round adds the
-    images of the shell box beyond the previous box.
-    """
-    if disc(f) == 0:
-        raise NonGenericForm("orbit counting requires a nonzero discriminant")
-    walk = _FareyWalk(f.coeffs, b_max)
-    shell = policy.initial_shell
-    before = quiet = 0
-    while True:
-        walk.grow(shell)
-        quiet = quiet + 1 if len(walk.seen) == before else 0
-        if quiet >= policy.stable_rounds:
-            break
-        before = len(walk.seen)
-        shell = policy.next_shell(shell)
-    return sorted(walk.seen.values())
+def _orbit_heights(f: BinaryForm, b_max: int) -> list[int]:
+    """Sorted heights of the distinct orbit vectors with height <= b_max,
+    from one walk over the box of entry_bound(f, b_max)."""
+    box = entry_bound(f, b_max)
+    return sorted(_farey_walk(f.coeffs, b_max, box).values())
 
 
-def count_series(f: BinaryForm, b_grid,
-                 policy: CountPolicy | None = None) -> CountSeries:
+def count_series(f: BinaryForm, b_grid) -> CountSeries:
     """Counts N(B) of distinct orbit coefficient vectors with height <= B,
     for every B in the increasing grid, from one shared enumeration pass."""
-    policy = policy or CountPolicy()
     grid = [int(b) for b in b_grid]
     if not grid or any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("grid must be nonempty and strictly increasing")
-    heights = _orbit_heights(f, grid[-1], policy)
+    heights = _orbit_heights(f, grid[-1])
     return CountSeries(tuple((b, bisect_right(heights, b)) for b in grid))
 
 
-def count_orbit(f: BinaryForm, b: int, policy: CountPolicy | None = None) -> int:
+def count_orbit(f: BinaryForm, b: int) -> int:
     """Number of distinct forms in the orbit of f with height <= b."""
-    return count_series(f, [b], policy).points[0][1]
+    return count_series(f, [b]).points[0][1]
 
 
 # ---------------------------------------------------------------------------

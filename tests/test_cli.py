@@ -147,8 +147,7 @@ def test_act_binomials(capsys):
 
 def test_count_and_fit_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "count", "--coeffs", "1,0,-1,-1",
-                       "--bmax", "800", "--grid", "4", "--t0", "4",
-                       "--format", "csv")
+                       "--bmax", "800", "--grid", "4", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "B,N"
@@ -167,8 +166,8 @@ def test_exit_codes_for_invalid_input(capsys):
     assert run(capsys, "disc", "--coeffs", "5")[0] == 2
     assert run(capsys, "disc", "--coeffs", "1,x,2,3")[0] == 2
     assert run(capsys, "count", "--coeffs", "1,-2,1,0", "--bmax", "100")[0] == 2
-    assert run(capsys, "count", "--coeffs", "1,0,-1,-1", "--bmax", "100",
-               "--growth", "1/0")[0] == 2
+    code, out, err = run(capsys, "count", "--coeffs", "1,0,-1", "--bmax", "100")
+    assert (code, out) == (2, "") and "n >= 3" in err
     assert run(capsys, "fit", "--in", "/nonexistent.csv")[0] == 2
     assert run(capsys, "act", "--coeffs", "1,0,1", "--matrix", "1,1,1,1")[0] == 2
 
@@ -176,12 +175,16 @@ def test_exit_codes_for_invalid_input(capsys):
 def test_size_guard_exits_two(capsys, monkeypatch):
     from effcone import cli
 
-    for command in ("cone-cert", "pairings", "relation"):
+    limits = {"cone-cert": "MAX_N", "pairings": "MAX_N", "relation": "MAX_N",
+              "kodaira": "MAX_N_FIBER", "fiber-check": "MAX_N_FIBER"}
+    for command, limit in limits.items():
         code, out, err = run(capsys, command, "--n", "10000")
         assert (code, out) == (2, "")
-        assert err == f"error: n must be at most {cli.MAX_N} (got 10000)\n"
+        assert err == (f"error: n must be at most {getattr(cli, limit)} "
+                       "(got 10000)\n")
     monkeypatch.setattr(cli, "MAX_N", 5)
-    for command in ("cone-cert", "pairings", "relation"):
+    monkeypatch.setattr(cli, "MAX_N_FIBER", 5)
+    for command in limits:
         assert run(capsys, command, "--n", "5")[0] == 0
         assert run(capsys, command, "--n", "6")[0] == 2
 
@@ -252,8 +255,9 @@ def test_count_grid_longer_than_bmax_bits(capsys):
 
 
 def test_count_form_with_huge_root(capsys):
-    # a real root near 1e15: a cubic of height <= 20000 has a far smaller
-    # |disc| than this form, so no orbit form qualifies
+    # a real root near 1e16: a cubic of height <= 20000 has a far smaller
+    # |disc| than this form, so no orbit form qualifies; the entry bound is
+    # 4B/3, so the walk follows the root down about 27,000 nodes
     coeffs = "1,0,0,-1000000000000000000000000000000000000000000012345"
     code, out, err = run(capsys, "count", "--coeffs=" + coeffs, "--bmax",
                          "20000", "--grid", "3", "--format", "json")

@@ -1,18 +1,17 @@
-import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from effcone.counting import (
-    CountPolicy,
     CountSeries,
     InsufficientData,
     NonGenericForm,
+    _farey_walk,
     _orbit_heights,
     count_orbit,
     count_series,
+    entry_bound,
     enumerate_unimodular,
     fit_exponent,
 )
@@ -36,11 +35,19 @@ def brute_box(bound):
             if a * d - b * c == 1}
 
 
-def brute_orbit_heights(f, b_max, policy):
-    """Shell search identical in semantics, via the plain box enumerator."""
+# The shell search that counted orbits before the entry bound: boxes of
+# entries up to 4, 8, 16, ..., stopping after two boxes in a row add no
+# qualifying form.  A heuristic, kept as the reference the walk is compared
+# against; it is exact whenever the last qualifying matrix comes before the
+# first two empty boxes.
+SHELL_START, SHELL_GROWTH, QUIET_SHELLS = 4, 2, 2
+
+
+def brute_orbit_heights(f, b_max):
+    """Sorted heights from the shell search, via the plain box enumerator."""
     seen = set()
     prev = 0
-    shell = policy.initial_shell
+    shell = SHELL_START
     quiet = 0
     while True:
         new = 0
@@ -52,10 +59,10 @@ def brute_orbit_heights(f, b_max, policy):
                 seen.add(g.coeffs)
                 new += 1
         quiet = quiet + 1 if new == 0 else 0
-        if quiet >= policy.stable_rounds:
+        if quiet >= QUIET_SHELLS:
             break
         prev = shell
-        shell = policy.next_shell(shell)
+        shell *= SHELL_GROWTH
     return sorted(height(BinaryForm(c)) for c in seen)
 
 
@@ -92,10 +99,9 @@ def test_enumeration_quadratic_growth():
 
 def test_count_includes_form_and_is_monotone():
     f = BinaryForm((1, 0, -1, -1))
-    policy = CountPolicy(4, 2, 2)
-    n_small = count_orbit(f, height(f), policy)
+    n_small = count_orbit(f, height(f))
     assert n_small >= 1
-    series = count_series(f, [2, 10, 40, 160], policy)
+    series = count_series(f, [2, 10, 40, 160])
     counts = [n for _, n in series.points]
     assert counts == sorted(counts)
 
@@ -109,39 +115,80 @@ def test_orbit_heights_rejects_repeated_root():
     # (z + w)^3 has the triple root (-1, 1): its discriminant is 0, and
     # the form is refused before the Farey-tree walk starts
     with pytest.raises(NonGenericForm):
-        _orbit_heights(BinaryForm((1, 3, 3, 1)), 50, CountPolicy(2, 2, 2))
+        _orbit_heights(BinaryForm((1, 3, 3, 1)), 50)
+
+
+def test_count_rejects_degree_below_three():
+    # at n = 2 the entry bound says nothing, and an indefinite quadratic
+    # has an infinite stabilizer, so no box holds its whole orbit
+    for coeffs in ((1, 0, -1), (1, 1)):
+        with pytest.raises(ValueError, match="n >= 3"):
+            count_orbit(BinaryForm(coeffs), 100)
 
 
 def window_box_images(f, bound, b_max):
     """Qualifying image set from the Farey-tree search, single box."""
-    from effcone.counting import _FareyWalk
-
-    walk = _FareyWalk(f.coeffs, b_max)
-    walk.grow(bound)
-    return set(walk.seen)
+    return set(_farey_walk(f.coeffs, b_max, bound))
 
 
-def test_walk_records_heights_and_keeps_no_prunable_node():
-    # every image carries its height, and every node left on the frontier
-    # lies beyond the shell and has no one-sign F above the bound
-    from effcone.counting import _FareyWalk
-
-    waiting = 0
+def test_walk_records_heights_and_ends_at_entry_bound():
+    # every image carries its height, a larger box only adds images, and no
+    # box beyond entry_bound(f, B) adds one
     for coeffs, b_max in (((1, 0, -1, -1), 500),
                           ((0, 2, -3, 1, 5), 400),
                           ((1, -3, -25, 75, 0), 3000),
                           ((2, 1, 0, -1, 1, 3), 300)):
-        walk = _FareyWalk(coeffs, b_max)
-        for shell in (4, 16, 64):
-            walk.grow(shell)
-            waiting += len(walk.frontier)
-            for F, p, q, r, s in walk.frontier:
-                assert abs(p + r) > shell or q + s > shell
-                assert min(F) < 0 < max(F) or abs(sum(F)) <= b_max
-        assert len(walk.seen) > 20
-        for image, h in walk.seen.items():
+        bound = entry_bound(BinaryForm(coeffs), b_max)
+        images = _farey_walk(coeffs, b_max, bound)
+        assert len(images) > 20
+        for image, h in images.items():
             assert h == max(abs(x) for x in image) <= b_max
-    assert waiting > 20
+        for box in (4, 16, 64):
+            assert set(_farey_walk(coeffs, b_max, box)) <= set(images)
+        assert _farey_walk(coeffs, b_max, 4 * bound + 8) == images
+
+
+def test_entry_bound_holds_against_brute_force():
+    # no determinant-1 matrix with an entry beyond entry_bound(f, B) gives
+    # an image of height <= B, checked over a larger box.  At B = 1 the
+    # bound is 1 for z^3 + w^3 and z^4 + w^4, and the identity attains it
+    rng = random.Random(61)
+    cases = [((1, 0, 0, 1), 1), ((1, 0, 0, 0, 1), 1)]
+    while len(cases) < 40:
+        degree = rng.randint(3, 5)
+        coeffs = tuple(rng.randint(-3, 3) for _ in range(degree + 1))
+        f = BinaryForm(coeffs)
+        if any(coeffs) and disc(f) != 0:
+            b_max = rng.choice([2, 5, 12, 30])
+            if entry_bound(f, b_max) <= 12:
+                cases.append((coeffs, b_max))
+    attained = 0
+    for coeffs, b_max in cases:
+        f = BinaryForm(coeffs)
+        bound = entry_bound(f, b_max)
+        largest = 0
+        for m in enumerate_unimodular(bound + 3):
+            if (abs(evaluate(coeffs, m.a, m.c)) <= b_max
+                    and abs(evaluate(coeffs, m.b, m.d)) <= b_max
+                    and height(act(f, m)) <= b_max):
+                largest = max(largest, *map(abs, m.entries()))
+        assert largest <= bound, (coeffs, b_max)
+        attained += largest == bound
+    assert attained >= 2
+
+
+def test_entry_bound_closed_forms():
+    # f = z^3 - c w^3: f_z = 3 z^2, f_w = -3 c w^2, R = 81 c^2, and the
+    # identities (27 c^2 z) f_z = R z^3 and (-27 c w) f_w = R w^3 give
+    # L = 27 c^2, so T = 4 B / 3.  The reversal c z^3 - w^3 swaps the two
+    # identities.  f = z^4 + w^4: R = 4^6 and L = 4^5, so T^2 <= 5 B / 4
+    for c in (7, 10 ** 48 + 12345):
+        for b_max in (3, 20000, 10 ** 9):
+            assert entry_bound(BinaryForm((1, 0, 0, -c)), b_max) == 4 * b_max // 3
+            assert entry_bound(BinaryForm((c, 0, 0, -1)), b_max) == 4 * b_max // 3
+    for b_max in (1, 80, 10 ** 12):
+        assert entry_bound(BinaryForm((1, 0, 0, 0, 1)), b_max) == \
+            math.isqrt(5 * b_max // 4)
 
 
 def test_window_box_completeness():
@@ -211,8 +258,6 @@ def test_farey_walk_finds_every_brute_partner():
     # exact oracle: every qualifying column (a, c) with c <= 300, and for the
     # picked columns every det-1 partner (b, d) in a 20,000 box whose image
     # has height <= B; each such image must be among the walk's images
-    from effcone.counting import _FareyWalk
-
     rng = random.Random(43)
     box, b_max = 20000, 10 ** 5
     zero_columns = 0
@@ -234,8 +279,7 @@ def test_farey_walk_finds_every_brute_partner():
             rho = 1 + -(-max(map(abs, xs)) // lead)
         else:
             rho = 1 + max(abs(p) // q for q, p in factors)
-        walk = _FareyWalk(xs, b_max)
-        walk.grow(box)
+        seen = _farey_walk(xs, b_max, box)
         columns = sorted(exact_columns(xs, 300, b_max, rho),
                          key=lambda col: col[1])
         zero = [(a, c) for a, c in columns if evaluate(xs, a, c) == 0]
@@ -259,14 +303,13 @@ def test_farey_walk_finds_every_brute_partner():
                     continue
                 image = act(BinaryForm(xs), UnimodularMatrix(a, b, c, d))
                 if height(image) <= b_max:
-                    assert image.coeffs in walk.seen, (xs, a, b, c, d)
+                    assert image.coeffs in seen, (xs, a, b, c, d)
         zero_columns += len(zero)
         largest_c = max(largest_c, columns[-1][1])
     assert zero_columns >= 5 and largest_c >= 250
 
 
 def test_window_search_matches_box_search():
-    policy = CountPolicy(2, 2, 2)
     for coeffs, b_max in (((1, 0, -1, -1), 60),
                           ((1, -3, -25, 75, 0), 60),
                           ((0, 1, -1, 3), 40),
@@ -274,14 +317,13 @@ def test_window_search_matches_box_search():
                           ((0, 60, -227, 286, -120), 120)):
         f = BinaryForm(coeffs)
         assert disc(f) != 0
-        assert _orbit_heights(f, b_max, policy) == \
-            brute_orbit_heights(f, b_max, policy)
+        assert _orbit_heights(f, b_max) == brute_orbit_heights(f, b_max)
 
 
 def test_orbit_heights_match_box_search_on_random_forms():
     # seeded property check: roots at infinity and at zero, split forms, the
     # clustered split cubics (k z - (k+1) w)((k+1) z - (k+2) w)((k+2) z -
-    # (k+3) w), and every policy of the grid below
+    # (k+3) w)
     rng = random.Random(53)
     cases = [(split_form([(k, k + 1), (k + 1, k + 2), (k + 2, k + 3)]), 12)
              for k in (1, 2)]
@@ -301,59 +343,56 @@ def test_orbit_heights_match_box_search_on_random_forms():
         if any(coeffs) and disc(BinaryForm(tuple(coeffs))) != 0:
             cases.append((coeffs, rng.choice([10, 20] if degree == 3
                                              else [10, 30, 60])))
-    policies = itertools.cycle(itertools.product((2, 4, 8), (2, Fraction(3, 2)),
-                                                 (1, 2)))
     for coeffs, b_max in cases:
         f = BinaryForm(tuple(coeffs))
-        policy = CountPolicy(*next(policies))
-        assert _orbit_heights(f, b_max, policy) == \
-            brute_orbit_heights(f, b_max, policy), (coeffs, b_max, policy)
+        assert _orbit_heights(f, b_max) == brute_orbit_heights(f, b_max), \
+            (coeffs, b_max)
+
+
+def test_clustered_cubics_share_one_exact_count():
+    # the k-th clustered cubic has the roots (k+1)/k, (k+2)/(k+1) and
+    # (k+3)/(k+2), and substituting (z, w) -> (w, 2 w - z) (determinant 1)
+    # sends them to those of the (k+1)-th, so all of them lie in one orbit
+    # and have the same N(B).  At k = 50 no qualifying matrix has all
+    # entries up to 8, so the shell search stops after two empty boxes and
+    # finds nothing
+    first = BinaryForm(tuple(split_form([(1, 2), (2, 3), (3, 4)])))
+    far = BinaryForm(tuple(split_form([(50, 51), (51, 52), (52, 53)])))
+    assert count_orbit(first, 1000) == count_orbit(far, 1000) == 1804
+    assert brute_orbit_heights(far, 1000) == []
 
 
 def test_shared_pass_equals_pointwise_counts():
     rng = random.Random(32)
     f = BinaryForm((1, 0, -1, -1))
-    policy = CountPolicy(4, 2, 2)
     for _ in range(3):
         grid = sorted(rng.sample(range(5, 400), 4))
-        series = count_series(f, grid, policy)
+        series = count_series(f, grid)
         for b, n in series.points:
-            assert n == count_orbit(f, b, policy)
+            assert n == count_orbit(f, b)
 
 
 def test_counting_is_deterministic():
     f = form_from_roots(1, [0, 1, -2, 3])
-    policy = CountPolicy(4, 2, 2)
-    a = count_series(f, [20, 80, 320], policy)
-    b = count_series(f, [20, 80, 320], policy)
+    a = count_series(f, [20, 80, 320])
+    b = count_series(f, [20, 80, 320])
     assert a == b
 
 
 def test_odd_degree_orbit_closed_under_negation():
     f = BinaryForm((1, 0, -1, -1))
     b_max = 60
-    heights = _orbit_heights(f, b_max, CountPolicy(4, 2, 2))
-    # reproduce the set to check closure
     seen = set()
-    policy = CountPolicy(4, 2, 2)
     for m in enumerate_unimodular(16):
         g = act(f, m)
         if height(g) <= b_max:
             seen.add(g.coeffs)
     for coeffs in seen:
         assert tuple(-v for v in coeffs) in seen
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        CountPolicy(0, 2, 2)
-    with pytest.raises(ValueError):
-        CountPolicy(4, 1, 2)
-    with pytest.raises(ValueError):
-        CountPolicy(4, 2, 0)
-    p = CountPolicy(5, Fraction(3, 2), 1)
-    assert p.next_shell(5) == 7
-    assert p.next_shell(2) == 3
+    images = _farey_walk(f.coeffs, b_max, entry_bound(f, b_max))
+    assert seen <= set(images)
+    for coeffs in images:
+        assert tuple(-v for v in coeffs) in images
 
 
 def test_series_validation_and_csv():
