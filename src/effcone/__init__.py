@@ -19,6 +19,7 @@ from .cone import (
 )
 from .counting import (
     CountSeries,
+    CountingError,
     FitResult,
     InsufficientData,
     NonGenericForm,

@@ -299,7 +299,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (cone.Infeasible, cone.Unbounded, cone.PivotLimitExceeded,
-            cone.NotAttainable, cone.MinusInfinity) as exc:
+            cone.NotAttainable, cone.MinusInfinity,
+            counting.CountingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,28 +10,38 @@ discriminant, `entry_bound(f, B)` is an integer T such that every
 determinant-1 matrix g with height(f o g) <= B has all entries in [-T, T];
 its docstring states and proves the lemma.  One exact descent over the
 Farey (Stern-Brocot) tree in integer arithmetic then visits every matrix of
-that box up to sign (see the Farey-tree section): each child node costs one
+that box (see the Farey-tree section).  Each recorded node stands for one
+pair of matrices +-[v u] and one pair +-[u -v], and every matrix of the box
+belongs to exactly one recorded node; the second root stands for +-S and
++-I again, so it is walked but not recorded.  Each child node costs one
 additions-only Taylor shift, and a subtree is dropped for good when f keeps
-one sign on it and is already too large, or when it leaves the box.  So
-N(B) is the number of distinct images the walk finds, while the walk only
-follows the root directions of the form and the regions where it is small.
-The distinct images are kept in one map from image to height, so the
-heights are never recomputed.
+one sign on it and is already too large, or when it leaves the box, so the
+walk only follows the root directions of the form and the regions where it
+is small.  No image is stored: every image is hit by exactly |Stab_f|
+matrices of the box, so N(B) = 4 M(B) / |Stab_f| for the number M(B) of
+recorded nodes of height <= B, counted per grid point as the walk goes,
+and |Stab_f| is read off the walk.  Memory is the walk's stack and the
+grid.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import neg
 
-from .forms import (BinaryForm, UnimodularMatrix, bareiss_det, disc,
+from .forms import (BinaryForm, UnimodularMatrix, adjugate_solve, disc,
                     substitute, sylvester_matrix, taylor_shift)
 
 
 class NonGenericForm(ValueError):
     """Orbit counting requires a nonzero discriminant."""
+
+
+class CountingError(ArithmeticError):
+    """The walk's matrix counts are not whole orbits of one stabilizer."""
 
 
 class InsufficientData(ValueError):
@@ -193,14 +203,8 @@ def entry_bound(f: BinaryForm, b: int) -> int:
         raise ValueError(f"orbit counting needs degree n >= 3 (got {n})")
     if disc(f) == 0:
         raise NonGenericForm("orbit counting requires a nonzero discriminant")
-    xs = f.coeffs
-    s = sylvester_matrix([(n - i) * xs[i] for i in range(n)],
-                         [i * xs[i] for i in range(1, n + 1)])
-    l1 = max(sum(abs(bareiss_det([row[:j] + row[j + 1:]
-                                  for k, row in enumerate(s) if k != i]))
-                 for i in range(len(s)))
-             for j in (0, len(s) - 1))
-    top = (n + 1) * l1 * b // abs(bareiss_det(s))
+    r, l1 = _gradient_identities(f.coeffs)
+    top = (n + 1) * l1 * b // r
     # the largest T with T^(n-2) <= top, bisecting lo^(n-2) <= top < hi^(n-2)
     lo, hi = 0, 1 << -(-top.bit_length() // (n - 2))
     while hi - lo > 1:
@@ -212,6 +216,23 @@ def entry_bound(f: BinaryForm, b: int) -> int:
     return lo
 
 
+def _gradient_identities(xs: tuple[int, ...]) -> tuple[int, int]:
+    """(|R|, L) of entry_bound's lemma for the form with coefficients xs.
+
+    The first and last rows of adj S are adj(S^T) e_0 and adj(S^T) e_last,
+    so one fraction-free solve with two right-hand sides gives both pairs
+    (A, B) at once, in O(n^3), and det S = R with them.
+    """
+    n = len(xs) - 1
+    s = sylvester_matrix([(n - i) * xs[i] for i in range(n)],
+                         [i * xs[i] for i in range(1, n + 1)])
+    size = len(s)
+    unit = [[0] * size for _ in range(2)]
+    unit[0][0] = unit[1][-1] = 1
+    r, rows = adjugate_solve([list(col) for col in zip(*s)], unit)
+    return abs(r), max(sum(map(abs, row)) for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # Farey-tree orbit search
 #
@@ -220,11 +241,16 @@ def entry_bound(f: BinaryForm, b: int) -> int:
 # through the matrix with columns u = (p, q) and v = (r, s).  The children
 # (p/q, mediant) and (mediant, r/s) carry F(m + n, n) and F(m, m + n): one
 # Taylor shift by 1 (forms.taylor_shift, k(k+1)/2 additions and no
-# multiplication in degree k) of F and of its reversal.  The walk starts
-# from two roots, (0/1, 1/0) and (-1/0, 0/1); every pair of Farey
-# neighbours, and so every determinant-1 matrix up to sign, is then reached
-# as a node: [v u] with image F(w, z) and [u -v] with image F(z, -w), both of
+# multiplication in degree k) of F and of its reversal.
+#
+# A node stands for the four determinant-1 matrices +-[v u] and +-[u -v],
+# with the images +-F(w, z) and +-F(z, -w) (the sign is (-1)^n), all of
 # height max |F|, read off min(F) and max(F) with the one-sign test below.
+# The walk starts from the root (0/1, 1/0), which stands for +-I and +-S
+# with S = [0 -1; 1 0], and from the two children of the root
+# (-1/0, 0/1): that root stands for +-S and +-I again, so it is walked but
+# not recorded.  Every determinant-1 matrix is then one of the four of
+# exactly one recorded node.
 #
 # Prune: every fraction strictly inside a node is m u + n v with m, n >= 1,
 # where f takes the value F(m, n).  When the nonzero coefficients of F share
@@ -235,68 +261,83 @@ def entry_bound(f: BinaryForm, b: int) -> int:
 # Box: every node below has an entry at least as large as the mediant
 # u + v, so a node whose mediant leaves the box has no descendant in it and
 # is dropped as well.
+#
+# Count: no image is stored.  The image f o g is hit by exactly the
+# matrices h g with h in the stabilizer Stab_f of f in SL2(Z).  They share
+# its height, so all of them lie in the box.  For degree n >= 3 and a
+# nonzero discriminant, Stab_f is a finite cyclic group: of order 1 or 3
+# when n is odd (-I sends f to -f), and of order 2, 4 or 6 when n is even
+# (it contains -I).  So N(B) = 4 M(B) / |Stab_f|, where M(B) is the number
+# of recorded nodes of height <= B, and |Stab_f| is the number of walked
+# matrices whose image is the first image recorded.
 # ---------------------------------------------------------------------------
 
-def _farey_walk(xs: tuple[int, ...], b_max: int,
-                box: int) -> dict[tuple[int, ...], int]:
-    """Map each image of f of height <= b_max under a determinant-1 matrix
-    with entries in [-box, box] to its height.  A child node's F is one
-    additions-only Taylor shift of its parent's.
-
-    A node stands for the matrices [v u] and [u -v] and their negatives,
-    which give the same two images up to the global sign (-1)^n, so for odd
-    degree both signs are recorded.
-    """
-    odd = len(xs) % 2 == 0
-    odd_index = range(1, len(xs), 2)  # negated in F(z, -w)
-    seen: dict[tuple[int, ...], int] = {}
+def _farey_walk(xs: tuple[int, ...], b_max: int, box: int):
+    """Yield (height, node) for every recorded node of height <= b_max,
+    node = (F, p, q, r, s), in the box of entries [-box, box] (box >= 1).
+    A child node's F is one additions-only Taylor shift of its parent's."""
+    root = substitute(xs, -1, 0, 0, 1)
+    entered = ((substitute(xs, 0, 1, 1, 0), 0, 1, 1, 0),
+               (taylor_shift(root), -1, 0, -1, 1),
+               (taylor_shift(root[::-1])[::-1], -1, 1, 0, 1))
     stack: list[tuple] = []
-
-    def enter(F, p, q, r, s):
-        """Record the two images of a new node; keep it unless pruned."""
-        lo, hi = min(F), max(F)
-        height = hi if hi >= -lo else -lo
-        if height <= b_max:
-            flipped = F[::-1]
-            alternating = list(F)
-            for i in odd_index:
-                alternating[i] = -alternating[i]
-            alternating = tuple(alternating)
-            seen[flipped] = seen[alternating] = height
-            if odd:
-                seen[tuple(map(neg, flipped))] = height
-                seen[tuple(map(neg, alternating))] = height
-        if (lo >= 0 or hi <= 0) and abs(sum(F)) > b_max:
+    push = stack.append
+    while True:
+        for node in entered:  # record each new node; keep it unless pruned
+            F = node[0]
+            lo, hi = min(F), max(F)
+            height = hi if hi >= -lo else -lo
+            if height <= b_max:
+                yield height, node
+            if lo < 0 < hi or abs(sum(F)) <= b_max:
+                push(node)
+        if not stack:
             return
-        stack.append((F, p, q, r, s))
-
-    enter(substitute(xs, 0, 1, 1, 0), 0, 1, 1, 0)
-    enter(substitute(xs, -1, 0, 0, 1), -1, 0, 0, 1)
-    while stack:  # the second entries q, s are never negative
-        F, p, q, r, s = stack.pop()
+        F, p, q, r, s = stack.pop()  # q and s are never negative
         mp, mq = p + r, q + s
-        if abs(mp) > box or mq > box:
-            continue
-        enter(taylor_shift(F), p, q, mp, mq)
-        enter(taylor_shift(F[::-1])[::-1], mp, mq, r, s)
-    return seen
-
-
-def _orbit_heights(f: BinaryForm, b_max: int) -> list[int]:
-    """Sorted heights of the distinct orbit vectors with height <= b_max,
-    from one walk over the box of entry_bound(f, b_max)."""
-    box = entry_bound(f, b_max)
-    return sorted(_farey_walk(f.coeffs, b_max, box).values())
+        entered = () if abs(mp) > box or mq > box else (
+            (taylor_shift(F), p, q, mp, mq),
+            (taylor_shift(F[::-1])[::-1], mp, mq, r, s))
 
 
 def count_series(f: BinaryForm, b_grid) -> CountSeries:
     """Counts N(B) of distinct orbit coefficient vectors with height <= B,
-    for every B in the increasing grid, from one shared enumeration pass."""
+    for every B in the increasing grid, from one walk over the box of
+    entry_bound(f, max B).  Memory is the walk's stack and the grid.
+
+    Raises CountingError when the matrix counts are not whole multiples of
+    a stabilizer order (see the Farey-tree section), which exact arithmetic
+    rules out.
+    """
     grid = [int(b) for b in b_grid]
     if not grid or any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("grid must be nonempty and strictly increasing")
-    heights = _orbit_heights(f, grid[-1])
-    return CountSeries(tuple((b, bisect_right(heights, b)) for b in grid))
+    box = entry_bound(f, grid[-1])
+    odd = f.degree % 2
+    nodes = [0] * len(grid)  # recorded nodes per grid bucket
+    hits = first_height = 0
+    refs: tuple = ()  # one entry per matrix of a node with the first image
+    for height, node in _farey_walk(f.coeffs, grid[-1], box):
+        nodes[bisect_left(grid, height)] += 1
+        if height == first_height:
+            hits += refs.count(node[0])
+        elif not refs:
+            # the first image is F(w, z); a node form G has it as G(w, z)
+            # for G = F, as G(z, -w) for G = alt, and as (-1)^n times
+            # either for G = (-1)^n F or (-1)^n alt
+            F = node[0]
+            alt = tuple(-x if i % 2 else x for i, x in enumerate(F[::-1]))
+            refs = (F, alt) + ((tuple(map(neg, F)), tuple(map(neg, alt)))
+                               if odd else (F, alt))
+            first_height, hits = height, refs.count(F)
+    if not refs:
+        return CountSeries(tuple((b, 0) for b in grid))
+    matrices = list(accumulate(4 * k for k in nodes))
+    if (hits not in ((1, 3) if odd else (2, 4, 6))
+            or any(m % hits for m in matrices)):
+        raise CountingError(f"{hits} walked matrices hit one image, which is "
+                            f"no stabilizer order dividing {matrices}")
+    return CountSeries(tuple((b, m // hits) for b, m in zip(grid, matrices)))
 
 
 def count_orbit(f: BinaryForm, b: int) -> int:

@@ -166,10 +166,14 @@ def height(f: BinaryForm) -> int:
 # resultants and discriminants
 # ---------------------------------------------------------------------------
 
-def bareiss_det(matrix: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    m = [row[:] for row in matrix]
+def _bareiss_forward(m: list[list[int]]) -> int:
+    """Fraction-free elimination, in place, of the rows m to upper
+    triangular form in their first len(m) columns; the columns beyond take
+    part in every row operation.  Returns the sign s of the row swaps, so
+    that s * m[-1][len(m) - 1] is the determinant of the square block, or
+    0 when a pivot column is zero below the diagonal (determinant 0)."""
     size = len(m)
+    width = len(m[0])
     sign = 1
     prev = 1
     for k in range(size - 1):
@@ -183,11 +187,44 @@ def bareiss_det(matrix: list[list[int]]) -> int:
                 return 0
         pivot = m[k][k]
         for i in range(k + 1, size):
-            for j in range(k + 1, size):
+            for j in range(k + 1, width):
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = pivot
-    return sign * m[-1][-1]
+    return sign
+
+
+def bareiss_det(matrix: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free elimination."""
+    m = [row[:] for row in matrix]
+    return _bareiss_forward(m) * m[-1][-1]
+
+
+def adjugate_solve(matrix: list[list[int]],
+                   rhs: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(det A, [adj(A) b for b in rhs]) for a nonsingular integer matrix A.
+
+    One fraction-free elimination of A with every right-hand side b as an
+    extra column, then back substitution for y = det(A) x, where A x = b:
+    y is an integer vector by Cramer's rule, so every division is exact.
+    """
+    size = len(matrix)
+    m = [row + [b[i] for b in rhs] for i, row in enumerate(matrix)]
+    sign = _bareiss_forward(m)
+    last = m[-1][size - 1]
+    if sign == 0 or last == 0:
+        raise ValueError("adjugate_solve needs a nonsingular matrix")
+    solutions = []
+    for c in range(size, size + len(rhs)):
+        y = [0] * size
+        for k in range(size - 1, -1, -1):
+            row = m[k]
+            acc = last * row[c]
+            for j in range(k + 1, size):
+                acc -= row[j] * y[j]
+            y[k] = acc // row[k]
+        solutions.append([sign * v for v in y])
+    return sign * last, solutions
 
 
 def sylvester_matrix(p: list[int], q: list[int]) -> list[list[int]]:

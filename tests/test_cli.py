@@ -235,6 +235,24 @@ def test_solver_failures_exit_one(capsys, monkeypatch, failure):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_inexact_count_exits_one(capsys, monkeypatch):
+    # a walk that yields every node twice breaks the stabilizer arithmetic
+    from effcone import counting
+
+    real = counting._farey_walk
+
+    def doubled(xs, b_max, box):
+        for item in real(xs, b_max, box):
+            yield item
+            yield item
+
+    monkeypatch.setattr(counting, "_farey_walk", doubled)
+    code, out, err = run(capsys, "count", "--coeffs=1,0,-1,-1", "--bmax", "100")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_negative_first_coefficient_as_own_token(capsys):
     for argv in (("count", "--bmax", "100", "--format", "csv"),
                  ("disc", "--format", "json"),

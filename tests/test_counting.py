@@ -1,14 +1,20 @@
 import math
 import random
+import time
+from bisect import bisect_right
+from collections import Counter
+from operator import neg
 
 import pytest
 
+from effcone import counting
 from effcone.counting import (
+    CountingError,
     CountSeries,
     InsufficientData,
     NonGenericForm,
     _farey_walk,
-    _orbit_heights,
+    _gradient_identities,
     count_orbit,
     count_series,
     entry_bound,
@@ -19,10 +25,14 @@ from effcone.forms import (
     BinaryForm,
     UnimodularMatrix,
     act,
+    bareiss_det,
     disc,
     evaluate,
     form_from_roots,
     height,
+    substitute,
+    sylvester_matrix,
+    taylor_shift,
 )
 
 
@@ -64,6 +74,84 @@ def brute_orbit_heights(f, b_max):
         prev = shell
         shell *= SHELL_GROWTH
     return sorted(height(BinaryForm(c)) for c in seen)
+
+
+def reference_walk(xs, b_max, box):
+    """Map each image of f of height <= b_max under a determinant-1 matrix
+    with entries in [-box, box] to its height: the Farey walk that deduped
+    the images in a dict before the counts were divided by the stabilizer
+    order.  It walks the same tree, records the second root too, and for
+    odd degree stores both signs of each image."""
+    odd = len(xs) % 2 == 0
+    odd_index = range(1, len(xs), 2)  # negated in F(z, -w)
+    seen = {}
+    stack = []
+
+    def enter(F, p, q, r, s):
+        lo, hi = min(F), max(F)
+        height = hi if hi >= -lo else -lo
+        if height <= b_max:
+            flipped = F[::-1]
+            alternating = list(F)
+            for i in odd_index:
+                alternating[i] = -alternating[i]
+            alternating = tuple(alternating)
+            seen[flipped] = seen[alternating] = height
+            if odd:
+                seen[tuple(map(neg, flipped))] = height
+                seen[tuple(map(neg, alternating))] = height
+        if (lo >= 0 or hi <= 0) and abs(sum(F)) > b_max:
+            return
+        stack.append((F, p, q, r, s))
+
+    enter(substitute(xs, 0, 1, 1, 0), 0, 1, 1, 0)
+    enter(substitute(xs, -1, 0, 0, 1), -1, 0, 0, 1)
+    while stack:
+        F, p, q, r, s = stack.pop()
+        mp, mq = p + r, q + s
+        if abs(mp) > box or mq > box:
+            continue
+        enter(taylor_shift(F), p, q, mp, mq)
+        enter(taylor_shift(F[::-1])[::-1], mp, mq, r, s)
+    return seen
+
+
+def heights_series(heights, grid):
+    """N(B) on the grid from a sorted list of image heights."""
+    return tuple((b, bisect_right(heights, b)) for b in grid)
+
+
+def reference_series(f, grid):
+    """N(B) on the grid from the distinct images of the reference walk."""
+    images = reference_walk(f.coeffs, grid[-1], entry_bound(f, grid[-1]))
+    return heights_series(sorted(images.values()), grid)
+
+
+def minor_sum_identities(xs):
+    """(|R|, L) of entry_bound's lemma from 2 (2n - 2) Bareiss determinants:
+    the signed minors of the Sylvester matrix S along its first and its
+    last column, which are the first and last rows of adj S."""
+    n = len(xs) - 1
+    s = sylvester_matrix([(n - i) * xs[i] for i in range(n)],
+                         [i * xs[i] for i in range(1, n + 1)])
+    l1 = max(sum(abs(bareiss_det([row[:j] + row[j + 1:]
+                                  for k, row in enumerate(s) if k != i]))
+                 for i in range(len(s)))
+             for j in (0, len(s) - 1))
+    return abs(bareiss_det(s)), l1
+
+
+def reference_entry_bound(f, b):
+    """The largest T with |R| T^(n-2) <= (n+1) L b, from the minor sums."""
+    n = f.degree
+    r, l1 = minor_sum_identities(f.coeffs)
+    top = (n + 1) * l1 * b // r
+    t = round(top ** (1 / (n - 2)))
+    while t ** (n - 2) > top:
+        t -= 1
+    while (t + 1) ** (n - 2) <= top:
+        t += 1
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +203,7 @@ def test_orbit_heights_rejects_repeated_root():
     # (z + w)^3 has the triple root (-1, 1): its discriminant is 0, and
     # the form is refused before the Farey-tree walk starts
     with pytest.raises(NonGenericForm):
-        _orbit_heights(BinaryForm((1, 3, 3, 1)), 50)
+        count_series(BinaryForm((1, 3, 3, 1)), [50])
 
 
 def test_count_rejects_degree_below_three():
@@ -128,24 +216,29 @@ def test_count_rejects_degree_below_three():
 
 def window_box_images(f, bound, b_max):
     """Qualifying image set from the Farey-tree search, single box."""
-    return set(_farey_walk(f.coeffs, b_max, bound))
+    return set(reference_walk(f.coeffs, b_max, bound))
 
 
 def test_walk_records_heights_and_ends_at_entry_bound():
     # every image carries its height, a larger box only adds images, and no
-    # box beyond entry_bound(f, B) adds one
+    # box beyond entry_bound(f, B) adds one; the set-free walk records the
+    # same heights in both boxes
     for coeffs, b_max in (((1, 0, -1, -1), 500),
                           ((0, 2, -3, 1, 5), 400),
                           ((1, -3, -25, 75, 0), 3000),
                           ((2, 1, 0, -1, 1, 3), 300)):
         bound = entry_bound(BinaryForm(coeffs), b_max)
-        images = _farey_walk(coeffs, b_max, bound)
+        images = reference_walk(coeffs, b_max, bound)
         assert len(images) > 20
         for image, h in images.items():
             assert h == max(abs(x) for x in image) <= b_max
         for box in (4, 16, 64):
-            assert set(_farey_walk(coeffs, b_max, box)) <= set(images)
-        assert _farey_walk(coeffs, b_max, 4 * bound + 8) == images
+            assert set(reference_walk(coeffs, b_max, box)) <= set(images)
+        assert reference_walk(coeffs, b_max, 4 * bound + 8) == images
+        recorded = sorted(h for h, _ in _farey_walk(coeffs, b_max, bound))
+        assert recorded == sorted(h for h, _ in
+                                  _farey_walk(coeffs, b_max, 4 * bound + 8))
+        assert recorded[-1] <= b_max
 
 
 def test_entry_bound_holds_against_brute_force():
@@ -189,6 +282,44 @@ def test_entry_bound_closed_forms():
     for b_max in (1, 80, 10 ** 12):
         assert entry_bound(BinaryForm((1, 0, 0, 0, 1)), b_max) == \
             math.isqrt(5 * b_max // 4)
+
+
+def test_gradient_identities_match_minor_sums():
+    # one fraction-free solve gives the same |R| and L as the 2 (2n - 2)
+    # signed minors, and so the same entry bound; |R| = n^(n-2) |disc f|
+    rng = random.Random(67)
+    degrees = Counter()
+    while sum(degrees.values()) < 40:
+        degree = rng.randint(3, 12)
+        coeffs = tuple(rng.randint(-5, 5) for _ in range(degree + 1))
+        f = BinaryForm(coeffs)
+        if not any(coeffs) or disc(f) == 0:
+            continue
+        r, l1 = _gradient_identities(coeffs)
+        assert (r, l1) == minor_sum_identities(coeffs), coeffs
+        assert r == degree ** (degree - 2) * abs(disc(f))
+        for b_max in (1, 1000, 10 ** 9):
+            assert entry_bound(f, b_max) == reference_entry_bound(f, b_max)
+        degrees[degree] += 1
+    assert set(degrees) == set(range(3, 13))
+
+
+def test_entry_bound_at_degree_twenty():
+    # about 5 ms on a 2-core Xeon (CPython 3.11); the 2 (2n - 2) minors
+    # took about 0.5 s
+    rng = random.Random(20)
+    while True:
+        coeffs = tuple(rng.randint(-5, 5) for _ in range(21))
+        f = BinaryForm(coeffs)
+        if coeffs[0] and disc(f) != 0:
+            break
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        bound = entry_bound(f, 10 ** 6)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1
+    assert bound == reference_entry_bound(f, 10 ** 6)
 
 
 def test_window_box_completeness():
@@ -279,7 +410,7 @@ def test_farey_walk_finds_every_brute_partner():
             rho = 1 + -(-max(map(abs, xs)) // lead)
         else:
             rho = 1 + max(abs(p) // q for q, p in factors)
-        seen = _farey_walk(xs, b_max, box)
+        seen = reference_walk(xs, b_max, box)
         columns = sorted(exact_columns(xs, 300, b_max, rho),
                          key=lambda col: col[1])
         zero = [(a, c) for a, c in columns if evaluate(xs, a, c) == 0]
@@ -317,7 +448,9 @@ def test_window_search_matches_box_search():
                           ((0, 60, -227, 286, -120), 120)):
         f = BinaryForm(coeffs)
         assert disc(f) != 0
-        assert _orbit_heights(f, b_max) == brute_orbit_heights(f, b_max)
+        grid = range(1, b_max + 1)
+        assert count_series(f, grid).points == \
+            heights_series(brute_orbit_heights(f, b_max), grid)
 
 
 def test_orbit_heights_match_box_search_on_random_forms():
@@ -345,8 +478,9 @@ def test_orbit_heights_match_box_search_on_random_forms():
                                              else [10, 30, 60])))
     for coeffs, b_max in cases:
         f = BinaryForm(tuple(coeffs))
-        assert _orbit_heights(f, b_max) == brute_orbit_heights(f, b_max), \
-            (coeffs, b_max)
+        grid = range(1, b_max + 1)
+        assert count_series(f, grid).points == \
+            heights_series(brute_orbit_heights(f, b_max), grid), (coeffs, b_max)
 
 
 def test_clustered_cubics_share_one_exact_count():
@@ -389,10 +523,105 @@ def test_odd_degree_orbit_closed_under_negation():
             seen.add(g.coeffs)
     for coeffs in seen:
         assert tuple(-v for v in coeffs) in seen
-    images = _farey_walk(f.coeffs, b_max, entry_bound(f, b_max))
+    images = reference_walk(f.coeffs, b_max, entry_bound(f, b_max))
     assert seen <= set(images)
     for coeffs in images:
         assert tuple(-v for v in coeffs) in images
+
+
+def test_walk_covers_box_once():
+    # with no pruning (b_max above every height), the four matrices
+    # +-[v u] and +-[u -v] of the recorded nodes are every determinant-1
+    # matrix of the box, each exactly once: the second root stands for +-S
+    # and +-I again, so it is walked but not recorded
+    xs = (1, 0, -1, -1)
+    for bound in range(1, 9):
+        found = Counter()
+        for h, (F, p, q, r, s) in _farey_walk(xs, 10 ** 9, bound):
+            assert F == substitute(xs, p, r, q, s)
+            assert h == max(map(abs, F))
+            for m in ((r, p, s, q), (p, -r, q, -s)):
+                found[m] += 1
+                found[tuple(map(neg, m))] += 1
+        assert set(found.values()) == {1}
+        assert set(found) == {m.entries() for m in enumerate_unimodular(bound)}
+
+
+def test_set_free_counts_match_reference_walk():
+    # N(B) = 4 M(B) / |Stab_f| equals the number of distinct images of the
+    # reference walk at every grid point, on seeded random forms
+    rng = random.Random(71)
+    degrees = Counter()
+    while sum(degrees.values()) < 60:
+        degree = rng.randint(3, 8)
+        coeffs = tuple(rng.randint(-4, 4) for _ in range(degree + 1))
+        f = BinaryForm(coeffs)
+        if not any(coeffs) or disc(f) == 0:
+            continue
+        b_max = rng.choice([60, 500, 3000])
+        grid = sorted(({b_max >> k for k in range(10)} - {0})
+                      | set(rng.sample(range(1, b_max), 4)))
+        assert count_series(f, grid).points == reference_series(f, grid), \
+            (coeffs, b_max)
+        degrees[degree] += 1
+    assert set(degrees) == set(range(3, 9))
+
+
+def test_set_free_counts_on_stabilizers_and_far_starts():
+    # z^4 + w^4 (|Stab| = 4), z^3 - 3 z w^2 - w^3 (|Stab| = 3),
+    # z w (z + w)(z - w)(z + 2 w)(2 z + w) (|Stab| = 6: each cubic factor
+    # is one orbit of [0 -1; 1 1], which negates it), the clustered cubics
+    # and the huge-root form; then each form moved by a matrix that puts
+    # its own height above b_max, so the walk never records it and reads
+    # |Stab| off the first image it does record
+    sextic = (0, 2, 5, 0, -5, -2, 0)
+    cases = [((1, 0, 0, 0, 1), 100000), ((1, 0, -3, -1), 20000),
+             (sextic, 10000), ((1, 0, 0, -(10 ** 48 + 12345)), 20000)]
+    for coeffs, order in (((1, 0, 0, 0, 1), 4), ((1, 0, -3, -1), 3),
+                          (sextic, 6)):
+        f = BinaryForm(coeffs)
+        assert sum(act(f, m) == f for m in enumerate_unimodular(3)) == order
+    cases += [(tuple(split_form([(k, k + 1), (k + 1, k + 2), (k + 2, k + 3)])),
+               1000) for k in (1, 2, 20, 50)]
+    for coeffs, b_max in cases:
+        f = BinaryForm(coeffs)
+        grid = [b_max >> k for k in range(8, -1, -1)]
+        assert count_series(f, grid).points == reference_series(f, grid), coeffs
+    b_max = 2000
+    grid = [1, 2, 3, 5, 10, 100, 1000, 2000]
+    for coeffs in ((1, 0, 0, 0, 1), (1, 0, -3, -1), sextic, (1, 0, -1, -1),
+                   (2, 1, 0, -1, 1, 3)):
+        f = BinaryForm(coeffs)
+        expected = reference_series(f, grid)
+        assert count_series(f, grid).points == expected
+        for m in (UnimodularMatrix(34, 21, 55, 34), UnimodularMatrix(1, 40, 0, 1)):
+            moved = act(f, m)
+            assert height(moved) > b_max
+            assert count_series(moved, grid).points == expected, (coeffs, m)
+
+
+def test_count_guard_refuses_inexact_hits(monkeypatch):
+    # the cubic has a trivial stabilizer: a walk that yields every node
+    # twice makes 2 hits, no odd-degree order; one that yields the first
+    # node three times and one more node makes 3 hits against 16 matrices
+    real = counting._farey_walk
+
+    def doubled(xs, b_max, box):
+        for item in real(xs, b_max, box):
+            yield item
+            yield item
+
+    def tripled_first(xs, b_max, box):
+        walk = real(xs, b_max, box)
+        first = next(walk)
+        yield from (first, first, first, next(walk))
+
+    f = BinaryForm((1, 0, -1, -1))
+    assert count_series(f, [50, 100]).points == ((50, 132), (100, 200))
+    for fake in (doubled, tripled_first):
+        monkeypatch.setattr(counting, "_farey_walk", fake)
+        with pytest.raises(CountingError):
+            count_series(f, [50, 100])
 
 
 def test_series_validation_and_csv():

@@ -10,6 +10,7 @@ from effcone.forms import (
     InconsistentRatio,
     UnimodularMatrix,
     act,
+    adjugate_solve,
     bareiss_det,
     compare_disc_conventions,
     disc,
@@ -181,6 +182,29 @@ def test_bareiss_determinant():
                     total += (-1) ** j * c * minor_det(sub)
             return total
         assert bareiss_det(m) == minor_det(m)
+
+
+def test_adjugate_solve():
+    # A y = det(A) b pins y = adj(A) b for a nonsingular A; sparse entries
+    # force row swaps, which must not change the sign of det or y
+    rng = random.Random(9)
+    solved = 0
+    while solved < 40:
+        k = rng.randint(1, 6)
+        a = [[rng.choice((0, 0, 0, rng.randint(-7, 7))) for _ in range(k)]
+             for _ in range(k)]
+        rhs = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(2)]
+        det = bareiss_det(a)
+        if det == 0:
+            with pytest.raises(ValueError):
+                adjugate_solve(a, rhs)
+            continue
+        got_det, ys = adjugate_solve(a, rhs)
+        assert got_det == det
+        for b, y in zip(rhs, ys):
+            assert [sum(x * v for x, v in zip(row, y)) for row in a] == \
+                [det * v for v in b]
+        solved += 1
 
 
 def test_disc_sign_convention_on_displayed_cubic():
