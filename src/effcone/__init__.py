@@ -12,7 +12,6 @@ from .cone import (
     NotAttainable,
     Unbounded,
     dual_contained_in_orthant,
-    fourier_motzkin_project,
     kodaira_energy,
     lp_min,
     verify_lp_minimum,
@@ -23,7 +22,6 @@ from .counting import (
     FitResult,
     InsufficientData,
     NonGenericForm,
-    count_orbit,
     count_series,
     enumerate_unimodular,
     fit_exponent,
@@ -37,7 +35,6 @@ from .fiber import (
     fiber_class,
     kodaira_fiber,
     pair_R,
-    parse_fiber_class,
     to_A_basis,
 )
 from .forms import (
@@ -67,7 +64,6 @@ from .picard import (
     pair_averaged,
     pair_subset,
     pairing_matrix,
-    parse_divisor,
     reduce_to_B,
     representative,
     standard_class,

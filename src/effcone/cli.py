@@ -161,7 +161,7 @@ def _cmd_disc(args) -> int:
     try:
         f = forms.BinaryForm.from_csv(args.coeffs)
         value = forms.disc(f)
-    except (ValueError, forms.DegreeTooSmall) as exc:
+    except ValueError as exc:
         raise SystemExit2(str(exc))
     payload = {"command": "disc", "coeffs": list(f.coeffs), "disc": value}
     _emit(payload, args.format)
@@ -189,7 +189,7 @@ def _cmd_count(args) -> int:
         steps = min(args.grid, args.bmax.bit_length())  # later steps give 0
         grid = sorted({args.bmax // 2**k for k in range(steps)} - {0})
         series = counting.count_series(f, grid)
-    except (ValueError, counting.NonGenericForm) as exc:
+    except ValueError as exc:
         raise SystemExit2(str(exc))
     payload = {"command": "count", "coeffs": list(f.coeffs),
                "series": [[b, cnt] for b, cnt in series.points]}
@@ -203,7 +203,7 @@ def _cmd_fit(args) -> int:
         with open(args.infile, "r", encoding="utf-8") as handle:
             series = counting.CountSeries.from_csv(handle.read())
         result = counting.fit_exponent(series)
-    except (OSError, ValueError, counting.InsufficientData) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit2(str(exc))
     payload = {"command": "fit", "slope": result.slope,
                "intercept": result.intercept,
@@ -298,8 +298,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (cone.Infeasible, cone.Unbounded, cone.PivotLimitExceeded,
-            cone.NotAttainable, cone.MinusInfinity,
+    except (cone.ConeError, cone.PivotLimitExceeded,
             counting.CountingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

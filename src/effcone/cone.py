@@ -1,9 +1,8 @@
 """Exact rational cone computations.
 
 Coordinate minima over a normalized cone slice (simplex LP with exact dual
-certificates), orthant-containment certificates for dual cones, effectivity
-thresholds along a ray, and Fourier-Motzkin projection as an independent
-cross-check for small systems.
+certificates), orthant-containment certificates for dual cones, and
+effectivity thresholds along a ray.
 
 No floating point anywhere: inputs are coerced to `fractions.Fraction` and
 every produced number is an exact rational.  The LP solver is a simplex in
@@ -35,7 +34,6 @@ rows, with no `Fraction` arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -155,12 +153,6 @@ class ConeH:
     @property
     def num_vars(self) -> int:
         return len(self.labels)
-
-    def contains(self, point) -> bool:
-        x = _vec(point)
-        if len(x) != self.num_vars:
-            raise DimensionMismatch("point has wrong dimension")
-        return all(sum(a * b for a, b in zip(r, x)) >= 0 for r in self.rows)
 
 
 def default_normalization(num_vars: int) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -585,7 +577,6 @@ class Certificate:
     witnesses: tuple[tuple[Fraction, ...], ...]
     row_multipliers: tuple[tuple[Fraction, ...], ...]
     normalization_multipliers: tuple[Fraction, ...]
-    feasible: bool = True
 
     def __post_init__(self):
         cone = ConeH(self.constraints, self.labels)
@@ -599,9 +590,11 @@ class Certificate:
 
     @property
     def passed(self) -> bool:
-        return self.feasible and all(mn >= 0 for mn in self.minima)
+        return all(mn >= 0 for mn in self.minima)
 
     def as_dict(self) -> dict:
+        # every certificate has a witness per coordinate, so its slice is
+        # nonempty: an empty one raises Infeasible and builds no certificate
         return {
             "variables": list(self.labels),
             "constraints": [[str(q) for q in row] for row in self.constraints],
@@ -610,12 +603,9 @@ class Certificate:
             "witnesses": [[str(q) for q in w] for w in self.witnesses],
             "row_multipliers": [[str(q) for q in mus] for mus in self.row_multipliers],
             "normalization_multipliers": [str(q) for q in self.normalization_multipliers],
-            "feasible": self.feasible,
+            "feasible": True,
             "pass": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def dual_contained_in_orthant(matrix, labels=None) -> Certificate:
@@ -675,50 +665,3 @@ def kodaira_energy(base, direction) -> Fraction:
         raise MinusInfinity("no coordinate bounds the shift from below")
     return lower
 
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin projection
-# ---------------------------------------------------------------------------
-
-def _canonical_ray(row: tuple[Fraction, ...]) -> tuple[int, ...]:
-    d, ints = _clear_denominators(row)
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
-def fourier_motzkin_project(cone: ConeH, var: int) -> ConeH:
-    """Eliminate one variable from a homogeneous inequality system.
-
-    Sound and complete: a point satisfies the output iff it lifts to a point
-    of the input.  Exact duplicates are removed but redundant rows may
-    remain (no general redundancy elimination).
-    """
-    if not 0 <= var < cone.num_vars:
-        raise DimensionMismatch("variable index out of range")
-    pos, neg, zero = [], [], []
-    for row in cone.rows:
-        c = row[var]
-        (pos if c > 0 else neg if c < 0 else zero).append(row)
-
-    def drop(row):
-        return tuple(q for j, q in enumerate(row) if j != var)
-
-    out: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for row in zero:
-        r = _canonical_ray(drop(row))
-        if any(r) and r not in seen:
-            seen.add(r)
-            out.append(r)
-    for p in pos:
-        for q in neg:
-            comb = tuple(p[var] * q[j] - q[var] * p[j]
-                         for j in range(cone.num_vars) if j != var)
-            r = _canonical_ray(comb)
-            if any(r) and r not in seen:
-                seen.add(r)
-                out.append(r)
-    labels = tuple(lab for j, lab in enumerate(cone.labels) if j != var)
-    return ConeH(tuple(out), labels)

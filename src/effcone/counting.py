@@ -106,10 +106,8 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _t_interval(base: int, step: int, bound: int) -> tuple[int, int] | None:
-    """Integer t with |base + t*step| <= bound; None marks an empty range and
-    (-inf, +inf) is encoded by step == 0 checks in the caller."""
-    if step == 0:
-        return None  # caller treats separately
+    """Integer t with |base + t*step| <= bound, for step != 0; None marks an
+    empty range."""
     lo_num, hi_num = -bound - base, bound - base
     if step < 0:
         lo_num, hi_num, step = -hi_num, -lo_num, -step
@@ -143,23 +141,14 @@ def _entries_for_top_row(a: int, b: int, bound: int):
         yield c0 + t * a, d0 + t * b
 
 
-def _enumerate_entries(bound: int):
-    """Entry tuples (a, b, c, d) of every determinant-1 matrix in the box."""
-    if bound <= 0:
-        return
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if math.gcd(a, b) != 1:
-                continue
-            for c, d in _entries_for_top_row(a, b, bound):
-                yield a, b, c, d
-
-
 def enumerate_unimodular(bound: int):
     """Yield every determinant-1 integer matrix with entries in [-T, T]
     exactly once (T = bound)."""
-    for a, b, c, d in _enumerate_entries(bound):
-        yield UnimodularMatrix(a, b, c, d)
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            if math.gcd(a, b) == 1:
+                for c, d in _entries_for_top_row(a, b, bound):
+                    yield UnimodularMatrix(a, b, c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +327,6 @@ def count_series(f: BinaryForm, b_grid) -> CountSeries:
         raise CountingError(f"{hits} walked matrices hit one image, which is "
                             f"no stabilizer order dividing {matrices}")
     return CountSeries(tuple((b, m // hits) for b, m in zip(grid, matrices)))
-
-
-def count_orbit(f: BinaryForm, b: int) -> int:
-    """Number of distinct forms in the orbit of f with height <= b."""
-    return count_series(f, [b]).points[0][1]
 
 
 # ---------------------------------------------------------------------------

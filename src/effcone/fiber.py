@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cone
-from ._terms import _fr, format_terms, parse_terms
+from ._terms import _fr, format_terms
 
 
 class BadName(ValueError):
@@ -76,17 +76,6 @@ class FiberClass:
 def _unit(n: int, index: int) -> FiberClass:
     coords = [Fraction(0)] * (n + 1)
     coords[index] = Fraction(1)
-    return FiberClass(n, tuple(coords))
-
-
-def parse_fiber_class(text: str, n: int) -> FiberClass:
-    """Parse the textual class format (mirrors the divisor format)."""
-    coords = [Fraction(0)] * (n + 1)
-    index = {lab: i for i, lab in enumerate(basis_labels(n))}
-    for q, gen in parse_terms(text, r"g[123]|E|F\d+"):
-        if gen not in index:
-            raise ValueError(f"{gen} is not a basis class for n={n}")
-        coords[index[gen]] += q
     return FiberClass(n, tuple(coords))
 
 

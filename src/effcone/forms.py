@@ -88,9 +88,6 @@ class UnimodularMatrix:
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self) -> "UnimodularMatrix":
-        return UnimodularMatrix(self.d, -self.b, -self.c, self.a)
-
     def __neg__(self) -> "UnimodularMatrix":
         return UnimodularMatrix(-self.a, -self.b, -self.c, -self.d)
 
@@ -137,16 +134,6 @@ def taylor_shift(xs: tuple[int, ...]) -> tuple[int, ...]:
         for j in range(1, top + 1):
             h[j] += h[j - 1]
     return tuple(h)
-
-
-def evaluate(xs: tuple[int, ...], a: int, c: int) -> int:
-    """f(a, c): the z^n coefficient of substitute(xs, a, b, c, d), for any b, d."""
-    acc = 0
-    power = 1
-    for x in xs:
-        acc = acc * a + x * power
-        power *= c
-    return acc
 
 
 def act(f: BinaryForm, m: UnimodularMatrix) -> BinaryForm:

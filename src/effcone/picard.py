@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from . import cone
-from ._terms import _fr, format_terms, parse_terms
+from ._terms import _fr, format_terms
 
 
 class InvalidSubset(ValueError):
@@ -101,19 +101,6 @@ def format_divisor(c: DivisorClass) -> str:
     """Canonical text form: L term first, then B[s] ascending in s."""
     return format_terms([(c.coeff_L, "L")]
                         + [(c.coeff_B[s], f"B[{s}]") for s in sorted(c.coeff_B)])
-
-
-def parse_divisor(text: str, n: int) -> DivisorClass:
-    """Parse the textual divisor format; tolerant of whitespace variations."""
-    coeff_L = Fraction(0)
-    coeff_B: dict[int, Fraction] = {}
-    for q, name in parse_terms(text, r"L|B\[\d+\]"):
-        if name == "L":
-            coeff_L += q
-        else:
-            s = int(name[2:-1])
-            coeff_B[s] = coeff_B.get(s, Fraction(0)) + q
-    return DivisorClass(n, coeff_L, coeff_B)
 
 
 def derive_l_relation(n: int) -> DivisorClass:

@@ -161,14 +161,18 @@ def test_count_and_fit_pipeline(tmp_path, capsys):
     assert 0.3 < data["slope"] < 1.1
 
 
-def test_exit_codes_for_invalid_input(capsys):
+def test_exit_codes_for_invalid_input(capsys, tmp_path):
     assert run(capsys, "kodaira", "--n", "2")[0] == 2
     assert run(capsys, "disc", "--coeffs", "5")[0] == 2
+    assert run(capsys, "disc", "--coeffs", "1,2")[0] == 2  # degree 1
     assert run(capsys, "disc", "--coeffs", "1,x,2,3")[0] == 2
     assert run(capsys, "count", "--coeffs", "1,-2,1,0", "--bmax", "100")[0] == 2
     code, out, err = run(capsys, "count", "--coeffs", "1,0,-1", "--bmax", "100")
     assert (code, out) == (2, "") and "n >= 3" in err
     assert run(capsys, "fit", "--in", "/nonexistent.csv")[0] == 2
+    two_points = tmp_path / "two.csv"
+    two_points.write_text("B,N\n10,4\n20,8\n")
+    assert run(capsys, "fit", "--in", str(two_points))[0] == 2
     assert run(capsys, "act", "--coeffs", "1,0,1", "--matrix", "1,1,1,1")[0] == 2
 
 
@@ -220,19 +224,41 @@ def test_matrix_dump_matches_library(capsys):
     assert [row["pairings"] for row in data["rows"]] == pairing_matrix(6)
 
 
-@pytest.mark.parametrize("failure", ["unbounded", "pivot limit"])
+@pytest.mark.parametrize("failure", ["unbounded", "pivot limit", "verification"])
 def test_solver_failures_exit_one(capsys, monkeypatch, failure):
     from effcone import cone, picard
+
+    def reject(*args):
+        raise cone.ConeError("dual multipliers do not reproduce the objective")
 
     if failure == "unbounded":
         # {x0 >= |x1|}: the x1 minimum over sum(x) = 1 is unbounded below
         monkeypatch.setattr(picard, "pairing_matrix", lambda n: [[1, 1], [1, -1]])
-    else:
+    elif failure == "pivot limit":
         monkeypatch.setattr(cone, "_PIVOT_LIMIT", 0)
+    else:
+        # a re-check that rejects the solver's result raises a plain ConeError
+        monkeypatch.setattr(cone, "verify_lp_minimum", reject)
     code, out, err = run(capsys, "cone-cert", "--n", "3", "--format", "json")
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale, message", [
+    (-1, "no coordinate bounds the shift from below"),
+    (0, "coordinate is negative for every shift"),
+])
+def test_threshold_failures_exit_one(capsys, monkeypatch, scale, message):
+    # K + boundary has B[n]-coordinate -1, so along the zero direction no
+    # shift is effective, and along -L every negative enough shift is
+    from effcone import cone
+
+    real = cone.kodaira_energy
+    monkeypatch.setattr(cone, "kodaira_energy",
+                        lambda base, direction: real(base, [scale * q for q in direction]))
+    code, out, err = run(capsys, "kodaira", "--n", "5", "--format", "json")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_inexact_count_exits_one(capsys, monkeypatch):

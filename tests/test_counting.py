@@ -15,7 +15,6 @@ from effcone.counting import (
     NonGenericForm,
     _farey_walk,
     _gradient_identities,
-    count_orbit,
     count_series,
     entry_bound,
     enumerate_unimodular,
@@ -27,13 +26,27 @@ from effcone.forms import (
     act,
     bareiss_det,
     disc,
-    evaluate,
     form_from_roots,
     height,
     substitute,
     sylvester_matrix,
     taylor_shift,
 )
+
+
+def evaluate(xs, a, c):
+    """f(a, c) for the coefficient vector xs, by Horner's rule."""
+    acc = 0
+    power = 1
+    for x in xs:
+        acc = acc * a + x * power
+        power *= c
+    return acc
+
+
+def count_orbit(f, b):
+    """N(b) alone, from a one-point grid."""
+    return count_series(f, [b]).points[0][1]
 
 
 def brute_box(bound):

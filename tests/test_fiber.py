@@ -13,7 +13,6 @@ from effcone.fiber import (
     fiber_class,
     kodaira_fiber,
     pair_R,
-    parse_fiber_class,
     to_A_basis,
 )
 from effcone.picard import kodaira_full
@@ -147,20 +146,23 @@ def test_class_arithmetic_and_text():
         FiberClass(4, (1, 2, 3))
 
 
+def parse_terms(text):
+    """{name: coefficient} of the canonical text that FiberClass prints."""
+    if text == "0":
+        return {}
+    terms = (t.split("*") for t in text.replace(" - ", " + -").split(" + "))
+    return {name: Q(q) for q, name in terms}
+
+
 def test_parse_fiber_class():
+    # the canonical text loses nothing: every coordinate can be read back
     rng = random.Random(8)
     for _ in range(25):
         n = rng.randint(3, 8)
         c = FiberClass(n, tuple(Q(rng.randint(-9, 9), rng.randint(1, 4))
                                 for _ in range(n + 1)))
-        assert parse_fiber_class(str(c), n) == c
-    assert parse_fiber_class(" 2*g1 -1/2 * E + 3*F4 ", 4).coords == \
-        (2, 0, 0, Q(-1, 2), 3)
-    assert parse_fiber_class("0", 5) == FiberClass(5, (0,) * 6)
-    with pytest.raises(ValueError):
-        parse_fiber_class("1*F5", 4)
-    with pytest.raises(ValueError):
-        parse_fiber_class("1*g1 junk", 4)
-    for text in ("1/0*E", "", "   "):
-        with pytest.raises(ValueError):
-            parse_fiber_class(text, 4)
+        terms = parse_terms(str(c))
+        assert FiberClass(n, tuple(terms.get(lab, 0)
+                                   for lab in basis_labels(n))) == c
+    assert str(FiberClass(4, (2, 0, 0, Q(-1, 2), 3))) == "2*g1 - 1/2*E + 3*F4"
+    assert parse_terms(str(FiberClass(5, (0,) * 6))) == {}

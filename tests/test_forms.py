@@ -65,7 +65,9 @@ def test_act_inverse_round_trip():
     for _ in range(100):
         f = random_form(rng, rng.choice([2, 3, 4, 5]))
         m = random_matrix(rng)
-        assert act(act(f, m), m.inverse()) == f
+        inverse = UnimodularMatrix(m.d, -m.b, -m.c, m.a)
+        assert m @ inverse == UnimodularMatrix.identity()
+        assert act(act(f, m), inverse) == f
 
 
 def test_act_right_action_law():

@@ -22,7 +22,6 @@ from effcone.picard import (
     pair_averaged,
     pair_subset,
     pairing_matrix,
-    parse_divisor,
     reduce_to_B,
     representative,
     standard_class,
@@ -275,35 +274,27 @@ def test_format_canonical():
         "1/3*B[2] - 1*B[4]"
 
 
-def test_parse_whitespace_variations():
-    for text in ("-2*L + 1*B[3] + 2*B[4]",
-                 "-2*L+1*B[3]+2*B[4]",
-                 "  - 2 * L  +  1*B[3] +2* B[4] "):
-        c = parse_divisor(text, 4)
-        assert c == DivisorClass(4, Q(-2), {3: Q(1), 4: Q(2)})
+def parse_terms(text):
+    """{name: coefficient} of the canonical text that format_divisor writes."""
+    if text == "0":
+        return {}
+    terms = (t.split("*") for t in text.replace(" - ", " + -").split(" + "))
+    return {name: Q(q) for q, name in terms}
 
 
 def test_parse_round_trip():
+    # the canonical text loses nothing: every coefficient can be read back
     rng = random.Random(17)
     for _ in range(40):
         n = rng.randint(3, 9)
         c = DivisorClass(n, Q(rng.randint(-9, 9), rng.randint(1, 4)),
                          {s: Q(rng.randint(-9, 9), rng.randint(1, 4))
                           for s in range(2, n + 1)})
-        assert parse_divisor(format_divisor(c), n) == c
-    assert parse_divisor("0", 6) == DivisorClass.zero(6)
-
-
-def test_parse_rejects_junk():
-    with pytest.raises(ValueError):
-        parse_divisor("1*B[3] garbage", 4)
-    with pytest.raises(ValueError):
-        parse_divisor("2*B[9]", 4)
-    with pytest.raises(ValueError):
-        parse_divisor("1*B[3] 2*B[4]", 4)  # missing sign between terms
-    for text in ("1/0*L", "", "   "):
-        with pytest.raises(ValueError):
-            parse_divisor(text, 4)
+        terms = parse_terms(format_divisor(c))
+        coeff_L = terms.pop("L", 0)
+        assert DivisorClass(n, coeff_L, {int(name[2:-1]): q
+                                         for name, q in terms.items()}) == c
+    assert parse_terms(format_divisor(DivisorClass.zero(6))) == {}
 
 
 def test_divisor_class_validation():
