@@ -1,11 +1,11 @@
 """Exact rational cone computations.
 
-Coordinate minima over a normalized cone slice (simplex LP with exact dual
-certificates), orthant-containment certificates for dual cones, and
-effectivity thresholds along a ray.
+Coordinate minima over the slice sum(x) = 1 of a cone with integer rows
+(simplex LP with exact dual certificates), orthant-containment certificates
+for dual cones, and effectivity thresholds along a ray.
 
-No floating point anywhere: inputs are coerced to `fractions.Fraction` and
-every produced number is an exact rational.  The LP solver is a simplex in
+No floating point anywhere: the cone rows are ints and every produced
+number is an exact rational.  The LP solver is a simplex in
 dictionary form: it stores only the nonbasic columns, as gcd-reduced
 integer rows (constraint rows are scale-free), and uses Bland's
 smallest-index rule for both the entering and the leaving variable, so it
@@ -17,16 +17,14 @@ when the choice of the next pivot row reads it, and at the end every row
 replaces each free variable it still holds once, by that variable's final
 row.  The resulting dictionary is the one Gauss-Jordan pivots would give.
 
-Every coordinate minimum over one normalized slice shares its feasible
-region, so phase one runs once per (ConeH, normalization) and each later
-`lp_min` on that ConeH warm-starts phase two from the previous optimal
-basis.  A witness may therefore depend on the order of the calls; a minimum
-never does.
+Every coordinate minimum over the slice shares its feasible region, so
+phase one runs once per ConeH and each later `lp_min` on that ConeH
+warm-starts phase two from the previous optimal basis.  A witness may
+therefore depend on the order of the calls; a minimum never does.
 
-The arithmetic stays in scaled integers from the input rows to the result:
-a ConeH clears each row, and the default normalization sum(x) = 1, to
-integers once; the dictionary is integer; the result is read out of it with
-one `Fraction(numerator, denominator)` per nonzero entry; and
+The arithmetic stays in integers from the input rows to the result: the
+dictionary is integer; the result is read out of it with one
+`Fraction(numerator, denominator)` per nonzero entry; and
 `verify_lp_minimum` re-checks every result from the numerators and
 denominators of its entries, over the nonzero entries of the constraint
 rows, with no `Fraction` arithmetic.
@@ -37,9 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
-
-from ._terms import _fr
 
 _ZERO = Fraction(0)
 
@@ -49,11 +44,11 @@ class ConeError(Exception):
 
 
 class Infeasible(ConeError):
-    """The constraint system together with its normalization has no solution."""
+    """The constraint system has no solution with sum(x) = 1."""
 
 
 class Unbounded(ConeError):
-    """The objective is unbounded below on the normalized feasible set."""
+    """The objective is unbounded below on the slice sum(x) = 1."""
 
 
 class DimensionMismatch(ConeError):
@@ -79,14 +74,6 @@ def _clear_denominators(qs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
     return d, [q.numerator * (d // e) for q, e in zip(qs, dens)]
 
 
-def _clear_normalization(normalization) -> tuple[int, tuple[int, ...], int]:
-    """(d, N, R) for the slice norm . x = rhs: integers with d > 0,
-    N = d * norm entrywise and R = d * rhs."""
-    norm_coeffs, norm_rhs = normalization
-    d, ints = _clear_denominators(_vec(norm_coeffs) + (_fr(norm_rhs),))
-    return d, tuple(ints[:-1]), ints[-1]
-
-
 def _reduce_ints(row: list[int]) -> list[int]:
     g = gcd(*row) if row else 0
     if g > 1:
@@ -100,46 +87,29 @@ def _reduce_ints(row: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class ConeH:
-    """Half-space description of a rational cone {x : rows . x >= 0}."""
+    """Half-space description of a cone {x : rows . x >= 0} with integer
+    rows; an entry that is not an int raises ValueError."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        # A row of ints is its own integer row, and each distinct int becomes
-        # a Fraction once; any other row is coerced to Fractions, and its
-        # numerators are its integer row when every denominator is 1 (as in
-        # a certificate's constraints), else it is cleared.
         width = len(self.labels)
-        raw = [tuple(r) for r in self.rows]
-        if any(len(r) != width for r in raw):
+        rows = tuple(tuple(r) for r in self.rows)
+        if any(len(r) != width for r in rows):
             raise DimensionMismatch("constraint row width does not match labels")
-        exact: dict[int, Fraction] = {}
-        rows, int_rows = [], []
-        for r in raw:
-            if all(type(a) is int for a in r):
-                for a in set(r).difference(exact):
-                    exact[a] = Fraction(a)
-                d, ints, r = 1, r, tuple(map(exact.__getitem__, r))
-            else:
-                r = _vec(r)
-                d, ints = 1, [a.numerator for a in r if a.denominator == 1]
-                if len(ints) < width:
-                    d, ints = _clear_denominators(r)
-            int_rows.append((d, tuple((j, a) for j, a in enumerate(ints) if a)))
-            rows.append(r)
-        object.__setattr__(self, "rows", tuple(rows))
-        # None of the attributes below is a dataclass field, so equality and
-        # hashing see only rows and labels.  _int_rows[i] = (d_i, R_i),
-        # R_i = d_i * rows[i] in ints with d_i > 0, stored sparsely as
-        # ((j, R_ij), ...) over the nonzero entries.  _norm is the default
-        # normalization sum(x) = 1 cleared by _clear_normalization.  _warm
-        # holds lp_min's tableau at a feasible basis of one normalized
-        # slice: {cleared normalization: (tableau, scale)}.
-        object.__setattr__(self, "_int_rows", tuple(int_rows))
-        object.__setattr__(self, "_norm",
-                           _clear_normalization(default_normalization(width)))
-        object.__setattr__(self, "_warm", {})
+        if any(type(a) is not int for r in rows for a in r):
+            raise ValueError("constraint entries must be int")
+        object.__setattr__(self, "rows", rows)
+        # Neither attribute below is a dataclass field, so equality and
+        # hashing see only rows and labels.  _int_rows[i] holds rows[i]
+        # sparsely as ((j, rows[i][j]), ...) over the nonzero entries.
+        # _warm holds at most one tableau: lp_min's, at a feasible basis of
+        # the slice sum(x) = 1.
+        object.__setattr__(self, "_int_rows",
+                           tuple(tuple((j, a) for j, a in enumerate(r) if a)
+                                 for r in rows))
+        object.__setattr__(self, "_warm", [])
 
     @staticmethod
     def from_rows(rows, labels=None) -> "ConeH":
@@ -153,11 +123,6 @@ class ConeH:
     @property
     def num_vars(self) -> int:
         return len(self.labels)
-
-
-def default_normalization(num_vars: int) -> tuple[tuple[Fraction, ...], Fraction]:
-    """The slice sum(x) = 1 used throughout the certificates."""
-    return tuple(Fraction(1) for _ in range(num_vars)), Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +259,14 @@ def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
 
 @dataclass(frozen=True)
 class LpResult:
-    """Minimum of one coordinate over {x : A.x >= 0, norm.x = rhs}.
+    """Minimum of one coordinate over {x : A.x >= 0, sum(x) = 1}.
 
     `row_multipliers` (>= 0, one per constraint row) and
     `normalization_multiplier` form an exact optimality certificate:
 
-        e_obj == sum_i row_multipliers[i] * A_i + normalization_multiplier * norm
+        e_obj == sum_i row_multipliers[i] * A_i + normalization_multiplier * (1, ..., 1)
 
-    so every feasible x has x_obj >= normalization_multiplier * rhs = value.
+    so every feasible x has x_obj >= normalization_multiplier = value.
     """
 
     value: Fraction
@@ -310,40 +275,35 @@ class LpResult:
     normalization_multiplier: Fraction
 
 
-def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult,
-                      normalization=None) -> bool:
+def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult) -> bool:
     """Re-check an LpResult from scratch; raises ConeError if anything fails.
 
-    `normalization` is None for the default sum(x) = 1, which the cone
-    holds cleared.  Entries of the result may be int or Fraction; only
-    their numerators and denominators are read, and all arithmetic is in
-    plain ints over the nonzero entries of the rows.  With the rows cleared
-    to R_i = d_i * A_i, the normalization to N = d * norm, R = d * rhs, and
-    the witness to X = D * x, the sign and the zero set of R_i . X are those
-    of the slack A_i . x.  Each term mu_i * A_i is (mu_i.numerator /
-    (mu_i.denominator * d_i)) * R_i, and nu * norm is likewise a multiple
-    of N; over the lcm q of the term denominators the identity
-    sum_i mu_i A_i + nu * norm == e_obj becomes an identity of integer
-    vectors with q in place of 1.
+    Entries of the result may be int or Fraction; only their numerators and
+    denominators are read, and all arithmetic is in plain ints over the
+    nonzero entries of the integer rows A_i.  With the witness cleared to
+    X = D * x, the sign and the zero set of A_i . X are those of the slack
+    A_i . x.  Each term mu_i * A_i is (mu_i.numerator / mu_i.denominator)
+    * A_i, and nu * (1, ..., 1) is likewise a multiple of the all-ones
+    vector; over the lcm q of the term denominators the identity
+    sum_i mu_i A_i + nu * (1, ..., 1) == e_obj becomes an identity of
+    integer vectors with q in place of 1.
     """
     k = cone.num_vars
     if not 0 <= objective_index < k:
         raise DimensionMismatch("objective index out of range")
-    d_norm, norm_ints, norm_rhs = (_clear_normalization(normalization)
-                                   if normalization else cone._norm)
     x = result.witness
-    if len(x) != k or len(norm_ints) != k:
-        raise DimensionMismatch("witness or normalization has wrong dimension")
+    if len(x) != k:
+        raise DimensionMismatch("witness has wrong dimension")
     d_x, xs = _clear_denominators(x)
     slacks = []
-    for _, row in cone._int_rows:
+    for row in cone._int_rows:
         s = 0
         for j, a in row:
             s += a * xs[j]
         if s < 0:
             raise ConeError("witness violates a cone constraint")
         slacks.append(s)
-    if sum(map(mul, norm_ints, xs)) != d_x * norm_rhs:
+    if sum(xs) != d_x:
         raise ConeError("witness violates the normalization")
     value = result.value
     if xs[objective_index] * value.denominator != d_x * value.numerator:
@@ -352,17 +312,15 @@ def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult,
     nu = result.normalization_multiplier
     if len(mus) != len(slacks):
         raise ConeError("one multiplier per constraint row required")
-    terms = []  # (numerator, denominator, R_i, slack_i) over mu_i != 0
-    for mu, (d, row), s in zip(mus, cone._int_rows, slacks):
+    terms = []  # (numerator, denominator, A_i, slack_i) over mu_i != 0
+    for mu, row, s in zip(mus, cone._int_rows, slacks):
         num = mu.numerator
         if num:
             if num < 0:
                 raise ConeError("negative row multiplier")
-            terms.append((num, mu.denominator * d, row, s))
-    nu_den = nu.denominator * d_norm
-    q = lcm(nu_den, *(den for _, den, _, _ in terms))
-    f = nu.numerator * (q // nu_den)
-    lhs = [f * a for a in norm_ints]
+            terms.append((num, mu.denominator, row, s))
+    q = lcm(nu.denominator, *(den for _, den, _, _ in terms))
+    lhs = [nu.numerator * (q // nu.denominator)] * k
     lhs[objective_index] -= q
     for num, den, row, _ in terms:
         f = num * (q // den)
@@ -370,8 +328,7 @@ def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult,
             lhs[j] += f * a
     if any(lhs):
         raise ConeError("dual multipliers do not reproduce the objective")
-    if (nu.numerator * norm_rhs * value.denominator
-            != value.numerator * nu_den):
+    if nu.numerator * value.denominator != value.numerator * nu.denominator:
         raise ConeError("dual objective does not match the minimum")
     if any(s for _, _, _, s in terms):
         raise ConeError("complementary slackness fails")
@@ -414,11 +371,9 @@ def _substitute(row: list[int], pending: list[tuple[int, int]],
     return _reduce_ints(out)
 
 
-def _phase_one(cone: ConeH, norm: tuple[int, tuple[int, ...], int]) -> tuple[_Tableau, int]:
-    """Dictionary of the normalized slice at a feasible basis, its artificial
-    variable banned, and the factor that turns the artificial column's
-    reduced cost into the normalization multiplier.  `norm` is the slice
-    cleared by _clear_normalization.  Raises Infeasible.
+def _phase_one(cone: ConeH) -> _Tableau:
+    """Dictionary of the slice sum(x) = 1 at a feasible basis, its
+    artificial variable banned.  Raises Infeasible.
 
     The start basis is the slacks plus one artificial variable on the
     normalization row.  Each free x_j is then pivoted in once, on the first
@@ -446,14 +401,12 @@ def _phase_one(cone: ConeH, norm: tuple[int, tuple[int, ...], int]) -> tuple[_Ta
     m = len(cone.rows)
     art = k + m
     rows: list[list[int]] = []
-    for _, ints in cone._int_rows:
-        r = [1] + [0] * (k + 1)  # s_i - d_i * (row_i . x) = 0
+    for ints in cone._int_rows:
+        r = [1] + [0] * (k + 1)  # s_i - row_i . x = 0
         for j, num in ints:
             r[1 + j] = -num
         rows.append(r)
-    d, norm_ints, norm_rhs = norm
-    sign = 1 if norm_rhs > 0 else -1
-    rows.append([1] + [sign * a for a in norm_ints] + [sign * norm_rhs])
+    rows.append([1] * (k + 2))  # art + sum(x) = 1
     tab = _Tableau(rows, [k + i for i in range(m)] + [art], list(range(k)), k)
 
     frozen: list[tuple[int, int]] = []  # (row, column) of each free pivot
@@ -486,59 +439,50 @@ def _phase_one(cone: ConeH, norm: tuple[int, tuple[int, ...], int]) -> tuple[_Ta
     if art in tab.basis:
         r = tab.basis.index(art)
         if tab.rows[r][-1]:
-            raise Infeasible("normalized cone slice is empty")
+            raise Infeasible("cone slice sum(x) = 1 is empty")
         nonzero = [c for c in range(k) if tab.rows[r][1 + c]]
         if not nonzero:
             raise ConeError("degenerate artificial row cannot be pivoted out")
         _pivot_either_sign(tab, r, min(nonzero, key=tab.nonbasic.__getitem__))
     tab.banned.add(art)
-    return tab, sign * d
+    return tab
 
 
-def lp_min(cone: ConeH, objective_index: int, normalization=None) -> LpResult:
-    """Exact minimum of coordinate `objective_index` over the normalized cone.
+def lp_min(cone: ConeH, objective_index: int) -> LpResult:
+    """Exact minimum of coordinate `objective_index` over the slice sum(x) = 1.
 
-    The feasible set is {x free : cone.rows . x >= 0, norm . x = rhs} with
-    norm defaulting to sum(x) = 1 (normalization None).  The free
+    The feasible set is {x free : cone.rows . x >= 0, sum(x) = 1}.  The free
     coordinates enter the basis once, in phase one, which runs on the first
-    call for a (cone, normalization); later calls on the same ConeH start
-    phase two from the basis the previous call ended at, which is feasible
-    because the region is shared.  The minimum does not depend on the order
-    of the calls, but at a degenerate optimum the witness and multipliers
-    may.  The pivot limit applies per call.
+    call for a cone; later calls on the same ConeH start phase two from the
+    basis the previous call ended at, which is feasible because the region
+    is shared.  The minimum does not depend on the order of the calls, but
+    at a degenerate optimum the witness and multipliers may.  The pivot
+    limit applies per call.
 
     The result is read out of the integer dictionary in one pass over the
     basis and one over the nonbasic columns, with one Fraction per nonzero
-    entry, and re-checked by `verify_lp_minimum` with the caller's
-    normalization before it is returned.  Raises Infeasible / Unbounded.
+    entry, and re-checked by `verify_lp_minimum` before it is returned.
+    Raises Infeasible / Unbounded.
     """
     k = cone.num_vars
     if not 0 <= objective_index < k:
         raise DimensionMismatch("objective index out of range")
-    norm = _clear_normalization(normalization) if normalization else cone._norm
-    _, norm_ints, norm_rhs = norm
-    if len(norm_ints) != k:
-        raise DimensionMismatch("normalization has wrong dimension")
-    if norm_rhs == 0:
-        raise ValueError("normalization right-hand side must be nonzero")
 
     # The tableau is off the cone while it pivots, so an exception in the
     # middle of a pivot cannot leave a half-updated tableau for the next call.
-    warm = cone._warm.pop(norm, None)
-    cone._warm.clear()
-    if warm is None:
-        warm = _phase_one(cone, norm)
+    if cone._warm:
+        tab = cone._warm.pop()
+        tab.pivots = 0
     else:
-        warm[0].pivots = 0
-    tab, norm_scale = warm
+        tab = _phase_one(cone)
 
     tab.set_objective(objective_index)
     try:
         tab.optimize()
     except Unbounded:
-        cone._warm[norm] = warm
+        cone._warm.append(tab)
         raise
-    cone._warm[norm] = warm
+    cone._warm.append(tab)
 
     # basic coordinates with a nonzero value, and the nonzero reduced costs
     # times sigma = z[0] by nonbasic variable
@@ -547,12 +491,12 @@ def lp_min(cone: ConeH, objective_index: int, normalization=None) -> LpResult:
     costs = {v: z[1 + c] for c, v in enumerate(tab.nonbasic) if z[1 + c]}
     witness = tuple(Fraction(values[j][-1], values[j][0]) if j in values else _ZERO
                     for j in range(k))
-    mus = tuple(Fraction(costs[k + i] * d, z[0]) if k + i in costs else _ZERO
-                for i, (d, _) in enumerate(cone._int_rows))
+    mus = tuple(Fraction(costs[k + i], z[0]) if k + i in costs else _ZERO
+                for i in range(len(cone.rows)))
     art = k + len(mus)
-    nu = Fraction(-costs[art] * norm_scale, z[0]) if art in costs else _ZERO
+    nu = Fraction(-costs[art], z[0]) if art in costs else _ZERO
     result = LpResult(witness[objective_index], witness, mus, nu)
-    verify_lp_minimum(cone, objective_index, result, normalization)
+    verify_lp_minimum(cone, objective_index, result)
     return result
 
 
@@ -572,7 +516,7 @@ class Certificate:
     """
 
     labels: tuple[str, ...]
-    constraints: tuple[tuple[Fraction, ...], ...]
+    constraints: tuple[tuple[int, ...], ...]
     minima: tuple[Fraction, ...]
     witnesses: tuple[tuple[Fraction, ...], ...]
     row_multipliers: tuple[tuple[Fraction, ...], ...]
@@ -611,9 +555,9 @@ class Certificate:
 def dual_contained_in_orthant(matrix, labels=None) -> Certificate:
     """Certify that {d : matrix . d >= 0} lies inside the orthant {d >= 0}.
 
-    Minimizes every coordinate over the slice sum(d) = 1 and records exact
-    minima, witnesses and dual multipliers.  Raises Infeasible when the
-    normalized slice is empty (reported, never silently counted as a pass)
+    `matrix` has int entries.  Minimizes every coordinate over the slice
+    sum(d) = 1 and records exact minima, witnesses and dual multipliers.
+    Raises Infeasible when the slice is empty (reported, never silently counted as a pass)
     and Unbounded when some coordinate has no finite minimum there, which is
     a containment failure with no finite witness.
     """

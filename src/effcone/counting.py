@@ -50,12 +50,16 @@ class InsufficientData(ValueError):
 
 @dataclass(frozen=True)
 class CountSeries:
-    """(B, N) pairs with B strictly increasing and N nondecreasing."""
+    """(B, N) pairs with B >= 1 strictly increasing and N >= 0
+    nondecreasing."""
 
     points: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         pts = tuple((int(b), int(n)) for b, n in self.points)
+        for b, n in pts:
+            if b < 1 or n < 0:
+                raise ValueError(f"point ({b}, {n}) needs B >= 1 and N >= 0")
         for (b1, n1), (b2, n2) in zip(pts, pts[1:]):
             if b2 <= b1 or n2 < n1:
                 raise ValueError("series must be increasing in B, nondecreasing in N")

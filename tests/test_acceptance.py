@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from effcone import cone, counting, fiber, forms, picard
+from effcone import counting, fiber, forms, picard
 
 Q = Fraction
 

@@ -173,6 +173,12 @@ def test_exit_codes_for_invalid_input(capsys, tmp_path):
     two_points = tmp_path / "two.csv"
     two_points.write_text("B,N\n10,4\n20,8\n")
     assert run(capsys, "fit", "--in", str(two_points))[0] == 2
+    for row in ("0,1", "1,-1"):  # B < 1 once failed in log(), N < 0 was dropped
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"B,N\n{row}\n10,4\n20,8\n40,16\n")
+        b, n = row.split(",")
+        assert run(capsys, "fit", "--in", str(bad)) == (
+            2, "", f"error: point ({b}, {n}) needs B >= 1 and N >= 0\n")
     assert run(capsys, "act", "--coeffs", "1,0,1", "--matrix", "1,1,1,1")[0] == 2
 
 

@@ -17,7 +17,6 @@ from effcone.cone import (
     NotAttainable,
     PivotLimitExceeded,
     Unbounded,
-    default_normalization,
     dual_contained_in_orthant,
     kodaira_energy,
     lp_min,
@@ -84,7 +83,7 @@ def fm_minimum(rows, objective_index):
     xj = cone.labels.index(f"x{objective_index}")
     lower, upper = None, None
     for row in cone.rows:
-        alpha, beta = row[xj], row[1 - xj]
+        alpha, beta = Fraction(row[xj]), Fraction(row[1 - xj])
         if alpha > 0:
             bound = -beta / alpha
             lower = bound if lower is None or bound > lower else lower
@@ -130,19 +129,6 @@ def test_lp_min_unbounded():
         lp_min(cone, 0)
 
 
-def test_lp_min_custom_normalization():
-    cone = ConeH.from_rows([[1, 0], [0, 1]])
-    res = lp_min(cone, 0, ((Q(0), Q(1)), Q(2)))
-    assert res.value == 0
-    assert res.witness[1] == 2
-
-
-def test_lp_min_rejects_zero_rhs():
-    cone = ConeH.from_rows([[1, 0]])
-    with pytest.raises(ValueError):
-        lp_min(cone, 0, ((Q(1), Q(1)), Q(0)))
-
-
 def test_lp_min_rank_deficient_constraints():
     # rank 2 of 3: the lineality of {x : rows . x >= 0} is spanned by
     # (0, 1, -1), which lies in sum(x) = 0, so x1 and x2 run off along it
@@ -155,14 +141,18 @@ def test_lp_min_rank_deficient_constraints():
         assert fm_minimum(rows, j) == ("unbounded",)
         with pytest.raises(Unbounded):
             lp_min(cone, j)
-    # x1 appears in no row and not in the normalization: it stays
-    # nonbasic, its reduced cost is nonzero only as the objective
-    cone = ConeH.from_rows([[1, 0]])
-    norm = ((Q(1), Q(0)), Q(1))
-    assert lp_min(cone, 0, norm).value == 1
+    # x0 enters on the row, x1 on the normalization row, and x2 appears in
+    # no row left: it stays nonbasic, its reduced cost nonzero only as the
+    # objective
+    rows = [[1, 0, 0]]
+    cone = ConeH.from_rows(rows)
+    assert lp_min(cone, 0).value == 0 and fm_minimum(rows, 0) == ("min", 0)
+    (tab,) = cone._warm
+    assert tab.basis[-1] == 1 and 2 in tab.nonbasic
+    assert fm_minimum(rows, 2) == ("unbounded",)
     with pytest.raises(Unbounded):
-        lp_min(cone, 1, norm)
-    assert lp_min(cone, 0, norm).value == 1
+        lp_min(cone, 2)
+    assert lp_min(cone, 0).value == 0
 
 
 def test_lp_min_coordinate_only_the_normalization_touches():
@@ -173,20 +163,6 @@ def test_lp_min_coordinate_only_the_normalization_touches():
     assert fm_minimum(rows, 2) == ("unbounded",)
     with pytest.raises(Unbounded):
         lp_min(cone, 2)
-    norm = ((Q(0), Q(0), Q(2)), Q(3))  # x2 = 3/2 on the slice
-    for j, value in ((2, Q(3, 2)), (0, 0), (1, 0)):
-        res = lp_min(cone, j, norm)
-        assert res.value == value and res.witness[2] == Q(3, 2)
-
-
-def test_lp_min_negative_normalization_rhs():
-    cone = ConeH.from_rows([[-1, 0], [0, -1]])  # x <= 0
-    norm = ((Q(1), Q(2)), Q(-3, 2))
-    res = lp_min(cone, 0, norm)
-    assert res.value == Q(-3, 2) and res.witness == (Q(-3, 2), 0)
-    res = lp_min(cone, 1, norm)
-    assert res.value == Q(-3, 4) and res.witness == (0, Q(-3, 4))
-    assert verify_lp_minimum(cone, 1, res, norm)
 
 
 def test_lp_min_degenerate_ties_terminate():
@@ -240,51 +216,46 @@ def test_verify_rejects_tampered_result():
     res = lp_min(cone, 0)
     bad = type(res)(res.value + 1, res.witness, res.row_multipliers,
                     res.normalization_multiplier)
-    with pytest.raises(Exception):
+    with pytest.raises(ConeError, match="recorded minimum"):
         verify_lp_minimum(cone, 0, bad)
 
 
-def fraction_verify(cone, objective_index, result, normalization=None):
+def fraction_verify(cone, objective_index, result):
     """Reference re-check in Fraction arithmetic, straight from the
-    definitions; returns the first failing check's message or None."""
-    norm_coeffs, norm_rhs = normalization or default_normalization(cone.num_vars)
+    definitions on the slice sum(x) = 1; returns the first failing check's
+    message or None."""
     x = result.witness
     slacks = [sum(a * b for a, b in zip(row, x)) for row in cone.rows]
     mus, nu = result.row_multipliers, result.normalization_multiplier
     checks = (
         (all(s >= 0 for s in slacks), "witness violates a cone constraint"),
-        (sum(a * b for a, b in zip(norm_coeffs, x)) == norm_rhs,
-         "witness violates the normalization"),
+        (sum(x) == 1, "witness violates the normalization"),
         (x[objective_index] == result.value,
          "witness coordinate does not equal the recorded minimum"),
         (len(mus) == len(cone.rows), "one multiplier per constraint row required"),
         (all(mu >= 0 for mu in mus), "negative row multiplier"),
-        (all(sum(mu * row[j] for mu, row in zip(mus, cone.rows)) + nu * norm_coeffs[j]
+        (all(sum(mu * row[j] for mu, row in zip(mus, cone.rows)) + nu
              == (1 if j == objective_index else 0) for j in range(cone.num_vars)),
          "dual multipliers do not reproduce the objective"),
-        (nu * norm_rhs == result.value, "dual objective does not match the minimum"),
+        (nu == result.value, "dual objective does not match the minimum"),
         (all(mu * s == 0 for mu, s in zip(mus, slacks)), "complementary slackness fails"),
     )
     return next((message for ok, message in checks if not ok), None)
 
 
-def integer_verify(cone, objective_index, result, normalization=None):
+def integer_verify(cone, objective_index, result):
     try:
-        verify_lp_minimum(cone, objective_index, result, normalization)
+        verify_lp_minimum(cone, objective_index, result)
     except ConeError as exc:
         return str(exc)
     return None
 
 
-# Fractional rows and a fractional normalization, so that every scaling in
-# the integer re-check (d_i, D, d_norm, q) is nontrivial.
-TAMPER_ROWS = [
-    [Q(3, 2), Q(-1, 2), 0], [Q(-1, 3), Q(1, 3), 0], [Q(1, 5), 0, Q(-2, 7)],
-    [0, 0, Q(3, 4)], [Q(1, 2), Q(1, 2), Q(1, 2)],
-]
-TAMPER_NORM = ((Q(1, 2), Q(1, 2), Q(1, 3)), Q(3, 4))
-# a feasible, normalized point where row 0 (positive multiplier) is slack
-SUBOPTIMAL = (Q(45, 74), Q(45, 74), Q(63, 148))
+# Rows whose minimum has fractional witness entries and multipliers, so
+# that both scalings in the integer re-check (D and q) are nontrivial.
+TAMPER_ROWS = [[3, -1, 0], [-1, 1, 0], [7, 0, -10], [0, 0, 1], [1, 1, 1]]
+# a feasible point of the slice where row 0 (positive multiplier) is slack
+SUBOPTIMAL = (Q(10, 27), Q(10, 27), Q(7, 27))
 
 
 def _set(vec, i, value):
@@ -317,15 +288,14 @@ TAMPERS = {
 @pytest.mark.parametrize("case", list(TAMPERS))
 def test_verify_rejects_each_tampered_field(case):
     cone = ConeH.from_rows(TAMPER_ROWS)
-    res = lp_min(cone, 0, TAMPER_NORM)
-    assert res.value == Q(45, 134)
+    res = lp_min(cone, 0)
+    assert res.value == Q(10, 47)
     assert res.row_multipliers[0] > 0 and res.row_multipliers[1] == 0
     tamper, message = TAMPERS[case]
     bad = tamper(res)
     with pytest.raises(ConeError, match=message):
-        verify_lp_minimum(cone, 0, bad, TAMPER_NORM)
-    assert fraction_verify(cone, 0, bad, TAMPER_NORM) == integer_verify(
-        cone, 0, bad, TAMPER_NORM)
+        verify_lp_minimum(cone, 0, bad)
+    assert fraction_verify(cone, 0, bad) == integer_verify(cone, 0, bad)
 
 
 def _int_entries(result):
@@ -338,7 +308,7 @@ def _int_entries(result):
                    normalization_multiplier=plain(result.normalization_multiplier))
 
 
-def _agree_on_tampers(rng, cone, j, res, norm):
+def _agree_on_tampers(rng, cone, j, res):
     """Tamper one field of res six times; both re-checks must agree on each
     tampered result, also with its integral entries as ints.  Returns how
     many the reference rejects."""
@@ -353,67 +323,50 @@ def _agree_on_tampers(rng, cone, j, res, norm):
             bad = replace(res, **{field: _set(vec, i, vec[i] + delta)})
         else:
             bad = replace(res, **{field: getattr(res, field) + delta})
-        expected = fraction_verify(cone, j, bad, norm)
-        assert integer_verify(cone, j, bad, norm) == expected
-        assert integer_verify(cone, j, _int_entries(bad), norm) == expected
+        expected = fraction_verify(cone, j, bad)
+        assert integer_verify(cone, j, bad) == expected
+        assert integer_verify(cone, j, _int_entries(bad)) == expected
         rejected += expected is not None
     return rejected
 
 
 def test_integer_verify_matches_fraction_reference():
     rng = random.Random(31)
-    rng_default = random.Random(32)
     checked = rejected = 0
-    default_checked = default_rejected = 0
     for _ in range(400):
         k = rng.randint(2, 4)
-        rows = [[Q(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(k)]
+        rows = [canonical_ray([Q(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(k)])
                 for _ in range(rng.randint(1, 5))]
-        norm = (tuple(Q(rng.randint(-2, 4), rng.randint(1, 3)) for _ in range(k)),
-                Q(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)))
         cone = ConeH.from_rows(rows)
         j = rng.randrange(k)
-        try:
-            res = lp_min(cone, j, norm)
-        except (Infeasible, Unbounded):
-            res = None
-        if res is not None:
-            assert fraction_verify(cone, j, res, norm) is None
-            assert integer_verify(cone, j, _int_entries(res), norm) is None
-            rejected += _agree_on_tampers(rng, cone, j, res, norm)
-            checked += 1
-        # normalization None: the sum(x) = 1 slice the cone holds cleared
         try:
             res = lp_min(cone, j)
         except (Infeasible, Unbounded):
             continue
         assert fraction_verify(cone, j, res) is None
-        assert integer_verify(cone, j, _int_entries(res), None) is None
-        default_rejected += _agree_on_tampers(rng_default, cone, j, res, None)
-        default_checked += 1
+        assert integer_verify(cone, j, _int_entries(res)) is None
+        rejected += _agree_on_tampers(rng, cone, j, res)
+        checked += 1
     assert checked > 80 and rejected > 5 * checked
-    assert default_checked > 80 and default_rejected > 5 * default_checked
 
 
 def test_lp_min_results_pass_the_fraction_reference():
     rng = random.Random(17)
     checked = 0
-    for _ in range(150):
+    for _ in range(600):
         k = rng.randint(2, 6)
-        rows = [[rng.choice([rng.randint(-5, 5), Q(rng.randint(-5, 5), rng.randint(1, 4))])
-                 for _ in range(k)] for _ in range(rng.randint(1, 8))]
-        norms = (None, (tuple(Q(rng.randint(-1, 3), rng.randint(1, 2)) for _ in range(k)),
-                        Q(rng.choice([-2, 1, 3]), rng.randint(1, 3))))
+        rows = [canonical_ray([rng.choice([rng.randint(-5, 5),
+                                           Q(rng.randint(-5, 5), rng.randint(1, 4))])
+                               for _ in range(k)]) for _ in range(rng.randint(1, 8))]
         cone = ConeH.from_rows(rows)
-        for norm in norms:
-            for j in range(k):  # warm starts in order, then cold
-                for c in (cone, ConeH.from_rows(rows)):
-                    try:
-                        res = lp_min(c, j, norm)
-                    except (Infeasible, Unbounded):
-                        continue
-                    assert fraction_verify(c, j, res, norm) is None
-                    checked += 1
+        for j in range(k):  # warm starts in order, then cold
+            for c in (cone, ConeH.from_rows(rows)):
+                try:
+                    res = lp_min(c, j)
+                except (Infeasible, Unbounded):
+                    continue
+                assert fraction_verify(c, j, res) is None
+                checked += 1
     assert checked > 400
 
 
@@ -435,12 +388,12 @@ def test_verify_rejects_objective_index_out_of_range(index):
         verify_lp_minimum(cone, index, res)
 
 
-def _outcome(cone, j, norm):
+def _outcome(cone, j):
     try:
-        res = lp_min(cone, j, norm)
+        res = lp_min(cone, j)
     except (Infeasible, Unbounded) as exc:
         return type(exc)
-    assert verify_lp_minimum(cone, j, res, norm)
+    assert verify_lp_minimum(cone, j, res)
     return res.value
 
 
@@ -450,14 +403,12 @@ def test_warm_start_matches_cold_start():
     for _ in range(120):
         k = rng.randint(2, 5)
         rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 6))]
-        norms = (None, (tuple(Q(rng.randint(-1, 3)) for _ in range(k)),
-                        Q(rng.choice([-2, 1, 3]))))
-        calls = [(j, norm) for j in range(k) for norm in norms]
-        cold = {call: _outcome(ConeH.from_rows(rows), *call) for call in calls}
-        # in order, in reverse, and one normalization after the other
-        for visit in (calls, calls[::-1], calls[::2] + calls[1::2]):
+        calls = range(k)
+        cold = {j: _outcome(ConeH.from_rows(rows), j) for j in calls}
+        # in order, in reverse, and the even coordinates before the odd ones
+        for visit in (calls, calls[::-1], [*calls[::2], *calls[1::2]]):
             cone = ConeH.from_rows(rows)
-            assert {call: _outcome(cone, *call) for call in visit} == cold
+            assert {j: _outcome(cone, j) for j in visit} == cold
         kinds.update(o if isinstance(o, type) else "min" for o in cold.values())
     assert kinds == {"min", Infeasible, Unbounded}
 
@@ -495,19 +446,17 @@ def test_warm_start_keeps_the_pivot_limit_per_call(monkeypatch):
             lp_min(cone, j)
 
 
-def _gauss_jordan_phase_one(cone, norm):
+def _gauss_jordan_phase_one(cone):
     """Reference phase one that rewrites every row at every free pivot."""
     k, m = cone.num_vars, len(cone.rows)
     art = k + m
     rows = []
-    for _, ints in cone._int_rows:
+    for ints in cone._int_rows:
         row = [1] + [0] * (k + 1)
         for j, num in ints:
             row[1 + j] = -num
         rows.append(row)
-    d, norm_ints, norm_rhs = norm
-    sign = 1 if norm_rhs > 0 else -1
-    rows.append([1] + [sign * a for a in norm_ints] + [sign * norm_rhs])
+    rows.append([1] * (k + 2))
     tab = cone_module._Tableau(rows, [k + i for i in range(m)] + [art],
                                list(range(k)), k)
     for j in range(k):
@@ -521,29 +470,29 @@ def _gauss_jordan_phase_one(cone, norm):
     if art in tab.basis:
         r = tab.basis.index(art)
         if tab.rows[r][-1]:
-            raise Infeasible("normalized cone slice is empty")
+            raise Infeasible("cone slice sum(x) = 1 is empty")
         nonzero = [c for c in range(k) if tab.rows[r][1 + c]]
         if not nonzero:
             raise ConeError("degenerate artificial row cannot be pivoted out")
         cone_module._pivot_either_sign(tab, r, min(nonzero, key=tab.nonbasic.__getitem__))
     tab.banned.add(art)
-    return tab, sign * d
+    return tab
 
 
-def _phase_one_outcome(phase_one, cone, norm):
+def _phase_one_outcome(phase_one, cone):
     try:
-        tab, scale = phase_one(cone, norm)
+        tab = phase_one(cone)
     except ConeError as exc:
         return type(exc)
-    return tab.rows, tab.basis, tab.nonbasic, tab.pivots, scale, tab.z, tab.banned
+    return tab.rows, tab.basis, tab.nonbasic, tab.pivots, tab.z, tab.banned
 
 
 def test_phase_one_matches_gauss_jordan_on_pairing_matrices():
     for n in range(3, 61):
         cone = ConeH.from_rows(pairing_matrix(n))
-        expected = _phase_one_outcome(_gauss_jordan_phase_one, cone, cone._norm)
+        expected = _phase_one_outcome(_gauss_jordan_phase_one, cone)
         assert not isinstance(expected, type)
-        assert _phase_one_outcome(cone_module._phase_one, cone, cone._norm) == expected
+        assert _phase_one_outcome(cone_module._phase_one, cone) == expected
 
 
 def test_phase_one_matches_gauss_jordan_on_random_cones():
@@ -553,26 +502,29 @@ def test_phase_one_matches_gauss_jordan_on_random_cones():
         k = rng.randint(2, 6)
         rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 8))]
         if trial % 3 == 0:
-            rows = [[Q(a, rng.randint(1, 4)) for a in row] for row in rows]
-        norm = None
-        if trial % 2:
-            norm = (tuple(Q(rng.randint(-2, 3), rng.randint(1, 2)) for _ in range(k)),
-                    Q(rng.choice([-2, 1, 3])))
+            rows = [canonical_ray([Q(a, rng.randint(1, 4)) for a in row]) for row in rows]
         cone = ConeH.from_rows(rows)
-        cleared = cone_module._clear_normalization(norm) if norm else cone._norm
-        expected = _phase_one_outcome(_gauss_jordan_phase_one, cone, cleared)
-        assert _phase_one_outcome(cone_module._phase_one, cone, cleared) == expected
+        expected = _phase_one_outcome(_gauss_jordan_phase_one, cone)
+        assert _phase_one_outcome(cone_module._phase_one, cone) == expected
         if expected is Infeasible:
             kinds.add(Infeasible)
             continue
         for j in range(k):
             try:
-                lp_min(cone, j, norm)
+                lp_min(cone, j)
             except Unbounded:
                 kinds.add(Unbounded)
             else:
                 kinds.add("min")
     assert kinds == {"min", Infeasible, Unbounded}
+
+
+def test_cone_rows_are_ints():
+    cone = ConeH.from_rows([[3, -1], [-1, 1]])
+    assert all(type(a) is int for row in cone.rows for a in row)
+    for bad in ([[Q(3), -1]], [[Q(3, 2), -1]], [[3.0, -1]], [[True, -1]]):
+        with pytest.raises(ValueError, match="must be int"):
+            ConeH.from_rows(bad)
 
 
 def test_warm_state_is_not_part_of_equality():
@@ -696,11 +648,12 @@ def test_kodaira_energy_dimension_mismatch():
 
 
 def kodaira_via_lp(base, direction):
-    """Independent route: minimize a over {(a, t) : a*dir + t*base >= 0,
-    t = 1} with the simplex engine."""
-    rows = [[d, b] for b, d in zip(base, direction)]
-    cone = ConeH.from_rows(rows, ["a", "t"])
-    return lp_min(cone, 0, ((Q(0), Q(1)), Q(1))).value
+    """Independent route: minimize a over {(a, t, z) : a*dir + t*base >= 0,
+    z = -a, a + t + z = 1}, so t = 1, with the simplex engine."""
+    rows = [[1, 0, 1], [-1, 0, -1]]  # z = -a
+    rows += [[*canonical_ray([d, b]), 0] for b, d in zip(base, direction)]
+    cone = ConeH.from_rows(rows, ["a", "t", "z"])
+    return lp_min(cone, 0).value
 
 
 def test_kodaira_energy_agrees_with_lp_route():

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from effcone import forms
 from effcone.forms import (
     BinaryForm,
     DegreeTooSmall,
@@ -280,10 +281,18 @@ def test_convention_ratio_is_constant_minus_one():
 
 
 def test_convention_ratio_detects_mismatch():
-    # a fake "implementation" that is not a constant multiple would raise;
-    # simulate by checking the guard path directly
+    # the guard path; a real mismatch is in the next test
     with pytest.raises(ValueError):
         compare_disc_conventions(0)
+
+
+def test_convention_ratio_raises_on_inconsistent_disc(monkeypatch):
+    # an "implementation" that is not a constant multiple of the reference
+    scales = iter([-1, -1, 2])
+    monkeypatch.setattr(forms, "disc",
+                        lambda f: next(scales) * disc_cubic_reference(*f.coeffs))
+    with pytest.raises(InconsistentRatio, match="ratio 2 != -1 at"):
+        compare_disc_conventions(3)
 
 
 def test_form_csv_round_trip():
