@@ -20,17 +20,23 @@ walk only follows the root directions of the form and the regions where it
 is small.  No image is stored: every image is hit by exactly |Stab_f|
 matrices of the box, so N(B) = 4 M(B) / |Stab_f| for the number M(B) of
 recorded nodes of height <= B, counted per grid point as the walk goes,
-and |Stab_f| is read off the walk.  Memory is the walk's stack and the
-grid.
+and |Stab_f| is read off the walk.  A Taylor shift only adds, so below a
+node whose form has one sign every form keeps that sign: those subtrees,
+nearly all of the walk, need no sign test and are walked level by level in
+batches of coefficient columns, one list operation per addition of the
+shift for the whole batch.  Memory is the walk's stack, at most
+_MAX_BATCH one-signed nodes per level of depth (a wider level is split),
+and the grid.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import neg
+from itertools import accumulate, compress, repeat
+from operator import add, neg
 
 from .forms import (BinaryForm, UnimodularMatrix, adjugate_solve, disc,
                     substitute, sylvester_matrix, taylor_shift)
@@ -70,13 +76,20 @@ class CountSeries:
 
     @staticmethod
     def from_csv(text: str) -> "CountSeries":
+        """Rows `B,N` of two integers; blank lines are skipped, and a first
+        line `B,N` (in either case) is the header.  Any other row raises a
+        ValueError that names its line."""
         points = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.lower().startswith("b"):
+        for number, line in enumerate(text.splitlines(), 1):
+            row = line.strip()
+            if not row or (number == 1 and row.lower() == "b,n"):
                 continue
-            b, n = line.split(",")
-            points.append((int(b), int(n)))
+            try:
+                b, n = map(int, row.split(","))
+            except ValueError:
+                raise ValueError(f"line {number}: expected B,N as two "
+                                 f"integers, got {row!r}") from None
+            points.append((b, n))
         return CountSeries(tuple(points))
 
 
@@ -255,6 +268,18 @@ def _gradient_identities(xs: tuple[int, ...]) -> tuple[int, int]:
 # u + v, so a node whose mediant leaves the box has no descendant in it and
 # is dropped as well.
 #
+# One-signed subtrees: a Taylor shift by 1 of coefficients >= 0 gives
+# coefficients >= 0, so every node below a one-signed node has a form of
+# the same sign and needs no sign test.  With the form negated once where
+# that sign is -, the height is max(F), the prune test is sum(F) > B (so
+# every kept node is recorded) and the box test is the mediant test above.
+# The walk gathers the one-signed nodes it enters, _MAX_BATCH at a time,
+# and walks their subtrees a level at a time: a batch stores one list per
+# coefficient, one of signs and one per matrix entry p, q, r, s, and each
+# step of the Taylor shift, the heights and the prune and box masks are
+# one pass over whole lists.  A level wider than _MAX_BATCH is split and
+# the pieces are walked depth first, so at most one piece per level waits.
+#
 # Count: no image is stored.  The image f o g is hit by exactly the
 # matrices h g with h in the stabilizer Stab_f of f in SL2(Z).  They share
 # its height, so all of them lie in the box.  For degree n >= 3 and a
@@ -265,38 +290,121 @@ def _gradient_identities(xs: tuple[int, ...]) -> tuple[int, int]:
 # matrices whose image is the first image recorded.
 # ---------------------------------------------------------------------------
 
+_MAX_BATCH = 1024  # one-signed nodes per batch; a larger level is split
+
+
+def _shift_columns(columns: list[list[int]]) -> list[list[int]]:
+    """forms.taylor_shift of every form of a batch stored as coefficient
+    columns: the same n(n+1)/2 additions, each one over a whole column."""
+    h = list(columns)
+    for top in range(len(h) - 1, 0, -1):
+        for j in range(1, top + 1):
+            h[j] = list(map(add, h[j], h[j - 1]))
+    return h
+
+
+def _one_signed_walk(rows: list[tuple[int, ...]], b_max: int, box: int):
+    """Yield the given one-signed nodes, all of height <= b_max, as one
+    batch, then every level of their subtrees, children of height > b_max
+    included, in batches of at most 2 * _MAX_BATCH nodes.
+
+    A row is a node form times its sign, so that every coefficient is
+    >= 0, then the sign and p, q, r, s; a batch holds the rows as columns.
+    """
+    columns = list(map(list, zip(*rows)))
+    k = len(columns) - 5  # coefficient columns
+    stack: list[list[list[int]]] = []
+    while True:
+        heights = list(map(max, *columns[:k]))
+        if heights:
+            yield heights, columns
+            kept = list(map(b_max.__ge__, map(sum, zip(*columns[:k]))))
+            if not all(kept):
+                columns = [list(compress(c, kept)) for c in columns]
+            size = len(columns[0])
+            if size > _MAX_BATCH:
+                stack += ([c[i:i + _MAX_BATCH] for c in columns]
+                          for i in range(0, size, _MAX_BATCH))
+            elif size:
+                stack.append(columns)
+        if not stack:
+            return
+        columns = stack.pop()
+        signs, ps, qs, rs, ss = columns[k:]
+        mps = list(map(add, ps, rs))
+        mqs = list(map(add, qs, ss))  # q and s are never negative
+        if max(max(mps), -min(mps), max(mqs)) > box:  # a mediant leaves it
+            inside = list(map(box.__ge__, map(max, map(abs, mps), mqs)))
+            columns = [list(compress(c, inside)) for c in columns]
+            mps = list(compress(mps, inside))
+            mqs = list(compress(mqs, inside))
+            signs, ps, qs, rs, ss = columns[k:]
+        coeffs = columns[:k]
+        columns = list(map(add, _shift_columns(coeffs),
+                           _shift_columns(coeffs[::-1])[::-1]))
+        columns += (signs + signs, ps + mps, qs + mqs, mps + rs, mqs + ss)
+
+
 def _farey_walk(xs: tuple[int, ...], b_max: int, box: int):
-    """Yield (height, node) for every recorded node of height <= b_max,
-    node = (F, p, q, r, s), in the box of entries [-box, box] (box >= 1).
-    A child node's F is one additions-only Taylor shift of its parent's."""
+    """Yield batches (heights, columns) that hold every recorded node of
+    height <= b_max in the box of entries [-box, box] (box >= 1) exactly
+    once, and no node outside the box.  The columns of a batch are one list
+    per coefficient, one of signs and one per matrix entry p, q, r, s:
+    node i has height heights[i], the form F with
+    F[j] = columns[-5][i] * columns[j][i], and p = columns[-4][i], and so
+    on.  A node of height > b_max is not recorded and counts for nothing;
+    the first batch holds recorded nodes only.
+
+    A sign-changing node is a batch of one.  The one-signed nodes this walk
+    enters are gathered, _MAX_BATCH at a time, and their subtrees walked
+    level by level, with every Taylor shift done over whole columns.
+    """
     root = substitute(xs, -1, 0, 0, 1)
     entered = ((substitute(xs, 0, 1, 1, 0), 0, 1, 1, 0),
                (taylor_shift(root), -1, 0, -1, 1),
                (taylor_shift(root[::-1])[::-1], -1, 1, 0, 1))
     stack: list[tuple] = []
     push = stack.append
+    rows: list[tuple[int, ...]] = []  # gathered one-signed nodes
     while True:
-        for node in entered:  # record each new node; keep it unless pruned
+        for node in entered:  # record, then keep or gather, unless pruned
             F = node[0]
             lo, hi = min(F), max(F)
             height = hi if hi >= -lo else -lo
-            if height <= b_max:
-                yield height, node
-            if lo < 0 < hi or abs(sum(F)) <= b_max:
+            if lo < 0 < hi:
                 push(node)
+                if height <= b_max:
+                    yield [height], [[x] for x in F + (1,) + node[1:]]
+            elif height <= b_max:
+                if lo >= 0:
+                    rows.append(F + (1,) + node[1:])
+                else:
+                    rows.append(tuple(map(neg, F)) + (-1,) + node[1:])
+                if len(rows) == _MAX_BATCH:
+                    yield from _one_signed_walk(rows, b_max, box)
+                    rows = []
         if not stack:
-            return
+            break
         F, p, q, r, s = stack.pop()  # q and s are never negative
         mp, mq = p + r, q + s
         entered = () if abs(mp) > box or mq > box else (
             (taylor_shift(F), p, q, mp, mq),
             (taylor_shift(F[::-1])[::-1], mp, mq, r, s))
+    if rows:
+        yield from _one_signed_walk(rows, b_max, box)
+
+
+def _node_form(columns: list[list[int]], i: int) -> tuple[int, ...]:
+    """The signed form of node i of a batch."""
+    sign = columns[-5][i]
+    return tuple(sign * c[i] for c in columns[:-5])
 
 
 def count_series(f: BinaryForm, b_grid) -> CountSeries:
     """Counts N(B) of distinct orbit coefficient vectors with height <= B,
     for every B in the increasing grid, from one walk over the box of
-    entry_bound(f, max B).  Memory is the walk's stack and the grid.
+    entry_bound(f, max B).  Memory is the walk's stack, at most
+    _MAX_BATCH one-signed nodes per level of depth, and the grid.
 
     Raises CountingError when the matrix counts are not whole multiples of
     a stabilizer order (see the Farey-tree section), which exact arithmetic
@@ -307,25 +415,27 @@ def count_series(f: BinaryForm, b_grid) -> CountSeries:
         raise ValueError("grid must be nonempty and strictly increasing")
     box = entry_bound(f, grid[-1])
     odd = f.degree % 2
-    nodes = [0] * len(grid)  # recorded nodes per grid bucket
+    nodes = Counter()  # walked nodes per grid bucket, len(grid) above it
     hits = first_height = 0
     refs: tuple = ()  # one entry per matrix of a node with the first image
-    for height, node in _farey_walk(f.coeffs, grid[-1], box):
-        nodes[bisect_left(grid, height)] += 1
-        if height == first_height:
-            hits += refs.count(node[0])
-        elif not refs:
-            # the first image is F(w, z); a node form G has it as G(w, z)
-            # for G = F, as G(z, -w) for G = alt, and as (-1)^n times
-            # either for G = (-1)^n F or (-1)^n alt
-            F = node[0]
+    for heights, columns in _farey_walk(f.coeffs, grid[-1], box):
+        nodes.update(map(bisect_left, repeat(grid), heights))
+        if not refs:
+            # the first image is F(w, z), of the first batch's first node,
+            # which is recorded; a node form G has it as G(w, z) for G = F,
+            # as G(z, -w) for G = alt, and as (-1)^n times either for
+            # G = (-1)^n F or (-1)^n alt
+            F = _node_form(columns, 0)
             alt = tuple(-x if i % 2 else x for i, x in enumerate(F[::-1]))
             refs = (F, alt) + ((tuple(map(neg, F)), tuple(map(neg, alt)))
                                if odd else (F, alt))
-            first_height, hits = height, refs.count(F)
+            first_height = heights[0]
+        if first_height in heights:
+            hits += sum(refs.count(_node_form(columns, i))
+                        for i, h in enumerate(heights) if h == first_height)
     if not refs:
         return CountSeries(tuple((b, 0) for b in grid))
-    matrices = list(accumulate(4 * k for k in nodes))
+    matrices = list(accumulate(4 * nodes[i] for i in range(len(grid))))
     if (hits not in ((1, 3) if odd else (2, 4, 6))
             or any(m % hits for m in matrices)):
         raise CountingError(f"{hits} walked matrices hit one image, which is "

@@ -179,6 +179,13 @@ def test_exit_codes_for_invalid_input(capsys, tmp_path):
         b, n = row.split(",")
         assert run(capsys, "fit", "--in", str(bad)) == (
             2, "", f"error: point ({b}, {n}) needs B >= 1 and N >= 0\n")
+    # a row that is not two integers names its line; only a first line B,N
+    # is a header, so a row starting with b is no longer skipped
+    for row in ("bogus,99", "20,8,3", "40", "20,x"):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"B,N\n10,4\n{row}\n20,8\n40,16\n")
+        assert run(capsys, "fit", "--in", str(bad)) == (
+            2, "", f"error: line 3: expected B,N as two integers, got '{row}'\n")
     assert run(capsys, "act", "--coeffs", "1,0,1", "--matrix", "1,1,1,1")[0] == 2
 
 

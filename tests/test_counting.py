@@ -129,6 +129,17 @@ def reference_walk(xs, b_max, box):
     return seen
 
 
+def walk_nodes(xs, b_max, box):
+    """(height, (F, p, q, r, s)) for every node the Farey walk records,
+    flattened out of its batches, with F the node's signed form."""
+    for heights, columns in _farey_walk(xs, b_max, box):
+        *coeffs, signs, ps, qs, rs, ss = columns
+        for i, h in enumerate(heights):
+            if h <= b_max:
+                yield h, (tuple(signs[i] * c[i] for c in coeffs),
+                          ps[i], qs[i], rs[i], ss[i])
+
+
 def heights_series(heights, grid):
     """N(B) on the grid from a sorted list of image heights."""
     return tuple((b, bisect_right(heights, b)) for b in grid)
@@ -248,9 +259,9 @@ def test_walk_records_heights_and_ends_at_entry_bound():
         for box in (4, 16, 64):
             assert set(reference_walk(coeffs, b_max, box)) <= set(images)
         assert reference_walk(coeffs, b_max, 4 * bound + 8) == images
-        recorded = sorted(h for h, _ in _farey_walk(coeffs, b_max, bound))
+        recorded = sorted(h for h, _ in walk_nodes(coeffs, b_max, bound))
         assert recorded == sorted(h for h, _ in
-                                  _farey_walk(coeffs, b_max, 4 * bound + 8))
+                                  walk_nodes(coeffs, b_max, 4 * bound + 8))
         assert recorded[-1] <= b_max
 
 
@@ -542,22 +553,26 @@ def test_odd_degree_orbit_closed_under_negation():
         assert tuple(-v for v in coeffs) in images
 
 
-def test_walk_covers_box_once():
+def test_walk_covers_box_once(monkeypatch):
     # with no pruning (b_max above every height), the four matrices
     # +-[v u] and +-[u -v] of the recorded nodes are every determinant-1
     # matrix of the box, each exactly once: the second root stands for +-S
-    # and +-I again, so it is walked but not recorded
+    # and +-I again, so it is walked but not recorded.  So only the box
+    # test stops the walk, also in batches of 1 and 2 one-signed nodes
     xs = (1, 0, -1, -1)
-    for bound in range(1, 9):
-        found = Counter()
-        for h, (F, p, q, r, s) in _farey_walk(xs, 10 ** 9, bound):
-            assert F == substitute(xs, p, r, q, s)
-            assert h == max(map(abs, F))
-            for m in ((r, p, s, q), (p, -r, q, -s)):
-                found[m] += 1
-                found[tuple(map(neg, m))] += 1
-        assert set(found.values()) == {1}
-        assert set(found) == {m.entries() for m in enumerate_unimodular(bound)}
+    for size in (counting._MAX_BATCH, 1, 2):
+        monkeypatch.setattr(counting, "_MAX_BATCH", size)
+        for bound in range(1, 9):
+            found = Counter()
+            for h, (F, p, q, r, s) in walk_nodes(xs, 10 ** 9, bound):
+                assert F == substitute(xs, p, r, q, s)
+                assert h == max(map(abs, F))
+                for m in ((r, p, s, q), (p, -r, q, -s)):
+                    found[m] += 1
+                    found[tuple(map(neg, m))] += 1
+            assert set(found.values()) == {1}
+            assert set(found) == {m.entries()
+                                  for m in enumerate_unimodular(bound)}
 
 
 def test_set_free_counts_match_reference_walk():
@@ -613,10 +628,64 @@ def test_set_free_counts_on_stabilizers_and_far_starts():
             assert count_series(moved, grid).points == expected, (coeffs, m)
 
 
+def test_batch_boundaries_keep_counts(monkeypatch):
+    # one-signed levels split into batches of 1 and of 2 nodes count the
+    # same as the reference walk, on seeded random forms, on the stabilizer
+    # forms moved far from a small height and on the huge-root form; every
+    # node the walk yields, recorded or not, is a node of the box
+    rng = random.Random(73)
+    cases = []
+    while len(cases) < 24:
+        degree = rng.randint(3, 6)
+        coeffs = tuple(rng.randint(-4, 4) for _ in range(degree + 1))
+        f = BinaryForm(coeffs)
+        if any(coeffs) and disc(f) != 0:
+            cases.append((f, rng.choice([60, 500, 3000])))
+    for coeffs in ((1, 0, 0, 0, 1), (1, 0, -3, -1), (0, 2, 5, 0, -5, -2, 0),
+                   (2, 1, 0, -1, 1, 3)):
+        f = BinaryForm(coeffs)
+        cases += [(f, 2000), (act(f, UnimodularMatrix(34, 21, 55, 34)), 2000),
+                  (act(f, UnimodularMatrix(1, 40, 0, 1)), 2000)]
+    cases.append((BinaryForm((1, 0, 0, -(10 ** 48 + 12345))), 20000))
+    grids = [sorted({b_max >> k for k in range(9)} - {0}) for _, b_max in cases]
+    expected = [reference_series(f, grid) for (f, _), grid in zip(cases, grids)]
+    recorded = [sorted(walk_nodes(f.coeffs, b_max, entry_bound(f, b_max)))
+                for f, b_max in cases[:24]]
+    for size in (1, 2):
+        monkeypatch.setattr(counting, "_MAX_BATCH", size)
+        for (f, _), grid, want in zip(cases, grids, expected):
+            assert count_series(f, grid).points == want, (f, size)
+        for (f, b_max), nodes in zip(cases, recorded):
+            box = entry_bound(f, b_max)
+            assert sorted(walk_nodes(f.coeffs, b_max, box)) == nodes
+            for heights, columns in _farey_walk(f.coeffs, b_max, box):
+                assert len(heights) <= 2 * size
+                *coeffs, signs, ps, qs, rs, ss = columns
+                for i, h in enumerate(heights):
+                    F = tuple(signs[i] * c[i] for c in coeffs)
+                    assert F == substitute(f.coeffs, ps[i], rs[i], qs[i], ss[i])
+                    assert h == max(map(abs, F))
+                    assert max(abs(ps[i]), qs[i], abs(rs[i]), ss[i]) <= box
+
+
+def test_cubic_series_pinned_at_one_million(monkeypatch):
+    # the walk gathers one-signed levels of more than 1,024 nodes here, so
+    # the default batch size splits them as well as 256, 2 and 1 do
+    f = BinaryForm((1, 0, -1, -1))
+    grid = [62500, 125000, 250000, 500000, 1000000]
+    pinned = ((62500, 16172), (125000, 25648), (250000, 40768),
+              (500000, 64764), (1000000, 102848))
+    for size in (counting._MAX_BATCH, 256, 2, 1):
+        monkeypatch.setattr(counting, "_MAX_BATCH", size)
+        assert count_series(f, grid).points == pinned, size
+
+
 def test_count_guard_refuses_inexact_hits(monkeypatch):
-    # the cubic has a trivial stabilizer: a walk that yields every node
-    # twice makes 2 hits, no odd-degree order; one that yields the first
-    # node three times and one more node makes 3 hits against 16 matrices
+    # the cubic has a trivial stabilizer: a walk that yields every batch,
+    # so every node, twice makes 2 hits, no odd-degree order; one that
+    # yields the first node three times and one more node makes 3 hits
+    # against 16 matrices.  The walk's first two batches here are
+    # sign-changing nodes, each a batch of one
     real = counting._farey_walk
 
     def doubled(xs, b_max, box):
@@ -626,8 +695,9 @@ def test_count_guard_refuses_inexact_hits(monkeypatch):
 
     def tripled_first(xs, b_max, box):
         walk = real(xs, b_max, box)
-        first = next(walk)
-        yield from (first, first, first, next(walk))
+        first, second = next(walk), next(walk)
+        assert len(first[0]) == len(second[0]) == 1
+        yield from (first, first, first, second)
 
     f = BinaryForm((1, 0, -1, -1))
     assert count_series(f, [50, 100]).points == ((50, 132), (100, 200))
@@ -646,6 +716,9 @@ def test_series_validation_and_csv():
     text = series.to_csv()
     assert text == "B,N\n100,12\n200,20\n"
     assert CountSeries.from_csv(text) == series
+    assert CountSeries.from_csv("b,n\n\n100,12\n 200,20 \n") == series
+    with pytest.raises(ValueError, match="line 2: .* got 'B,N'"):
+        CountSeries.from_csv("100,12\nB,N\n200,20\n")
 
 
 # ---------------------------------------------------------------------------
