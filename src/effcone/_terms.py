@@ -10,8 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _exact(x) -> int | Fraction:
+    """x itself when it is an int or a Fraction, else x as a Fraction: the
+    arithmetic stays in ints until a value is really non-integral."""
+    return x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
 
 
 def format_terms(terms) -> str:

@@ -63,8 +63,10 @@ class MinusInfinity(ConeError):
     """Every sufficiently negative shift lands in the cone (threshold -oo)."""
 
 
-def _vec(xs) -> tuple[Fraction, ...]:
-    return tuple([x if isinstance(x, Fraction) else Fraction(x) for x in xs])
+def _vec(xs) -> tuple[int | Fraction, ...]:
+    """xs with ints and Fractions kept as they are and the rest as Fractions."""
+    return tuple([x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
+                  for x in xs])
 
 
 def _clear_denominators(qs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
@@ -587,6 +589,10 @@ def kodaira_energy(base, direction) -> Fraction:
     and the infimum is their maximum.  Raises NotAttainable when the feasible
     interval is empty (a dead coordinate, or crossing upper/lower bounds) and
     MinusInfinity when no coordinate bounds a from below.
+
+    Each bound p/q is kept as the pair (p, q) with q > 0 and compared by
+    cross-multiplying, so integer inputs stay in ints; the one Fraction built
+    is the answer.
     """
     b = _vec(base)
     d = _vec(direction)
@@ -596,16 +602,17 @@ def kodaira_energy(base, direction) -> Fraction:
     upper = None
     for bj, dj in zip(b, d):
         if dj > 0:
-            t = -bj / dj
-            lower = t if lower is None or t > lower else lower
+            if lower is None or -bj * lower[1] > lower[0] * dj:
+                lower = (-bj, dj)
         elif dj < 0:
-            t = -bj / dj
-            upper = t if upper is None or t < upper else upper
+            if upper is None or bj * upper[1] < upper[0] * -dj:
+                upper = (bj, -dj)
         elif bj < 0:
             raise NotAttainable("coordinate is negative for every shift")
-    if lower is not None and upper is not None and lower > upper:
+    if (lower is not None and upper is not None
+            and lower[0] * upper[1] > upper[0] * lower[1]):
         raise NotAttainable("lower bound exceeds upper bound")
     if lower is None:
         raise MinusInfinity("no coordinate bounds the shift from below")
-    return lower
+    return Fraction(*lower)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cone
-from ._terms import _fr, format_terms
+from ._terms import _exact, format_terms
 
 
 class BadName(ValueError):
@@ -41,15 +41,18 @@ def basis_labels(n: int) -> list[str]:
 
 @dataclass(frozen=True)
 class FiberClass:
-    """Exact coordinates over the ordered basis (g1, g2, g3, E, F4..Fn)."""
+    """Exact coordinates over the ordered basis (g1, g2, g3, E, F4..Fn):
+    ints stay ints, and a coordinate is a Fraction only when it has to be."""
 
     n: int
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need at least 3 marked points")
-        coords = tuple(_fr(q) for q in self.coords)
+        coords = tuple(self.coords)
+        if set(map(type, coords)) != {int}:
+            coords = tuple(map(_exact, coords))
         if len(coords) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} coordinates for n={self.n}")
         object.__setattr__(self, "coords", coords)
@@ -63,7 +66,7 @@ class FiberClass:
         return self + (-1) * other
 
     def scale(self, q) -> "FiberClass":
-        q = _fr(q)
+        q = _exact(q)
         return FiberClass(self.n, tuple(q * a for a in self.coords))
 
     def __rmul__(self, q) -> "FiberClass":
@@ -74,9 +77,20 @@ class FiberClass:
 
 
 def _unit(n: int, index: int) -> FiberClass:
-    coords = [Fraction(0)] * (n + 1)
-    coords[index] = Fraction(1)
+    coords = [0] * (n + 1)
+    coords[index] = 1
     return FiberClass(n, tuple(coords))
+
+
+def _halve(c: FiberClass) -> FiberClass:
+    """c / 2, for a class with even integer coordinates."""
+    halves = []
+    for q, label in zip(c.coords, basis_labels(c.n)):
+        half, odd = divmod(q, 2)
+        if odd:
+            raise ArithmeticError(f"{label}-coordinate {q} is not even")
+        halves.append(half)
+    return FiberClass(c.n, tuple(halves))
 
 
 _F_NAME = re.compile(r"F(\d+)$")
@@ -106,8 +120,8 @@ def fiber_class(n: int, name: str) -> FiberClass:
         # F_k for k <= 3 is the relabelled large diagonal:
         # g_i + g_j - E - (F_4 + ... + F_n), {i,j,k} = {1,2,3}
         i, j = sorted({1, 2, 3} - {k})
-        coords = [Fraction(0)] * 3 + [Fraction(-1)] + [Fraction(-1)] * (n - 3)
-        coords[i - 1] = coords[j - 1] = Fraction(1)
+        coords = [0] * 3 + [-1] + [-1] * (n - 3)
+        coords[i - 1] = coords[j - 1] = 1
         return FiberClass(n, tuple(coords))
     mo = _DELTA_NAME.match(name)
     if mo:
@@ -119,18 +133,17 @@ def fiber_class(n: int, name: str) -> FiberClass:
         return _unit(n, 3)
     if name == "A_sub":
         # F_1 + ... + F_n = 2(g1 + g2 + g3) - 3E - 2(F4 + ... + Fn)
-        coords = [Fraction(2)] * 3 + [Fraction(-3)] + [Fraction(-2)] * (n - 3)
+        coords = [2] * 3 + [-3] + [-2] * (n - 3)
         return FiberClass(n, tuple(coords))
     if name == "K":
-        coords = [Fraction(-2)] * 3 + [Fraction(1)] + [Fraction(2)] * (n - 3)
+        coords = [-2] * 3 + [1] + [2] * (n - 3)
         return FiberClass(n, tuple(coords))
     if name == "Lhalf":
-        half = Fraction(1, 2)
-        return half * ((n - 2) * fiber_class(n, "A_sub") + n * fiber_class(n, "A_top"))
+        return _halve((n - 2) * fiber_class(n, "A_sub") + n * fiber_class(n, "A_top"))
     if name == "B2_n3":
         if n != 3:
             raise BadIndex("B2_n3 is the n=3 large-diagonal sum only")
-        return FiberClass(3, (Fraction(2), Fraction(2), Fraction(2), Fraction(-3)))
+        return FiberClass(3, (2, 2, 2, -3))
     raise BadName(f"unknown fiber class {name!r}")
 
 
@@ -139,12 +152,12 @@ class AClass:
     """Coordinates over the symmetric generators: a_sub * A[n-1] + a_top * A[n]."""
 
     n: int
-    a_sub: Fraction
-    a_top: Fraction
+    a_sub: int | Fraction
+    a_top: int | Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a_sub", _fr(self.a_sub))
-        object.__setattr__(self, "a_top", _fr(self.a_top))
+        object.__setattr__(self, "a_sub", _exact(self.a_sub))
+        object.__setattr__(self, "a_top", _exact(self.a_top))
 
     def expand(self) -> FiberClass:
         return (self.a_sub * fiber_class(self.n, "A_sub")
@@ -154,18 +167,22 @@ class AClass:
 def to_A_basis(c: FiberClass) -> AClass:
     """Solve c = a_sub * A_sub + a_top * A_top exactly; NotInSpan otherwise.
 
-    A_sub has g-coordinates (2,2,2), so a_sub is pinned by the g1 entry and
-    a_top by the E entry; the full expansion is then compared coordinatewise.
+    A_sub has g-coordinates (2,2,2) and E-coordinate -3, so 2 a_sub is the
+    g1 entry and 2 a_top = 2 (E entry) + 3 (g1 entry).  Twice the class is
+    then compared coordinatewise with 2 a_sub A_sub + 2 a_top A_top, so the
+    membership test stays on the coordinates' own (integer) arithmetic.
     """
-    a_sub = c.coords[0] / 2
-    a_top = c.coords[3] + 3 * a_sub
-    candidate = AClass(c.n, a_sub, a_top)
-    if candidate.expand().coords != c.coords:
+    sub2 = c.coords[0]
+    top2 = 2 * c.coords[3] + 3 * sub2
+    sub_coords = fiber_class(c.n, "A_sub").coords
+    top_coords = fiber_class(c.n, "A_top").coords
+    if any(2 * q != sub2 * x + top2 * y
+           for q, x, y in zip(c.coords, sub_coords, top_coords)):
         raise NotInSpan("class is not symmetric (outside span of A_sub, A_top)")
-    return candidate
+    return AClass(c.n, Fraction(sub2, 2), Fraction(top2, 2))
 
 
-def pair_R(c: AClass) -> Fraction:
+def pair_R(c: AClass) -> int | Fraction:
     """Intersection with the curve R swept out inside the exceptional divisor:
     A[n-1] meets it n times, A[n] restricts to degree 2-n."""
     return c.a_sub * c.n + c.a_top * (2 - c.n)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from . import cone
-from ._terms import _fr, format_terms
+from ._terms import _exact, format_terms
 
 
 class InvalidSubset(ValueError):
@@ -38,34 +38,35 @@ class DivisorClass:
 
     `coeff_B` maps s to the coefficient of B[s]; absent keys mean zero and
     zero entries are dropped on construction so equality is coefficientwise.
-    Instances are immutable; arithmetic is componentwise and exact.
+    Instances are immutable; arithmetic is componentwise and exact, in ints
+    until a coefficient is really non-integral.
     """
 
     n: int
-    coeff_L: Fraction
-    coeff_B: dict[int, Fraction]
+    coeff_L: int | Fraction
+    coeff_B: dict[int, int | Fraction]
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need at least 3 marked points")
-        object.__setattr__(self, "coeff_L", _fr(self.coeff_L))
+        object.__setattr__(self, "coeff_L", _exact(self.coeff_L))
         cleaned = {}
         for s, q in self.coeff_B.items():
             if not 2 <= s <= self.n:
                 raise ValueError(f"B[{s}] does not exist for n={self.n}")
-            q = _fr(q)
+            q = _exact(q)
             if q:
                 cleaned[int(s)] = q
         object.__setattr__(self, "coeff_B", cleaned)
 
     @staticmethod
     def zero(n: int) -> "DivisorClass":
-        return DivisorClass(n, Fraction(0), {})
+        return DivisorClass(n, 0, {})
 
-    def b(self, s: int) -> Fraction:
-        return self.coeff_B.get(s, Fraction(0))
+    def b(self, s: int) -> int | Fraction:
+        return self.coeff_B.get(s, 0)
 
-    def b_vector(self) -> tuple[Fraction, ...]:
+    def b_vector(self) -> tuple[int | Fraction, ...]:
         return tuple(self.b(s) for s in range(2, self.n + 1))
 
     def _same_space(self, other: "DivisorClass") -> None:
@@ -76,7 +77,7 @@ class DivisorClass:
         self._same_space(other)
         coeffs = dict(self.coeff_B)
         for s, q in other.coeff_B.items():
-            coeffs[s] = coeffs.get(s, Fraction(0)) + q
+            coeffs[s] = coeffs.get(s, 0) + q
         return DivisorClass(self.n, self.coeff_L + other.coeff_L, coeffs)
 
     def __neg__(self) -> "DivisorClass":
@@ -86,7 +87,7 @@ class DivisorClass:
         return self + (-other)
 
     def scale(self, q) -> "DivisorClass":
-        q = _fr(q)
+        q = _exact(q)
         return DivisorClass(self.n, q * self.coeff_L,
                             {s: q * c for s, c in self.coeff_B.items()})
 
@@ -115,7 +116,7 @@ def derive_l_relation(n: int) -> DivisorClass:
     """
     if n < 3:
         raise ValueError("need at least 3 marked points")
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     pairs = comb(n, 2)
     for s in range(2, n + 1):
         incidences = pairs * comb(n - 2, s - 2)
@@ -123,21 +124,26 @@ def derive_l_relation(n: int) -> DivisorClass:
         if rem or per_subset != s * (s - 1) // 2:
             raise ArithmeticError(
                 f"pair-incidence count disagrees with s(s-1)/2 at s={s}")
-        coeffs[s] = Fraction(-per_subset)
-    return DivisorClass(n, Fraction(n - 1), coeffs)
+        coeffs[s] = -per_subset
+    return DivisorClass(n, n - 1, coeffs)
+
+
+def _cleared_b_vector(c: DivisorClass) -> list[int | Fraction]:
+    """2(n-1) times the B-coordinates of c with L eliminated by the
+    relation: each B[s] gains coeff_L * s(s-1) / (2(n-1)), so entry s - 2 is
+    2(n-1) * coeff_B[s] + coeff_L * s(s-1), an int for an integral class."""
+    n = c.n
+    return [2 * (n - 1) * c.b(s) + c.coeff_L * (s * (s - 1))
+            for s in range(2, n + 1)]
 
 
 def reduce_to_B(c: DivisorClass) -> DivisorClass:
-    """Eliminate the L coefficient using the relation: each B[s] gains
-    coeff_L * s(s-1) / (2(n-1))."""
+    """Eliminate the L coefficient using the relation (see _cleared_b_vector)."""
     if not c.coeff_L:
         return c
     n = c.n
-    coeffs = dict(c.coeff_B)
-    for s in range(2, n + 1):
-        gain = c.coeff_L * Fraction(s * (s - 1), 2 * (n - 1))
-        coeffs[s] = coeffs.get(s, Fraction(0)) + gain
-    return DivisorClass(n, Fraction(0), coeffs)
+    return DivisorClass(n, 0, {s: Fraction(v, 2 * (n - 1))
+                               for s, v in enumerate(_cleared_b_vector(c), 2)})
 
 
 def standard_class(n: int, which: str) -> DivisorClass:
@@ -145,13 +151,11 @@ def standard_class(n: int, which: str) -> DivisorClass:
     if n < 3:
         raise ValueError("need at least 3 marked points")
     if which == "canonical":
-        return DivisorClass(n, Fraction(-2),
-                            {s: Fraction(s - 2) for s in range(3, n + 1)})
+        return DivisorClass(n, -2, {s: s - 2 for s in range(3, n + 1)})
     if which == "boundary":
-        return DivisorClass(n, Fraction(0),
-                            {s: Fraction(1) for s in range(2, n + 1)})
+        return DivisorClass(n, 0, {s: 1 for s in range(2, n + 1)})
     if which == "hyperplane":
-        return DivisorClass(n, Fraction(1), {})
+        return DivisorClass(n, 1, {})
     raise ValueError(f"unknown standard class {which!r}")
 
 
@@ -231,24 +235,35 @@ def pair_L(curve: CurveClass) -> int:
     return 0 if curve.kind == "C" else 1
 
 
-def derive_self_pairing(kind: str, s: int, n: int) -> Fraction:
+def _off_diagonal(kind: str, s: int, n: int) -> dict[int, int]:
+    """The table of averaged pairings of the family with B[j] other than
+    the self term: C_s meets B[s-1] s times; R_s meets B[s+1] once and B[2]
+    n-s-1 times (for s = 2 that lands on the self class B[2])."""
+    if kind == "C":
+        return {s - 1: s}
+    off = {s + 1: 1}
+    off[2] = off.get(2, 0) + (n - s - 1)
+    return off
+
+
+def derive_self_pairing(kind: str, s: int, n: int) -> int:
     """Self term B_S . curve, solved from the relation rather than hard-coded.
 
     Pairing (n-1) L = sum_j j(j-1)/2 B[j] with the curve leaves a single
     unknown (the T = S entry, weighted s(s-1)/2 because B_S appears once in
-    B[s]); everything else is an off-diagonal table value.  The results are
-    -(s-2) for C and -1 for R, which callers may assert but must not assume.
+    B[s]); everything else is an off-diagonal table value.  Doubled, the
+    solve is 2(n-1) pair_L - sum_j j(j-1) off_j divided by s(s-1), in ints;
+    a remainder raises ArithmeticError.  The results are -(s-2) for C and
+    -1 for R, which callers may assert but must not assume.
     """
     curve = CurveClass(kind, s)
     curve.validate(n)
-    if kind == "C":
-        off = {s - 1: Fraction(s)}
-    else:
-        off = {s + 1: Fraction(1)}
-        off[2] = off.get(2, Fraction(0)) + (n - s - 1)
-    lhs = Fraction(n - 1) * pair_L(curve)
-    acc = sum((Fraction(j * (j - 1), 2) * v for j, v in off.items()), Fraction(0))
-    return (lhs - acc) / Fraction(s * (s - 1), 2)
+    acc = sum(j * (j - 1) * v for j, v in _off_diagonal(kind, s, n).items())
+    self_term, rem = divmod(2 * (n - 1) * pair_L(curve) - acc, s * (s - 1))
+    if rem:
+        raise ArithmeticError(
+            f"self term of {curve.label()} is not an integer at n={n}")
+    return self_term
 
 
 def pair_subset(curve: SubsetCurve, T, n: int) -> int:
@@ -261,9 +276,7 @@ def pair_subset(curve: SubsetCurve, T, n: int) -> int:
         raise InvalidSubset("boundary subsets have at least 2 elements")
     S, s = curve.S, len(curve.S)
     if T == S:
-        q = derive_self_pairing(curve.kind, s, n)
-        assert q.denominator == 1
-        return int(q)
+        return derive_self_pairing(curve.kind, s, n)
     if curve.kind == "C":
         if len(T) == s - 1 and T < S:
             return 1
@@ -287,23 +300,13 @@ def pair_averaged(curve: CurveClass, j: int, n: int) -> int:
     if not 2 <= j <= n:
         raise InvalidSubset(f"B[{j}] does not exist for n={n}")
     s = curve.s
-    total = 0
-    if curve.kind == "C":
-        if j == s - 1:
-            total += s
-    else:
-        if j == s + 1:
-            total += 1
-        if j == 2:
-            total += n - s - 1
+    total = _off_diagonal(curve.kind, s, n).get(j, 0)
     if j == s:
-        q = derive_self_pairing(curve.kind, s, n)
-        assert q.denominator == 1
-        total += int(q)
+        total += derive_self_pairing(curve.kind, s, n)
     return total
 
 
-def pair(c: DivisorClass, curve: CurveClass) -> Fraction:
+def pair(c: DivisorClass, curve: CurveClass) -> int | Fraction:
     """Bilinear extension of the tables to any divisor class."""
     curve.validate(c.n)
     total = c.coeff_L * pair_L(curve)
@@ -325,17 +328,12 @@ def b_labels(n: int) -> list[str]:
 def _pairing_row(curve: CurveClass, n: int) -> list[int]:
     """The row (pair_averaged(curve, j, n) for j = 2..n), built from the
     same tables with one validation and one derived self term."""
-    curve.validate(n)
     s = curve.s
+    self_term = derive_self_pairing(curve.kind, s, n)  # validates the curve
     row = [0] * (n - 1)  # entry j - 2 pairs with B[j]
-    if curve.kind == "C":
-        row[s - 3] += s
-    else:
-        row[s - 1] += 1
-        row[0] += n - s - 1
-    q = derive_self_pairing(curve.kind, s, n)
-    assert q.denominator == 1
-    row[s - 2] += int(q)
+    for j, v in _off_diagonal(curve.kind, s, n).items():
+        row[j - 2] += v
+    row[s - 2] += self_term
     return row
 
 
@@ -359,7 +357,10 @@ def cone_certificate(n: int) -> cone.Certificate:
 
 def kodaira_full(n: int) -> Fraction:
     """Effectivity threshold of K + B along L on the full space, computed in
-    B-coordinates against the orthant; equals 2/n."""
-    base = reduce_to_B(standard_class(n, "canonical") + standard_class(n, "boundary"))
-    direction = reduce_to_B(standard_class(n, "hyperplane"))
-    return cone.kodaira_energy(base.b_vector(), direction.b_vector())
+    B-coordinates against the orthant; equals 2/n.
+
+    Both vectors are taken over the common denominator 2(n-1), in ints: a
+    common positive scale leaves every threshold -b/d unchanged."""
+    base = standard_class(n, "canonical") + standard_class(n, "boundary")
+    direction = standard_class(n, "hyperplane")
+    return cone.kodaira_energy(_cleared_b_vector(base), _cleared_b_vector(direction))

@@ -78,6 +78,147 @@ def test_cone_cert_json_bytes_are_pinned(capsys, n):
     assert hashlib.sha256(out.encode()).hexdigest() == CONE_CERT_JSON_SHA256[n]
 
 
+# sha256 of the stdout of `fiber-check --n N` and `kodaira --n N --space S`
+# in each format, recorded before the class arithmetic moved from Fraction
+# to int: the outputs must stay byte for byte the same
+CLASS_OUTPUT_SHA256 = {
+    ("fiber-check", 3, "human"):
+        "44f413f9fb3841cb37cfa40400fcdfd8768b361efbc9f7dfa0de785e145a76f1",
+    ("fiber-check", 3, "json"):
+        "463194ca5f46947fe804caf9537f0a5c34d6fc70854692ebcca8aeae74ff04b4",
+    ("fiber-check", 3, "csv"):
+        "215668a950188f91773988ce66e3bd13acb8117ed9ff9b6ba1e6a462f01a19a3",
+    ("fiber-check", 4, "human"):
+        "6c940c3529f50107b9211da2183ba2b90cecd2acfbd63a99856966cd0bb45d73",
+    ("fiber-check", 4, "json"):
+        "1277a03bdaf094edac5568b497be238b1f642bc97b26692fda67b2d9bec81b2f",
+    ("fiber-check", 4, "csv"):
+        "06b6f1bede65ff60748c4d4523487d4cca11cacc2c4f3412c1b35e991afe212f",
+    ("fiber-check", 5, "human"):
+        "6a42905c361522bbc7d908c0e77ca4cb23a5f9be1595c4c5d96142fbd1a47d77",
+    ("fiber-check", 5, "json"):
+        "546cfab1c7eb39400fef24ac3841c1eae1b94e59c07db4a792a8c557b31934fe",
+    ("fiber-check", 5, "csv"):
+        "06b6f1bede65ff60748c4d4523487d4cca11cacc2c4f3412c1b35e991afe212f",
+    ("fiber-check", 10, "human"):
+        "e725938a9b1e83bd538cbb273f3ca583b8c482e5628aed1f060af94316c7e4ed",
+    ("fiber-check", 10, "json"):
+        "3e276fb115b7ef8ff1200aee56c4c7ac58c17890f34a292ca7f2ef99442babc9",
+    ("fiber-check", 10, "csv"):
+        "06b6f1bede65ff60748c4d4523487d4cca11cacc2c4f3412c1b35e991afe212f",
+    ("fiber-check", 32, "human"):
+        "267ef561770aacbcc076bea1b33a3938a2340153055cc9345a6977037f7bf8a4",
+    ("fiber-check", 32, "json"):
+        "cf75270d432aa1286bddf4d8c2d96f30678801f5c60fde86f88fb27b840267ae",
+    ("fiber-check", 32, "csv"):
+        "06b6f1bede65ff60748c4d4523487d4cca11cacc2c4f3412c1b35e991afe212f",
+    ("fiber-check", 100, "human"):
+        "1dab311f5487f19e71359afa19e886552a226a7d23afe779069be0766d8c5d69",
+    ("fiber-check", 100, "json"):
+        "14630066fbfa9c879be7255bd61a27b81f07ac900ec198fdc546cdb92e5e0538",
+    ("fiber-check", 100, "csv"):
+        "06b6f1bede65ff60748c4d4523487d4cca11cacc2c4f3412c1b35e991afe212f",
+    ("fiber-check", 1000, "human"):
+        "03d3712484bd37b7eca4024183a65c04cb58e5f6e3346d123fc2c6bf2c274da2",
+    ("fiber-check", 1000, "json"):
+        "166f6487335a794f3ccfb7ebe9f0a9a8c5a9e6728745467b46a00d6607f84f83",
+    ("fiber-check", 1000, "csv"):
+        "06b6f1bede65ff60748c4d4523487d4cca11cacc2c4f3412c1b35e991afe212f",
+    ("kodaira --space full", 3, "human"):
+        "1c2a671b21e49f42421fb23585bae069a0bec11d79470b6de24030368512802f",
+    ("kodaira --space full", 3, "json"):
+        "d2ad61a011d43b1a26e565bea432ec8b6a91beeda2459df01c4253175fbab655",
+    ("kodaira --space full", 3, "csv"):
+        "c73050717360e5643c07cc51717e498398b8f2fa8e75327542b346717c50e6a2",
+    ("kodaira --space full", 4, "human"):
+        "7e338cd38c1d8a479f88ae21bc6e66873815e99129eca5d1f105e7e399bdb7ca",
+    ("kodaira --space full", 4, "json"):
+        "b7cbe94de9d6523ac15acd8a5e77d201503cf30e590fb238847cd6c6da6933d5",
+    ("kodaira --space full", 4, "csv"):
+        "6a08fcf637d06393f72895618ebc3e6e8fb264038bb429aa573553fcc742b30e",
+    ("kodaira --space full", 5, "human"):
+        "6c21596eb65a5d0fd2d8e50bdfdea7483853b9e81c4ce5fe24bac369badc5824",
+    ("kodaira --space full", 5, "json"):
+        "ca015c303758999a530eb84e57e1bbb91163228113b194f7951309f80472bb71",
+    ("kodaira --space full", 5, "csv"):
+        "753359ef9604beb8fcc8dcad639b4f329afece2eb22dd1d7773c54c06efc7ca9",
+    ("kodaira --space full", 10, "human"):
+        "0757580dee582bf58468de69d9ce937592ef01c6a6bf687c572dd26ee87b75c5",
+    ("kodaira --space full", 10, "json"):
+        "3db5598cfbd37baffe6690f009cb691af17f061239cf15a1f63bc0e820cb0e71",
+    ("kodaira --space full", 10, "csv"):
+        "8b0b643ca129600d980077973ea723f1eec615b0d530f22be489e2108ce94787",
+    ("kodaira --space full", 32, "human"):
+        "7d83295d90f68692a53bc1ce0c80884399c3ade02bd34bbe155317acbc1de6e4",
+    ("kodaira --space full", 32, "json"):
+        "802e4020be92843dcb74e8c0f36e5cd02874d52074e3ad64470bec8a95908da6",
+    ("kodaira --space full", 32, "csv"):
+        "73a2b8b27420473bfd5e9dc1ea524babdbde4ae6b70e6b05b46f35b4d00e06f8",
+    ("kodaira --space full", 100, "human"):
+        "8a54d2134dbecd9bbda57bd21a41e756f7dfd3e1353a429f1028400f72cb3208",
+    ("kodaira --space full", 100, "json"):
+        "c25a382d5ae2a9a46e74425b6af58539ffac20b079bee644afea2931d366bde3",
+    ("kodaira --space full", 100, "csv"):
+        "6275a5db4e91116c32bef3c9591e6742cf7d7738cc937fb96498bda06e8b5f33",
+    ("kodaira --space full", 1000, "human"):
+        "fbc59d6535bbb86084423e3b425e3cd88bc1cf5315b8a8e09fca938c51358da0",
+    ("kodaira --space full", 1000, "json"):
+        "49c2a25f5b28a606aa2b0b472cdd6f2d74381203c8a195b14c07d1a208f22d91",
+    ("kodaira --space full", 1000, "csv"):
+        "11a1de88b34486beebc5be0900203330df59f8635ec91952deac1ffeecb68855",
+    ("kodaira --space fiber", 3, "human"):
+        "8fe2f7cae34d7121b53044d49684645da0a5563dcba011df8829f011a2f00e97",
+    ("kodaira --space fiber", 3, "json"):
+        "57ee783c12dd2d06cb7f21fc1cd4efee0517229169d6461bc28f509b7e4291b5",
+    ("kodaira --space fiber", 3, "csv"):
+        "07185626608e15399f504ce215f29544da693f53a81e26d1860ab0a96611e8df",
+    ("kodaira --space fiber", 4, "human"):
+        "48e593828475635c59b9986e6e3a105598e1936857e7cd57509f4cd6d616bf49",
+    ("kodaira --space fiber", 4, "json"):
+        "ec7bc6531cebe140e13d11cc51b96218dc7f93f912186eb2a9a5bad0fc4462a7",
+    ("kodaira --space fiber", 4, "csv"):
+        "4288775b624554874141844c56ec63c286879a3aa7aa89d9160676e135c0def2",
+    ("kodaira --space fiber", 5, "human"):
+        "65333a035e188b92d801c71a2de43fbe551cb3cc462369642fc2210bf4a4a4e5",
+    ("kodaira --space fiber", 5, "json"):
+        "c1ac2ddcedd2ed2f03fe33f7ead767c538f26770aebbd7f2b5e5c3a6b2d6d6a1",
+    ("kodaira --space fiber", 5, "csv"):
+        "d4bfd0feb60d5b33ba9df2f2bd02c1d12c7ab934f22ebc90387ed535626484b3",
+    ("kodaira --space fiber", 10, "human"):
+        "057ed8299e961ced24afe4f197e08c1a397f753960615f356655050b6bae5593",
+    ("kodaira --space fiber", 10, "json"):
+        "fb95dd91232eb58e30fe1ea2fd4ec637e5ddb8b6c11071efea19a763cef46d40",
+    ("kodaira --space fiber", 10, "csv"):
+        "ee1df5c9d7bea2a6948651c47d716262ff658da64d5ebc9cac8ddae965d7e001",
+    ("kodaira --space fiber", 32, "human"):
+        "61fb55c26caedf40c6df63f956489185afd607129a6c041ba5ff7b12e85b7e06",
+    ("kodaira --space fiber", 32, "json"):
+        "4d70694b548fb29d9ae7d3d5af5e2ddd39a5604f5e80d07a90c1e247a6340710",
+    ("kodaira --space fiber", 32, "csv"):
+        "14e413c782d0527ce4495888cb58a9bd940d060a91d1f09a02dc8636a56137b4",
+    ("kodaira --space fiber", 100, "human"):
+        "d573c6c1e1c5338440f945c27d5bb4652dc63e6285e71e7336ca3ec8523b0775",
+    ("kodaira --space fiber", 100, "json"):
+        "6dfbee4c3fa3c3da7534433f34ef1003986f1a5da3f52a4317099e583d6d6842",
+    ("kodaira --space fiber", 100, "csv"):
+        "801f34bc0f74dc4ef48ac67c69fb8076166d5ed444a24df413177a1f61602271",
+    ("kodaira --space fiber", 1000, "human"):
+        "09e92972256fc067a01a073bd165efd55719ede0e994a4006ffae83ef0f5dafb",
+    ("kodaira --space fiber", 1000, "json"):
+        "226ac9c0df24505b7aac9cdeb81181663342fe5af50a6598d3a2f0b0fe1a4e38",
+    ("kodaira --space fiber", 1000, "csv"):
+        "9aefd076b8f73c4364408abfc27fec87740ee62b0609645f2e625be48d9d86ae",
+}
+
+
+@pytest.mark.parametrize("command, n, fmt", sorted(CLASS_OUTPUT_SHA256))
+def test_class_outputs_are_pinned(capsys, command, n, fmt):
+    code, out, err = run(capsys, *command.split(), "--n", str(n), "--format", fmt)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CLASS_OUTPUT_SHA256[command, n, fmt]
+
+
 def test_cone_cert_csv(capsys):
     code, out, _ = run(capsys, "cone-cert", "--n", "3", "--format", "csv")
     assert code == 0
@@ -129,6 +270,51 @@ def test_fiber_check_large_n(capsys, monkeypatch):
     assert code == 1
     failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
     assert failed == ["hyperplane_expansion"]
+
+
+# each input of fiber-check, perturbed alone, and the checks that must fail
+FIBER_CHECK_MUTATIONS = {
+    "K": ["canonical_in_A_basis", "threshold_matches_full_space"],
+    "A_sub": ["canonical_in_A_basis", "hyperplane_expansion",
+              "hyperplane_misses_curve", "threshold_matches_full_space"],
+    "A_top": ["canonical_in_A_basis", "hyperplane_expansion",
+              "hyperplane_misses_curve", "threshold_matches_full_space"],
+    "Lhalf": ["hyperplane_expansion", "hyperplane_misses_curve",
+              "threshold_matches_full_space"],
+    "pair_R": ["curve_pairing_A_sub", "curve_pairing_A_top",
+               "hyperplane_misses_curve"],
+    "kodaira_fiber": ["threshold_matches_full_space"],
+    "kodaira_full": ["threshold_matches_full_space"],
+}
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("target", sorted(FIBER_CHECK_MUTATIONS))
+def test_fiber_check_fails_exactly_where_an_input_is_wrong(
+        capsys, monkeypatch, target, n):
+    from effcone import fiber, picard
+
+    # a named class gains twice another one, so that Lhalf stays integral
+    shift = {"K": "A_top", "A_sub": "E", "A_top": "g1", "Lhalf": "A_top"}
+    if target in shift:
+        table = fiber.fiber_class
+
+        def perturbed(m, name):
+            c = table(m, name)
+            return c + 2 * table(m, shift[target]) if name == target else c
+
+        monkeypatch.setattr(fiber, "fiber_class", perturbed)
+    else:
+        module = picard if target == "kodaira_full" else fiber
+        real = getattr(module, target)
+        monkeypatch.setattr(module, target, lambda x: real(x) + 1)
+    code, out, err = run(capsys, "fiber-check", "--n", str(n), "--format", "json")
+    assert (code, err) == (1, "")
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+    expected = FIBER_CHECK_MUTATIONS[target]
+    if n == 3 and target == "A_sub":
+        expected = expected + ["large_diagonal_coherence"]
+    assert failed == expected
 
 
 def test_disc_repeated_root(capsys):

@@ -703,6 +703,70 @@ def test_kodaira_energy_shift_covariance():
         assert moved == plain - shift
 
 
+def kodaira_energy_reference(base, direction):
+    """The threshold with every entry made a Fraction and each bound -b/d
+    divided out, so that no comparison is cross-multiplied."""
+    b = [Q(x) for x in base]
+    d = [Q(x) for x in direction]
+    if len(b) != len(d):
+        raise DimensionMismatch("base and direction have different lengths")
+    lower = upper = None
+    for bj, dj in zip(b, d):
+        if dj > 0:
+            t = -bj / dj
+            lower = t if lower is None or t > lower else lower
+        elif dj < 0:
+            t = -bj / dj
+            upper = t if upper is None or t < upper else upper
+        elif bj < 0:
+            raise NotAttainable("coordinate is negative for every shift")
+    if lower is not None and upper is not None and lower > upper:
+        raise NotAttainable("lower bound exceeds upper bound")
+    if lower is None:
+        raise MinusInfinity("no coordinate bounds the shift from below")
+    return lower
+
+
+def threshold_outcome(base, direction):
+    try:
+        return kodaira_energy(base, direction)
+    except (NotAttainable, MinusInfinity) as exc:
+        return type(exc), str(exc)
+
+
+def test_kodaira_energy_matches_fraction_reference():
+    rng = random.Random(15)
+
+    def entry():
+        # ints and Fractions mixed, zero and negative entries included
+        if rng.random() < 0.5:
+            return rng.randint(-4, 4)
+        return Q(rng.randint(-9, 9), rng.randint(1, 5))
+
+    seen = set()
+    for _ in range(1000):
+        k = rng.randint(1, 6)
+        base = [entry() for _ in range(k)]
+        direction = [entry() for _ in range(k)]
+        got = threshold_outcome(base, direction)
+        try:
+            expected = kodaira_energy_reference(base, direction)
+        except (NotAttainable, MinusInfinity) as exc:
+            expected = type(exc), str(exc)
+        assert got == expected
+        assert type(got) is tuple or type(got) is Fraction
+        seen.add(got if type(got) is tuple else "value")
+        scale = rng.randint(1, 50)
+        assert threshold_outcome([scale * x for x in base],
+                                 [scale * x for x in direction]) == got
+    assert seen == {
+        "value",
+        (MinusInfinity, "no coordinate bounds the shift from below"),
+        (NotAttainable, "coordinate is negative for every shift"),
+        (NotAttainable, "lower bound exceeds upper bound"),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin projection
 # ---------------------------------------------------------------------------

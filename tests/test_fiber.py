@@ -100,6 +100,19 @@ def test_hyperplane_expansion_identity():
         assert lhs == 2 * fiber_class(n, "Lhalf")
 
 
+def test_odd_hyperplane_coordinate_raises(monkeypatch):
+    # with A_top = E + g1, (n-2) A_sub + n A_top has g1-coordinate 3n - 4,
+    # odd for odd n: halving it must refuse, never round
+    from effcone import fiber
+
+    table = fiber.fiber_class
+    monkeypatch.setattr(fiber, "fiber_class", lambda n, name: (
+        table(n, "E") + table(n, "g1") if name == "A_top" else table(n, name)))
+    with pytest.raises(ArithmeticError, match="not even"):
+        fiber_class(5, "Lhalf")
+    assert fiber_class(6, "Lhalf").coords[0] == 7
+
+
 def test_pair_R_values():
     for n in (3, 5, 12):
         assert pair_R(AClass(n, 1, 0)) == n

@@ -199,6 +199,25 @@ def test_derive_self_pairing_closed_forms():
     assert derive_self_pairing("C", 3, 3) == -1
 
 
+def test_inexact_self_term_raises(monkeypatch):
+    # C_4 meeting B[3] 5 times instead of 4 leaves 2*4*(-30)/12, not an
+    # integer: every path to the self term refuses instead of truncating
+    from effcone import picard
+
+    table = picard._off_diagonal
+    monkeypatch.setattr(picard, "_off_diagonal", lambda kind, s, n: (
+        {s - 1: s + 1} if kind == "C" else table(kind, s, n)))
+    with pytest.raises(ArithmeticError, match="C_4"):
+        derive_self_pairing("C", 4, 5)
+    with pytest.raises(ArithmeticError):
+        pair_averaged(CurveClass("C", 4), 4, 5)
+    with pytest.raises(ArithmeticError):
+        pair_subset(SubsetCurve("C", {1, 2, 3, 4}), {1, 2, 3, 4}, 5)
+    with pytest.raises(ArithmeticError):
+        pairing_matrix(5)
+    assert derive_self_pairing("R", 3, 5) == -1
+
+
 # ---------------------------------------------------------------------------
 # bilinear pairing and the matrix
 # ---------------------------------------------------------------------------
