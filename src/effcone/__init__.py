@@ -1,6 +1,7 @@
 """Exact certificates for invariant effective cones on spaces of pointed
 rational curves, effectivity thresholds, and binary-form orbit counting."""
 
+from ._terms import ExactnessError
 from .cone import (
     Certificate,
     ConeError,
@@ -64,7 +65,6 @@ from .picard import (
     pair_averaged,
     pair_subset,
     pairing_matrix,
-    reduce_to_B,
     representative,
     standard_class,
 )

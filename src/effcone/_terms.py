@@ -1,4 +1,5 @@
-"""Text form of sparse rational combinations of named generators.
+"""Exact values: the exactness error, and the text form of sparse rational
+combinations of named generators.
 
 A combination is written as signed terms `q*name` with q a nonnegative
 integer or fraction, e.g. "3*L - 1/2*B[2] + 1*B[4]"; the zero combination
@@ -8,6 +9,11 @@ is written "0".  Callers supply the names, in the order they are printed.
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+class ExactnessError(ArithmeticError):
+    """A division that exact arithmetic says is whole left a remainder, or
+    a count disagreed with its closed form: a table or kernel is wrong."""
 
 
 def _exact(x) -> int | Fraction:

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Each verified statement maps to one subcommand with machine-readable
-output.  Exit codes: 0 = pass or pure query, 1 = verification or solver
-failure, 2 = invalid input.  Exact rationals are printed as "p/q"; only
-`fit` prints decimals (it is statistical by nature).
+output.  Exit codes: 0 = pass or pure query, 1 = verification, solver or
+exactness failure, 2 = invalid input.  Exact rationals are printed as
+"p/q"; only `fit` prints decimals (it is statistical by nature).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from . import cone, counting, fiber, forms, picard
+from ._terms import ExactnessError
 
 
 def _emit(payload: dict, fmt: str, csv_rows=None) -> None:
@@ -87,7 +88,12 @@ def _cmd_cone_cert(args) -> int:
 
 def _cmd_kodaira(args) -> int:
     n = _require_n(args, MAX_N_FIBER)
-    value = picard.kodaira_full(n) if args.space == "full" else fiber.kodaira_fiber(n)
+    try:
+        value = (picard.kodaira_full(n) if args.space == "full"
+                 else fiber.kodaira_fiber(n))
+    except fiber.NotInSpan as exc:  # a verification failure, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     expected = Fraction(2, n)
     verdict = "pass" if value == expected else "fail"
     payload = {"command": "kodaira", "n": n, "space": args.space,
@@ -303,8 +309,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (cone.ConeError, cone.PivotLimitExceeded,
-            counting.CountingError) as exc:
+    except (cone.ConeError, cone.PivotLimitExceeded, ExactnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._terms import _exact
+
 _ZERO = Fraction(0)
 
 
@@ -61,12 +63,6 @@ class NotAttainable(ConeError):
 
 class MinusInfinity(ConeError):
     """Every sufficiently negative shift lands in the cone (threshold -oo)."""
-
-
-def _vec(xs) -> tuple[int | Fraction, ...]:
-    """xs with ints and Fractions kept as they are and the rest as Fractions."""
-    return tuple([x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
-                  for x in xs])
 
 
 def _clear_denominators(qs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
@@ -594,8 +590,8 @@ def kodaira_energy(base, direction) -> Fraction:
     cross-multiplying, so integer inputs stay in ints; the one Fraction built
     is the answer.
     """
-    b = _vec(base)
-    d = _vec(direction)
+    b = tuple(map(_exact, base))
+    d = tuple(map(_exact, direction))
     if len(b) != len(d):
         raise DimensionMismatch("base and direction have different lengths")
     lower = None

@@ -38,15 +38,16 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import add, neg
 
+from ._terms import ExactnessError
 from .forms import (BinaryForm, UnimodularMatrix, adjugate_solve, disc,
-                    substitute, sylvester_matrix, taylor_shift)
+                    gradient_sylvester, substitute, taylor_shift)
 
 
 class NonGenericForm(ValueError):
     """Orbit counting requires a nonzero discriminant."""
 
 
-class CountingError(ArithmeticError):
+class CountingError(ExactnessError):
     """The walk's matrix counts are not whole orbits of one stabilizer."""
 
 
@@ -190,12 +191,13 @@ def entry_bound(f: BinaryForm, b: int) -> int:
        T (n |x0| + |x1|) <= (n+1) T H.  The w^n and z w^(n-1)
        coefficients f(v) and grad f(v) . u bound grad f(v) the same way.
     2. R = Res(f_z, f_w) is the determinant of the Sylvester matrix S of
-       the two partial derivatives at formal degree n-1; it is nonzero
-       exactly when disc f is (|R| = n^(n-2) |disc f|).  The first row of
-       adj S, the signed (2n-3)-minors of S along its first column, holds
-       the coefficients of forms A, B of degree n-2 with
-       A f_z + B f_w = R z^(2n-3); the minors along its last column give
-       such a pair for R w^(2n-3).
+       the two partial derivatives at formal degree n-1
+       (forms.gradient_sylvester); forms.disc is defined as
+       (-1)^(n(n-1)/2) R / n^(n-2), so R is nonzero exactly when disc f
+       is.  The first row of adj S, the signed (2n-3)-minors of S along
+       its first column, holds the coefficients of forms A, B of degree
+       n-2 with A f_z + B f_w = R z^(2n-3); the minors along its last
+       column give such a pair for R w^(2n-3).
     3. L is the larger of the two l1 norms of those (A, B) coefficient
        vectors.  For a column (a, c) with t = max(|a|, |c|), the identity
        whose right side carries the larger coordinate gives
@@ -229,9 +231,7 @@ def _gradient_identities(xs: tuple[int, ...]) -> tuple[int, int]:
     so one fraction-free solve with two right-hand sides gives both pairs
     (A, B) at once, in O(n^3), and det S = R with them.
     """
-    n = len(xs) - 1
-    s = sylvester_matrix([(n - i) * xs[i] for i in range(n)],
-                         [i * xs[i] for i in range(1, n + 1)])
+    s = gradient_sylvester(xs)
     size = len(s)
     unit = [[0] * size for _ in range(2)]
     unit[0][0] = unit[1][-1] = 1

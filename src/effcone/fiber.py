@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cone
-from ._terms import _exact, format_terms
+from ._terms import ExactnessError, _exact, format_terms
 
 
 class BadName(ValueError):
@@ -88,7 +88,7 @@ def _halve(c: FiberClass) -> FiberClass:
     for q, label in zip(c.coords, basis_labels(c.n)):
         half, odd = divmod(q, 2)
         if odd:
-            raise ArithmeticError(f"{label}-coordinate {q} is not even")
+            raise ExactnessError(f"{label}-coordinate {q} is not even")
         halves.append(half)
     return FiberClass(c.n, tuple(halves))
 
@@ -158,10 +158,6 @@ class AClass:
     def __post_init__(self):
         object.__setattr__(self, "a_sub", _exact(self.a_sub))
         object.__setattr__(self, "a_top", _exact(self.a_top))
-
-    def expand(self) -> FiberClass:
-        return (self.a_sub * fiber_class(self.n, "A_sub")
-                + self.a_top * fiber_class(self.n, "A_top"))
 
 
 def to_A_basis(c: FiberClass) -> AClass:

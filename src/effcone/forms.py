@@ -1,17 +1,13 @@
 """Integer binary forms, the unimodular substitution action, discriminants.
 
 A form of degree n is stored as the coefficient vector (x0, ..., xn) of
-x0*z^n + x1*z^(n-1)*w + ... + xn*w^n.  The discriminant is computed as
+x0*z^n + x1*z^(n-1)*w + ... + xn*w^n.  The discriminant is
 
-    (-1)^(n(n-1)/2) * Res(p, p') / x0,        p(z) = f(z, 1),
+    (-1)^(n(n-1)/2) * Res(f_z, f_w) / n^(n-2),
 
-with the Sylvester resultant evaluated by fraction-free (Bareiss)
-elimination over the integers.  When x0 = 0 the form has a root at infinity
-and the computation falls back to the reversed coefficient vector (the
-swap z <-> w has determinant -1, under which the discriminant is invariant
-because its weight n(n-1) is even); x0 = x1 = 0 is a repeated root at
-infinity and gives 0 directly.  If both ends of the vector vanish, a
-unimodular shear makes the leading coefficient nonzero first.
+with the resultant of the two partial derivatives taken at formal degree
+n-1 and evaluated by fraction-free (Bareiss) elimination over the integers.
+That resultant is projective, so roots at infinity need no change of chart.
 """
 
 from __future__ import annotations
@@ -19,6 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+from ._terms import ExactnessError
 
 
 class DegreeTooSmall(ValueError):
@@ -227,36 +225,29 @@ def sylvester_matrix(p: list[int], q: list[int]) -> list[list[int]]:
     return rows
 
 
-def resultant(p: list[int], q: list[int]) -> int:
-    return bareiss_det(sylvester_matrix(p, q))
+def gradient_sylvester(xs: tuple[int, ...]) -> list[list[int]]:
+    """Sylvester matrix of the partial derivatives f_z and f_w of the form
+    with coefficients xs, both at formal degree n - 1; its determinant is
+    Res(f_z, f_w) = (-1)^(n(n-1)/2) * n^(n-2) * disc f."""
+    n = len(xs) - 1
+    return sylvester_matrix([(n - i) * xs[i] for i in range(n)],
+                            [i * xs[i] for i in range(1, n + 1)])
 
 
 def disc(f: BinaryForm) -> int:
     """Exact discriminant; zero iff the form has a repeated root on the
     projective line (roots at infinity included).  Invariant under the
-    determinant-1 substitution action."""
+    determinant-1 substitution action.  Raises ExactnessError if the
+    resultant is not a multiple of n^(n-2)."""
     n = f.degree
     if n < 2:
         raise DegreeTooSmall("discriminant needs degree at least 2")
-    x = f.coeffs
-    if x[0] == 0:
-        if x[1] == 0:
-            return 0
-        if x[-1] != 0:
-            return disc(BinaryForm(tuple(reversed(x))))
-        # both ends vanish: shear (z, w) -> (z, t z + w) until x0 != 0
-        for t in range(1, n + 2):
-            g = act(f, UnimodularMatrix(1, 0, t, 1))
-            if g.coeffs[0] != 0:
-                return disc(g)
-        raise AssertionError("nonzero form with no nonzero leading shift")
-    p = list(x)
-    dp = [(n - i) * x[i] for i in range(n)]
-    res = resultant(p, dp)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    quot, rem = divmod(sign * res, x[0])
-    assert rem == 0
-    return quot
+    res = bareiss_det(gradient_sylvester(f.coeffs))
+    quot, rem = divmod(res, n ** (n - 2))
+    if rem:
+        raise ExactnessError(f"Res(f_z, f_w) = {res} is not a multiple of "
+                             f"n^(n-2) = {n ** (n - 2)}")
+    return -quot if (n * (n - 1) // 2) % 2 else quot
 
 
 def disc_cubic_reference(x0: int, x1: int, x2: int, x3: int) -> int:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from . import cone
-from ._terms import _exact, format_terms
+from ._terms import ExactnessError, _exact, format_terms
 
 
 class InvalidSubset(ValueError):
@@ -65,9 +65,6 @@ class DivisorClass:
 
     def b(self, s: int) -> int | Fraction:
         return self.coeff_B.get(s, 0)
-
-    def b_vector(self) -> tuple[int | Fraction, ...]:
-        return tuple(self.b(s) for s in range(2, self.n + 1))
 
     def _same_space(self, other: "DivisorClass") -> None:
         if self.n != other.n:
@@ -122,7 +119,7 @@ def derive_l_relation(n: int) -> DivisorClass:
         incidences = pairs * comb(n - 2, s - 2)
         per_subset, rem = divmod(incidences, comb(n, s))
         if rem or per_subset != s * (s - 1) // 2:
-            raise ArithmeticError(
+            raise ExactnessError(
                 f"pair-incidence count disagrees with s(s-1)/2 at s={s}")
         coeffs[s] = -per_subset
     return DivisorClass(n, n - 1, coeffs)
@@ -135,15 +132,6 @@ def _cleared_b_vector(c: DivisorClass) -> list[int | Fraction]:
     n = c.n
     return [2 * (n - 1) * c.b(s) + c.coeff_L * (s * (s - 1))
             for s in range(2, n + 1)]
-
-
-def reduce_to_B(c: DivisorClass) -> DivisorClass:
-    """Eliminate the L coefficient using the relation (see _cleared_b_vector)."""
-    if not c.coeff_L:
-        return c
-    n = c.n
-    return DivisorClass(n, 0, {s: Fraction(v, 2 * (n - 1))
-                               for s, v in enumerate(_cleared_b_vector(c), 2)})
 
 
 def standard_class(n: int, which: str) -> DivisorClass:
@@ -253,7 +241,7 @@ def derive_self_pairing(kind: str, s: int, n: int) -> int:
     unknown (the T = S entry, weighted s(s-1)/2 because B_S appears once in
     B[s]); everything else is an off-diagonal table value.  Doubled, the
     solve is 2(n-1) pair_L - sum_j j(j-1) off_j divided by s(s-1), in ints;
-    a remainder raises ArithmeticError.  The results are -(s-2) for C and
+    a remainder raises ExactnessError.  The results are -(s-2) for C and
     -1 for R, which callers may assert but must not assume.
     """
     curve = CurveClass(kind, s)
@@ -261,7 +249,7 @@ def derive_self_pairing(kind: str, s: int, n: int) -> int:
     acc = sum(j * (j - 1) * v for j, v in _off_diagonal(kind, s, n).items())
     self_term, rem = divmod(2 * (n - 1) * pair_L(curve) - acc, s * (s - 1))
     if rem:
-        raise ArithmeticError(
+        raise ExactnessError(
             f"self term of {curve.label()} is not an integer at n={n}")
     return self_term
 

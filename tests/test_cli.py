@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -475,6 +476,51 @@ def test_inexact_count_exits_one(capsys, monkeypatch):
     code, out, err = run(capsys, "count", "--coeffs=1,0,-1,-1", "--bmax", "100")
     assert code == 1
     assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# each input of an exactness check, broken alone, and the subcommands that
+# reach the broken check
+EXACTNESS_BREAKS = {
+    "_off_diagonal": [("pairings", "--n", "5"), ("cone-cert", "--n", "5")],
+    "comb": [("relation", "--n", "5")],
+    "A_top": [("fiber-check", "--n", "5"),
+              ("kodaira", "--n", "5", "--space", "fiber")],
+    "K": [("kodaira", "--n", "5", "--space", "fiber")],
+    "bareiss_det": [("disc", "--coeffs=1,0,-1,-1"),
+                    ("count", "--coeffs=1,0,-1,-1", "--bmax", "100")],
+}
+
+
+@pytest.mark.parametrize("target, argv", [
+    pytest.param(target, argv, id=f"{target}-{argv[0]}")
+    for target, argvs in sorted(EXACTNESS_BREAKS.items()) for argv in argvs])
+def test_exactness_failures_exit_one(capsys, monkeypatch, target, argv):
+    from effcone import fiber, forms, picard
+
+    if target == "_off_diagonal":
+        real_off = picard._off_diagonal
+
+        def off_diagonal(kind, s, n):
+            # C_s meets B[s-1] s+1 times: no integral self term
+            return {s - 1: s + 1} if kind == "C" else real_off(kind, s, n)
+
+        monkeypatch.setattr(picard, "_off_diagonal", off_diagonal)
+    elif target == "comb":
+        monkeypatch.setattr(picard, "comb", lambda a, b: math.comb(a, b) + 1)
+    elif target in ("A_top", "K"):
+        # A_top + g1 makes the g1-coordinate of 2 Lhalf odd at n = 5, and
+        # K + g1 leaves span(A_sub, A_top)
+        table = fiber.fiber_class
+        monkeypatch.setattr(fiber, "fiber_class", lambda n, name: (
+            table(n, name) + table(n, "g1") if name == target
+            else table(n, name)))
+    else:
+        # R + 1 is no multiple of n^(n-2) for n >= 3
+        real_det = forms.bareiss_det
+        monkeypatch.setattr(forms, "bareiss_det", lambda m: real_det(m) + 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
     assert err.startswith("error: ") and "Traceback" not in err
 
 

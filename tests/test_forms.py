@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -226,6 +227,16 @@ def test_disc_repeated_root_is_zero():
         assert disc(form_from_roots(rng.randint(1, 3), roots)) == 0
 
 
+def root_product(lead, roots):
+    """lead^(2n-2) * prod_(i<j) (r_i - r_j)^2."""
+    n = len(roots)
+    expected = lead ** (2 * n - 2)
+    for i in range(n):
+        for j in range(i + 1, n):
+            expected *= (roots[i] - roots[j]) ** 2
+    return expected
+
+
 def test_disc_matches_root_product_formula():
     rng = random.Random(22)
     for _ in range(60):
@@ -233,11 +244,21 @@ def test_disc_matches_root_product_formula():
         roots = rng.sample(range(-10, 11), n)
         lead = rng.choice([1, 2, 3, -2])
         f = form_from_roots(lead, roots)
-        expected = lead ** (2 * n - 2)
-        for i in range(n):
-            for j in range(i + 1, n):
-                expected *= (roots[i] - roots[j]) ** 2
-        assert disc(f) == expected
+        assert disc(f) == root_product(lead, roots)
+    # (r, -1; 1, 0) sends the root r to infinity (x0 = 0), and
+    # (r, r-1; 1, 1) sends r to infinity and r - 1 to zero (x0 = xn = 0)
+    for _ in range(60):
+        n = rng.choice([2, 3, 4, 5, 6])
+        r = rng.randint(-9, 10)
+        others = [t for t in range(-10, 11) if t not in (r, r - 1)]
+        roots = [r, r - 1] + rng.sample(others, n - 2)
+        lead = rng.choice([1, 2, 3, -2])
+        f = form_from_roots(lead, roots)
+        at_infinity = act(f, UnimodularMatrix(r, -1, 1, 0))
+        both_ends = act(f, UnimodularMatrix(r, r - 1, 1, 1))
+        assert at_infinity.coeffs[0] == 0 != at_infinity.coeffs[1]
+        assert both_ends.coeffs[0] == both_ends.coeffs[-1] == 0
+        assert disc(at_infinity) == disc(both_ends) == root_product(lead, roots)
 
 
 def test_disc_invariance_under_substitution():
@@ -249,17 +270,46 @@ def test_disc_invariance_under_substitution():
 
 
 def test_disc_roots_at_infinity():
-    # simple root at infinity: x0 = 0, reversal path
+    # simple root at infinity: x0 = 0, the same disc as the reversed form
     f = BinaryForm((0, 1, 0, -2))
     assert disc(f) == disc(BinaryForm((-2, 0, 1, 0)))
     assert disc(f) != 0
     # double root at infinity
     assert disc(BinaryForm((0, 0, 1, 7))) == 0
-    # roots at zero and infinity: shear path; z*w*(z - w) has distinct roots
+    # roots at zero and infinity: z*w*(z - w) has distinct roots
     f = BinaryForm((0, 1, -1, 0))
     assert disc(f) != 0
     m = UnimodularMatrix(1, 0, 2, 1)
     assert disc(f) == disc(act(f, m))
+
+
+def seeded_disc_forms(count=2000, seed=160):
+    """Forms of degree 2-9 with entries in [-9, 9]; of every five, one has
+    x0 = 0, one x0 = x1 = 0, one xn = 0, one x0 = xn = 0."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = 2 + k % 8
+        xs = [rng.randint(-9, 9) for _ in range(n + 1)]
+        pattern = k % 5
+        if pattern in (0, 1, 3):
+            xs[0] = 0
+        if pattern == 1:
+            xs[1] = 0
+        if pattern in (2, 3):
+            xs[-1] = 0
+        if not any(xs):
+            xs[n // 2] = 1
+        out.append(BinaryForm(tuple(xs)))
+    return out
+
+
+def test_disc_values_are_pinned():
+    # sha256 of the newline-joined discriminants; a change of any value,
+    # at a root at infinity or elsewhere, changes it
+    text = "\n".join(str(disc(f)) for f in seeded_disc_forms())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ec0289273baf486543403f55c52e016fb3c4214a10ffa8517fcedc9a007aa662")
 
 
 def test_disc_degree_too_small():

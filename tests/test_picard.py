@@ -10,6 +10,7 @@ from effcone.picard import (
     DivisorClass,
     InvalidSubset,
     SubsetCurve,
+    _cleared_b_vector,
     b_labels,
     cone_certificate,
     derive_l_relation,
@@ -22,12 +23,21 @@ from effcone.picard import (
     pair_averaged,
     pair_subset,
     pairing_matrix,
-    reduce_to_B,
     representative,
     standard_class,
 )
 
 Q = Fraction
+
+
+def reduce_to_B(c):
+    """Eliminate the L coefficient using the relation (see
+    picard._cleared_b_vector)."""
+    if not c.coeff_L:
+        return c
+    n = c.n
+    return DivisorClass(n, 0, {s: Q(v, 2 * (n - 1))
+                               for s, v in enumerate(_cleared_b_vector(c), 2)})
 
 
 def brute_relation_coefficient(n, s):
