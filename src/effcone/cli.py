@@ -42,7 +42,7 @@ class SystemExit2(Exception):
 
 # Largest n for cone-cert, pairings and relation.  From n = 150 to 300 the
 # certificate's cost grows about like n^2.7: `cone-cert --n 300` takes about
-# 1.1 s and 64 MiB as a process on a 2-core Xeon (CPython 3.11.7) and prints
+# 0.95 s and 51 MiB as a process on a 2-core Xeon (CPython 3.11.7) and prints
 # 2.6 MB of JSON.  The relation trace prints O(n^2) digits.
 MAX_N = 300
 # Largest n for kodaira and fiber-check.  fiber-check reads n + 1 integer

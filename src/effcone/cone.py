@@ -22,12 +22,13 @@ phase one runs once per ConeH and each later `lp_min` on that ConeH
 warm-starts phase two from the previous optimal basis.  A witness may
 therefore depend on the order of the calls; a minimum never does.
 
-The arithmetic stays in integers from the input rows to the result: the
-dictionary is integer; the result is read out of it with one
-`Fraction(numerator, denominator)` per nonzero entry; and
-`verify_lp_minimum` re-checks every result from the numerators and
-denominators of its entries, over the nonzero entries of the constraint
-rows, with no `Fraction` arithmetic.
+The arithmetic stays in integers from the input rows to the printed
+certificate: the dictionary is integer; a result is read out of it as two
+integer blocks, the witness over one positive denominator and the dual
+multipliers over the objective row's positive scale; `verify_lp_minimum`
+re-checks those ints over the nonzero entries of the witness and of the
+constraint rows; and each entry is printed as a reduced "p/q" straight from
+its block.  The one `Fraction` per coordinate is its minimum.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from ._terms import _exact
-
-_ZERO = Fraction(0)
 
 
 class ConeError(Exception):
@@ -63,13 +63,6 @@ class NotAttainable(ConeError):
 
 class MinusInfinity(ConeError):
     """Every sufficiently negative shift lands in the cone (threshold -oo)."""
-
-
-def _clear_denominators(qs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-    """Return (d, ints) with d > 0 and ints == d * qs entrywise."""
-    dens = [q.denominator for q in qs]
-    d = lcm(*dens)
-    return d, [q.numerator * (d // e) for q, e in zip(qs, dens)]
 
 
 def _reduce_ints(row: list[int]) -> list[int]:
@@ -101,12 +94,17 @@ class ConeH:
         object.__setattr__(self, "rows", rows)
         # Neither attribute below is a dataclass field, so equality and
         # hashing see only rows and labels.  _int_rows[i] holds rows[i]
-        # sparsely as ((j, rows[i][j]), ...) over the nonzero entries.
+        # sparsely as ((j, rows[i][j]), ...) over the nonzero entries, and
+        # _int_cols[j] holds column j as ((i, rows[i][j]), ...) likewise.
         # _warm holds at most one tableau: lp_min's, at a feasible basis of
         # the slice sum(x) = 1.
-        object.__setattr__(self, "_int_rows",
-                           tuple(tuple((j, a) for j, a in enumerate(r) if a)
-                                 for r in rows))
+        int_rows = tuple(tuple((j, a) for j, a in enumerate(r) if a) for r in rows)
+        cols = [[] for _ in range(width)]
+        for i, row in enumerate(int_rows):
+            for j, a in row:
+                cols[j].append((i, a))
+        object.__setattr__(self, "_int_rows", int_rows)
+        object.__setattr__(self, "_int_cols", tuple(map(tuple, cols)))
         object.__setattr__(self, "_warm", [])
 
     @staticmethod
@@ -257,78 +255,80 @@ def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
 
 @dataclass(frozen=True)
 class LpResult:
-    """Minimum of one coordinate over {x : A.x >= 0, sum(x) = 1}.
+    """Minimum of one coordinate over {x : A.x >= 0, sum(x) = 1}, as
+    integer blocks over positive denominators.
 
-    `row_multipliers` (>= 0, one per constraint row) and
-    `normalization_multiplier` form an exact optimality certificate:
+    The witness is x = witness / witness_den.  The row multipliers
+    mu = row_multipliers / multiplier_den (>= 0, one per constraint row) and
+    nu = normalization_multiplier / multiplier_den form an exact optimality
+    certificate:
 
-        e_obj == sum_i row_multipliers[i] * A_i + normalization_multiplier * (1, ..., 1)
+        e_obj == sum_i mu_i * A_i + nu * (1, ..., 1)
 
-    so every feasible x has x_obj >= normalization_multiplier = value.
+    so every feasible x has x_obj >= nu = value.  A block scaled by a
+    positive integer, its denominator too, is the same certificate.
     """
 
     value: Fraction
-    witness: tuple[Fraction, ...]
-    row_multipliers: tuple[Fraction, ...]
-    normalization_multiplier: Fraction
+    witness: tuple[int, ...]
+    witness_den: int
+    row_multipliers: tuple[int, ...]
+    normalization_multiplier: int
+    multiplier_den: int
 
 
 def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult) -> bool:
     """Re-check an LpResult from scratch; raises ConeError if anything fails.
 
-    Entries of the result may be int or Fraction; only their numerators and
-    denominators are read, and all arithmetic is in plain ints over the
-    nonzero entries of the integer rows A_i.  With the witness cleared to
-    X = D * x, the sign and the zero set of A_i . X are those of the slack
-    A_i . x.  Each term mu_i * A_i is (mu_i.numerator / mu_i.denominator)
-    * A_i, and nu * (1, ..., 1) is likewise a multiple of the all-ones
-    vector; over the lcm q of the term denominators the identity
+    All arithmetic is in plain ints.  With X = witness over D = witness_den
+    > 0, the sign and the zero set of A_i . X are those of the slack A_i . x;
+    they are summed over the columns of A at the nonzero entries of X.  With
+    multiplier numerators over sigma = multiplier_den > 0, the identity
     sum_i mu_i A_i + nu * (1, ..., 1) == e_obj becomes an identity of
-    integer vectors with q in place of 1.
+    integer vectors with sigma in place of 1, summed over the nonzero
+    entries of the rows with a nonzero multiplier.
     """
     k = cone.num_vars
     if not 0 <= objective_index < k:
         raise DimensionMismatch("objective index out of range")
-    x = result.witness
-    if len(x) != k:
+    xs = result.witness
+    if len(xs) != k:
         raise DimensionMismatch("witness has wrong dimension")
-    d_x, xs = _clear_denominators(x)
-    slacks = []
-    for row in cone._int_rows:
-        s = 0
-        for j, a in row:
-            s += a * xs[j]
-        if s < 0:
-            raise ConeError("witness violates a cone constraint")
-        slacks.append(s)
+    d_x = result.witness_den
+    if d_x <= 0:
+        raise ConeError("witness denominator must be positive")
+    slacks = [0] * len(cone.rows)
+    for x, col in zip(xs, cone._int_cols):
+        if x:
+            for i, a in col:
+                slacks[i] += a * x
+    if min(slacks, default=0) < 0:
+        raise ConeError("witness violates a cone constraint")
     if sum(xs) != d_x:
         raise ConeError("witness violates the normalization")
     value = result.value
     if xs[objective_index] * value.denominator != d_x * value.numerator:
         raise ConeError("witness coordinate does not equal the recorded minimum")
     mus = result.row_multipliers
-    nu = result.normalization_multiplier
     if len(mus) != len(slacks):
         raise ConeError("one multiplier per constraint row required")
-    terms = []  # (numerator, denominator, A_i, slack_i) over mu_i != 0
-    for mu, row, s in zip(mus, cone._int_rows, slacks):
-        num = mu.numerator
-        if num:
-            if num < 0:
-                raise ConeError("negative row multiplier")
-            terms.append((num, mu.denominator, row, s))
-    q = lcm(nu.denominator, *(den for _, den, _, _ in terms))
-    lhs = [nu.numerator * (q // nu.denominator)] * k
-    lhs[objective_index] -= q
-    for num, den, row, _ in terms:
-        f = num * (q // den)
-        for j, a in row:
-            lhs[j] += f * a
+    sigma = result.multiplier_den
+    if sigma <= 0:
+        raise ConeError("multiplier denominator must be positive")
+    if min(mus, default=0) < 0:
+        raise ConeError("negative row multiplier")
+    nu = result.normalization_multiplier
+    lhs = [nu] * k
+    lhs[objective_index] -= sigma
+    for mu, row in zip(mus, cone._int_rows):
+        if mu:
+            for j, a in row:
+                lhs[j] += mu * a
     if any(lhs):
         raise ConeError("dual multipliers do not reproduce the objective")
-    if nu.numerator * value.denominator != value.numerator * nu.denominator:
+    if nu * value.denominator != value.numerator * sigma:
         raise ConeError("dual objective does not match the minimum")
-    if any(s for _, _, _, s in terms):
+    if any(map(mul, mus, slacks)):  # both factors are >= 0 here
         raise ConeError("complementary slackness fails")
     return True
 
@@ -457,9 +457,11 @@ def lp_min(cone: ConeH, objective_index: int) -> LpResult:
     at a degenerate optimum the witness and multipliers may.  The pivot
     limit applies per call.
 
-    The result is read out of the integer dictionary in one pass over the
-    basis and one over the nonbasic columns, with one Fraction per nonzero
-    entry, and re-checked by `verify_lp_minimum` before it is returned.
+    The result is read out of the integer dictionary as it stands: the
+    witness numerators over the lcm of the basic coefficients of the nonzero
+    coordinates, and the multipliers straight from the objective row over
+    its scale sigma = z[0].  The only Fraction built is the minimum.  The
+    result is re-checked by `verify_lp_minimum` before it is returned.
     Raises Infeasible / Unbounded.
     """
     k = cone.num_vars
@@ -482,18 +484,26 @@ def lp_min(cone: ConeH, objective_index: int) -> LpResult:
         raise
     cone._warm.append(tab)
 
-    # basic coordinates with a nonzero value, and the nonzero reduced costs
-    # times sigma = z[0] by nonbasic variable
-    values = {v: row for v, row in zip(tab.basis, tab.rows) if v < k and row[-1]}
+    # basic coordinates with a nonzero value, over a common denominator
+    values = [(v, row[-1], row[0]) for v, row in zip(tab.basis, tab.rows)
+              if v < k and row[-1]]
+    d_x = lcm(*(den for _, _, den in values))
+    xs = [0] * k
+    for v, num, den in values:
+        xs[v] = num * (d_x // den)
+    # reduced costs times sigma of the slacks and of the artificial variable
+    m = len(cone.rows)
     z = tab.z
-    costs = {v: z[1 + c] for c, v in enumerate(tab.nonbasic) if z[1 + c]}
-    witness = tuple(Fraction(values[j][-1], values[j][0]) if j in values else _ZERO
-                    for j in range(k))
-    mus = tuple(Fraction(costs[k + i], z[0]) if k + i in costs else _ZERO
-                for i in range(len(cone.rows)))
-    art = k + len(mus)
-    nu = Fraction(-costs[art], z[0]) if art in costs else _ZERO
-    result = LpResult(witness[objective_index], witness, mus, nu)
+    mus = [0] * m
+    nu = 0
+    for c, v in enumerate(tab.nonbasic):
+        if v >= k and z[1 + c]:
+            if v < k + m:
+                mus[v - k] = z[1 + c]
+            else:
+                nu = -z[1 + c]
+    result = LpResult(Fraction(xs[objective_index], d_x), tuple(xs), d_x,
+                      tuple(mus), nu, z[0])
     verify_lp_minimum(cone, objective_index, result)
     return result
 
@@ -502,49 +512,61 @@ def lp_min(cone: ConeH, objective_index: int) -> LpResult:
 # orthant-containment certificate
 # ---------------------------------------------------------------------------
 
+def _ratio(num: int, den: int) -> str:
+    """num / den (den > 0) in lowest terms, printed as str(Fraction) would."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _block(nums: tuple[int, ...], den: int) -> list[str]:
+    return [_ratio(a, den) if a else "0" for a in nums]
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Per-coordinate minima over {d : constraints . d >= 0, sum(d) = 1}.
 
     Passing (all minima >= 0) certifies that the dual cone of the constraint
-    rows is contained in the nonnegative orthant.  Witnesses attain the
-    minima; the dual multiplier blocks prove optimality (see LpResult).
-    Construction re-checks every coordinate and raises ConeError unless
-    there is exactly one of each per label.
+    rows is contained in the nonnegative orthant.  `results` holds one
+    LpResult per label: its witness attains the minimum and its multiplier
+    block proves optimality.  Construction re-checks every coordinate and
+    raises ConeError unless there is exactly one result per label.
     """
 
     labels: tuple[str, ...]
     constraints: tuple[tuple[int, ...], ...]
-    minima: tuple[Fraction, ...]
-    witnesses: tuple[tuple[Fraction, ...], ...]
-    row_multipliers: tuple[tuple[Fraction, ...], ...]
-    normalization_multipliers: tuple[Fraction, ...]
+    results: tuple[LpResult, ...]
 
     def __post_init__(self):
         cone = ConeH(self.constraints, self.labels)
-        fields = (self.minima, self.witnesses, self.row_multipliers,
-                  self.normalization_multipliers)
-        if any(len(f) != len(self.labels) for f in fields):
-            raise ConeError("one minimum, witness, multiplier block and "
-                            "normalization multiplier per label required")
-        for j, (mn, wit, mus, nu) in enumerate(zip(*fields)):
-            verify_lp_minimum(cone, j, LpResult(mn, wit, mus, nu))
+        if len(self.results) != len(self.labels):
+            raise ConeError("one result per label required")
+        for j, res in enumerate(self.results):
+            verify_lp_minimum(cone, j, res)
+
+    @property
+    def minima(self) -> tuple[Fraction, ...]:
+        return tuple(res.value for res in self.results)
 
     @property
     def passed(self) -> bool:
-        return all(mn >= 0 for mn in self.minima)
+        return all(res.value >= 0 for res in self.results)
 
     def as_dict(self) -> dict:
         # every certificate has a witness per coordinate, so its slice is
         # nonempty: an empty one raises Infeasible and builds no certificate
+        results = self.results
         return {
             "variables": list(self.labels),
             "constraints": [[str(q) for q in row] for row in self.constraints],
             "normalization": "sum = 1",
-            "minima": {lab: str(mn) for lab, mn in zip(self.labels, self.minima)},
-            "witnesses": [[str(q) for q in w] for w in self.witnesses],
-            "row_multipliers": [[str(q) for q in mus] for mus in self.row_multipliers],
-            "normalization_multipliers": [str(q) for q in self.normalization_multipliers],
+            "minima": {lab: str(res.value) for lab, res in zip(self.labels, results)},
+            "witnesses": [_block(res.witness, res.witness_den) for res in results],
+            "row_multipliers": [_block(res.row_multipliers, res.multiplier_den)
+                                for res in results],
+            "normalization_multipliers": [
+                _ratio(res.normalization_multiplier, res.multiplier_den)
+                for res in results],
             "feasible": True,
             "pass": self.passed,
         }
@@ -562,15 +584,8 @@ def dual_contained_in_orthant(matrix, labels=None) -> Certificate:
     cone = ConeH.from_rows(matrix, labels)
     if all(q == 0 for row in cone.rows for q in row):
         raise ValueError("constraint matrix is zero")
-    minima, witnesses, mults, norms = [], [], [], []
-    for j in range(cone.num_vars):
-        res = lp_min(cone, j)
-        minima.append(res.value)
-        witnesses.append(res.witness)
-        mults.append(res.row_multipliers)
-        norms.append(res.normalization_multiplier)
-    return Certificate(cone.labels, cone.rows, tuple(minima), tuple(witnesses),
-                       tuple(mults), tuple(norms))
+    results = tuple(lp_min(cone, j) for j in range(cone.num_vars))
+    return Certificate(cone.labels, cone.rows, results)
 
 
 # ---------------------------------------------------------------------------

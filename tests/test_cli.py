@@ -79,6 +79,28 @@ def test_cone_cert_json_bytes_are_pinned(capsys, n):
     assert hashlib.sha256(out.encode()).hexdigest() == CONE_CERT_JSON_SHA256[n]
 
 
+# sha256 of `cone-cert --n N --format F` stdout for the other two formats,
+# recorded before certificates were carried as integer blocks: every format
+# is rebuilt from the certificate, so all three must stay byte for byte the same
+CONE_CERT_TEXT_SHA256 = {
+    (3, "human"): "61d8d4f014be7a58480395dcad13b3958b03b60978da891a9879e79674d36bc2",
+    (3, "csv"): "85318031e2206894b503a22c44ec08f9e2bc055b549b681969ed9e6b7b29417b",
+    (5, "human"): "479be69f842d08d9f8ca1c24c98eb64bf2f70007297edd3bd849defd1700a4b6",
+    (5, "csv"): "08ab2066a78bc5b9268752b10428d7562b0badb3b31d6da4fe90b517cbf7f7a3",
+    (32, "human"): "08ee351ab9dce5b263010f12aa8ccc80be8e1b3ab0c21d064b27965c02162c37",
+    (32, "csv"): "2c12d33f95aac864269863aa0b47537cca43044eb7d1e1e68b42da1bd739a11a",
+    (100, "human"): "726bd5ad57be3f9e93a32db2bfe0927bc66844e2005bd783a2ed1a824d69f2d5",
+    (100, "csv"): "9d053d5740b60001e54736e8639ec1dc06e2742ef28d79808a6ba053b8a32121",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(CONE_CERT_TEXT_SHA256))
+def test_cone_cert_text_bytes_are_pinned(capsys, n, fmt):
+    code, out, err = run(capsys, "cone-cert", "--n", str(n), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CONE_CERT_TEXT_SHA256[n, fmt]
+
+
 # sha256 of the stdout of `fiber-check --n N` and `kodaira --n N --space S`
 # in each format, recorded before the class arithmetic moved from Fraction
 # to int: the outputs must stay byte for byte the same

@@ -1,8 +1,8 @@
 import json
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -13,6 +13,7 @@ from effcone.cone import (
     ConeH,
     DimensionMismatch,
     Infeasible,
+    LpResult,
     MinusInfinity,
     NotAttainable,
     PivotLimitExceeded,
@@ -25,6 +26,47 @@ from effcone.cone import (
 from effcone.picard import pairing_matrix
 
 Q = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Fraction view of an LpResult: what the reference re-check reads and the
+# tampers edit
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FractionResult:
+    value: Fraction
+    witness: tuple[Fraction, ...]
+    row_multipliers: tuple[Fraction, ...]
+    normalization_multiplier: Fraction
+
+
+def to_fractions(res: LpResult) -> FractionResult:
+    return FractionResult(res.value,
+                          tuple(Q(a, res.witness_den) for a in res.witness),
+                          tuple(Q(a, res.multiplier_den) for a in res.row_multipliers),
+                          Q(res.normalization_multiplier, res.multiplier_den))
+
+
+def from_fractions(fr: FractionResult) -> LpResult:
+    """The reduced integer blocks of fr, each over the lcm of its
+    denominators."""
+    d_x = lcm(*(q.denominator for q in fr.witness))
+    sigma = lcm(*(q.denominator for q in (*fr.row_multipliers,
+                                          fr.normalization_multiplier)))
+    return LpResult(fr.value, tuple(int(q * d_x) for q in fr.witness), d_x,
+                    tuple(int(q * sigma) for q in fr.row_multipliers),
+                    int(fr.normalization_multiplier * sigma), sigma)
+
+
+def scaled(res: LpResult, g: int, h: int) -> LpResult:
+    """res with its witness block, denominator too, times g and its
+    multiplier block times h."""
+    return replace(res, witness=tuple(g * a for a in res.witness),
+                   witness_den=g * res.witness_den,
+                   row_multipliers=tuple(h * a for a in res.row_multipliers),
+                   normalization_multiplier=h * res.normalization_multiplier,
+                   multiplier_den=h * res.multiplier_den)
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +145,12 @@ def test_lp_min_two_variable_example():
     cone = ConeH.from_rows([[3, -1], [-1, 1]], ["d2", "d3"])
     res = lp_min(cone, 0)
     assert res.value == Q(1, 4)
-    assert res.witness == (Q(1, 4), Q(3, 4))
+    assert to_fractions(res).witness == (Q(1, 4), Q(3, 4))
     assert verify_lp_minimum(cone, 0, res)
     # the feasible slice is the segment from (1/4, 3/4) to (1/2, 1/2)
     res = lp_min(cone, 1)
     assert res.value == Q(1, 2)
-    assert res.witness == (Q(1, 2), Q(1, 2))
+    assert to_fractions(res).witness == (Q(1, 2), Q(1, 2))
 
 
 def test_lp_min_orthant_boundary():
@@ -159,7 +201,7 @@ def test_lp_min_coordinate_only_the_normalization_touches():
     rows = [[1, -1, 0], [0, 1, 0]]  # x0 >= x1 >= 0, x2 unconstrained
     cone = ConeH.from_rows(rows)
     res = lp_min(cone, 0)
-    assert res.value == 0 and res.witness == (0, 0, 1)
+    assert res.value == 0 and to_fractions(res).witness == (0, 0, 1)
     assert fm_minimum(rows, 2) == ("unbounded",)
     with pytest.raises(Unbounded):
         lp_min(cone, 2)
@@ -206,16 +248,17 @@ def test_lp_results_are_exact_rationals():
     cone = ConeH.from_rows([[3, -1], [-1, 1]])
     res = lp_min(cone, 0)
     assert isinstance(res.value, Fraction)
-    assert all(isinstance(v, Fraction) for v in res.witness)
-    assert all(isinstance(v, Fraction) for v in res.row_multipliers)
-    assert isinstance(res.normalization_multiplier, Fraction)
+    # the blocks are ints over positive int denominators
+    assert all(type(v) is int for v in res.witness)
+    assert all(type(v) is int for v in res.row_multipliers)
+    assert type(res.normalization_multiplier) is int
+    assert all(type(d) is int and d > 0 for d in (res.witness_den, res.multiplier_den))
 
 
 def test_verify_rejects_tampered_result():
     cone = ConeH.from_rows([[3, -1], [-1, 1]])
     res = lp_min(cone, 0)
-    bad = type(res)(res.value + 1, res.witness, res.row_multipliers,
-                    res.normalization_multiplier)
+    bad = replace(res, value=res.value + 1)
     with pytest.raises(ConeError, match="recorded minimum"):
         verify_lp_minimum(cone, 0, bad)
 
@@ -223,9 +266,9 @@ def test_verify_rejects_tampered_result():
 def fraction_verify(cone, objective_index, result):
     """Reference re-check in Fraction arithmetic, straight from the
     definitions on the slice sum(x) = 1; returns the first failing check's
-    message or None."""
+    message or None.  The sums skip zero terms, which add exactly 0."""
     x = result.witness
-    slacks = [sum(a * b for a, b in zip(row, x)) for row in cone.rows]
+    slacks = [sum(a * b for a, b in zip(row, x) if a and b) for row in cone.rows]
     mus, nu = result.row_multipliers, result.normalization_multiplier
     checks = (
         (all(s >= 0 for s in slacks), "witness violates a cone constraint"),
@@ -234,7 +277,7 @@ def fraction_verify(cone, objective_index, result):
          "witness coordinate does not equal the recorded minimum"),
         (len(mus) == len(cone.rows), "one multiplier per constraint row required"),
         (all(mu >= 0 for mu in mus), "negative row multiplier"),
-        (all(sum(mu * row[j] for mu, row in zip(mus, cone.rows)) + nu
+        (all(sum(mu * row[j] for mu, row in zip(mus, cone.rows) if mu and row[j]) + nu
              == (1 if j == objective_index else 0) for j in range(cone.num_vars)),
          "dual multipliers do not reproduce the objective"),
         (nu == result.value, "dual objective does not match the minimum"),
@@ -243,7 +286,7 @@ def fraction_verify(cone, objective_index, result):
     return next((message for ok, message in checks if not ok), None)
 
 
-def integer_verify(cone, objective_index, result):
+def integer_verify(cone, objective_index, result: LpResult):
     try:
         verify_lp_minimum(cone, objective_index, result)
     except ConeError as exc:
@@ -288,30 +331,42 @@ TAMPERS = {
 @pytest.mark.parametrize("case", list(TAMPERS))
 def test_verify_rejects_each_tampered_field(case):
     cone = ConeH.from_rows(TAMPER_ROWS)
-    res = lp_min(cone, 0)
+    res = to_fractions(lp_min(cone, 0))
     assert res.value == Q(10, 47)
     assert res.row_multipliers[0] > 0 and res.row_multipliers[1] == 0
     tamper, message = TAMPERS[case]
     bad = tamper(res)
     with pytest.raises(ConeError, match=message):
-        verify_lp_minimum(cone, 0, bad)
-    assert fraction_verify(cone, 0, bad) == integer_verify(cone, 0, bad)
+        verify_lp_minimum(cone, 0, from_fractions(bad))
+    assert fraction_verify(cone, 0, bad) == integer_verify(cone, 0, from_fractions(bad))
 
 
-def _int_entries(result):
-    """The same result with every integral entry an int instead of a Fraction."""
-    def plain(q):
-        return int(q) if q.denominator == 1 else q
-    return replace(result, value=plain(result.value),
-                   witness=tuple(map(plain, result.witness)),
-                   row_multipliers=tuple(map(plain, result.row_multipliers)),
-                   normalization_multiplier=plain(result.normalization_multiplier))
+# a denominator that is not positive, and a whole block negated with its
+# denominator (the same rationals): each is rejected before any other check
+DENOMINATOR_TAMPERS = {
+    "witness denominator 0": lambda r: replace(r, witness_den=0),
+    "witness denominator -1": lambda r: replace(r, witness_den=-1),
+    "witness block negated": lambda r: replace(
+        r, witness=tuple(-a for a in r.witness), witness_den=-r.witness_den),
+    "multiplier denominator 0": lambda r: replace(r, multiplier_den=0),
+    "multiplier denominator -1": lambda r: replace(r, multiplier_den=-1),
+    "multiplier block negated": lambda r: scaled(r, 1, -1),
+}
+
+
+@pytest.mark.parametrize("case", list(DENOMINATOR_TAMPERS))
+def test_verify_rejects_a_denominator_that_is_not_positive(case):
+    cone = ConeH.from_rows(TAMPER_ROWS)
+    res = lp_min(cone, 0)
+    block = "witness" if case.startswith("witness") else "multiplier"
+    with pytest.raises(ConeError, match=f"^{block} denominator must be positive$"):
+        verify_lp_minimum(cone, 0, DENOMINATOR_TAMPERS[case](res))
 
 
 def _agree_on_tampers(rng, cone, j, res):
-    """Tamper one field of res six times; both re-checks must agree on each
-    tampered result, also with its integral entries as ints.  Returns how
-    many the reference rejects."""
+    """Tamper one field of the Fraction view res six times; both re-checks
+    must agree on each tampered result, also with both of its integer blocks
+    scaled by a common factor.  Returns how many the reference rejects."""
     rejected = 0
     for _ in range(6):
         field = rng.choice(["value", "witness", "row_multipliers",
@@ -324,8 +379,10 @@ def _agree_on_tampers(rng, cone, j, res):
         else:
             bad = replace(res, **{field: getattr(res, field) + delta})
         expected = fraction_verify(cone, j, bad)
-        assert integer_verify(cone, j, bad) == expected
-        assert integer_verify(cone, j, _int_entries(bad)) == expected
+        blocks = from_fractions(bad)
+        assert integer_verify(cone, j, blocks) == expected
+        assert integer_verify(cone, j, scaled(blocks, rng.randint(2, 9),
+                                              rng.randint(2, 9))) == expected
         rejected += expected is not None
     return rejected
 
@@ -343,9 +400,12 @@ def test_integer_verify_matches_fraction_reference():
             res = lp_min(cone, j)
         except (Infeasible, Unbounded):
             continue
-        assert fraction_verify(cone, j, res) is None
-        assert integer_verify(cone, j, _int_entries(res)) is None
-        rejected += _agree_on_tampers(rng, cone, j, res)
+        view = to_fractions(res)
+        assert fraction_verify(cone, j, view) is None
+        assert integer_verify(cone, j, from_fractions(view)) is None
+        assert integer_verify(cone, j, scaled(res, rng.randint(2, 9),
+                                              rng.randint(2, 9))) is None
+        rejected += _agree_on_tampers(rng, cone, j, view)
         checked += 1
     assert checked > 80 and rejected > 5 * checked
 
@@ -365,7 +425,7 @@ def test_lp_min_results_pass_the_fraction_reference():
                     res = lp_min(c, j)
                 except (Infeasible, Unbounded):
                     continue
-                assert fraction_verify(c, j, res) is None
+                assert fraction_verify(c, j, to_fractions(res)) is None
                 checked += 1
     assert checked > 400
 
@@ -374,10 +434,10 @@ def test_verify_rejects_a_negative_multiplier_on_a_zero_row():
     # a zero row drops out of the Farkas identity and has slack 0, so only
     # the sign check sees its multiplier
     cone = ConeH.from_rows([[3, -1], [0, 0], [-1, 1]])
-    res = lp_min(cone, 0)
+    res = to_fractions(lp_min(cone, 0))
     bad = replace(res, row_multipliers=_set(res.row_multipliers, 1, Q(-1, 2)))
     assert fraction_verify(cone, 0, bad) == "negative row multiplier"
-    assert integer_verify(cone, 0, bad) == "negative row multiplier"
+    assert integer_verify(cone, 0, from_fractions(bad)) == "negative row multiplier"
 
 
 @pytest.mark.parametrize("index", [99, -1])
@@ -587,29 +647,37 @@ def test_certificate_json_round_trip():
 
 def test_certificate_requires_one_entry_per_label():
     cert = dual_contained_in_orthant(pairing_matrix(5))
-    fields = (cert.minima, cert.witnesses, cert.row_multipliers,
-              cert.normalization_multipliers)
+    results = cert.results
     assert len(cert.labels) == 4
-    truncations = [
-        tuple(() for _ in fields),
-        tuple(f[:2] for f in fields),
-        (cert.minima, cert.witnesses[:3], cert.row_multipliers,
-         cert.normalization_multipliers),
-        (cert.minima, cert.witnesses, cert.row_multipliers,
-         cert.normalization_multipliers + (Q(0),)),
-    ]
+    truncations = [(), results[:2], results[:3], results + (results[0],)]
     for short in truncations:
         with pytest.raises(ConeError, match="per label required"):
-            Certificate(cert.labels, cert.constraints, *short)
+            Certificate(cert.labels, cert.constraints, short)
+    # a witness block one entry short is caught by the re-check
+    bad = replace(results[1], witness=results[1].witness[:3])
+    with pytest.raises(DimensionMismatch, match="witness has wrong dimension"):
+        Certificate(cert.labels, cert.constraints, (results[0], bad, *results[2:]))
 
 
 def test_certificate_validates_on_construction():
     cert = dual_contained_in_orthant([[3, -1], [-1, 1]])
+    bad = replace(cert.results[0], value=cert.minima[0] + 1)
     with pytest.raises(ConeError, match="recorded minimum"):
-        Certificate(cert.labels, cert.constraints,
-                    (cert.minima[0] + 1, cert.minima[1]),
-                    cert.witnesses, cert.row_multipliers,
-                    cert.normalization_multipliers)
+        Certificate(cert.labels, cert.constraints, (bad, cert.results[1]))
+
+
+def test_pairing_certificates_pass_the_fraction_reference():
+    for n in range(3, 41):
+        matrix = pairing_matrix(n)
+        cone = ConeH.from_rows(matrix)
+        cert = dual_contained_in_orthant(matrix)
+        # B[2] has minimum 1/C(n+1, 3) and every other coordinate 0, except
+        # at n = 3, where the rows are (3, -1) and (-1, 1)
+        rest = (Q(1, 2),) if n == 3 else (Q(0),) * (n - 2)
+        assert cert.minima == (Q(1, comb(n + 1, 3)),) + rest
+        for j, res in enumerate(cert.results):
+            assert res.witness_den > 0 and res.multiplier_den > 0
+            assert fraction_verify(cone, j, to_fractions(res)) is None
 
 
 # ---------------------------------------------------------------------------
