@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -89,7 +90,7 @@ class ConeH:
         rows = tuple(tuple(r) for r in self.rows)
         if any(len(r) != width for r in rows):
             raise DimensionMismatch("constraint row width does not match labels")
-        if any(type(a) is not int for r in rows for a in r):
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
             raise ValueError("constraint entries must be int")
         object.__setattr__(self, "rows", rows)
         # Neither attribute below is a dataclass field, so equality and

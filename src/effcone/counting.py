@@ -23,15 +23,16 @@ recorded nodes of height <= B, counted per grid point as the walk goes,
 and |Stab_f| is read off the walk.  A Taylor shift only adds, so below a
 node whose form has one sign every form keeps that sign: those subtrees,
 nearly all of the walk, need no sign test and are walked level by level in
-batches of coefficient columns, one list operation per addition of the
-shift for the whole batch.  Memory is the walk's stack, at most
-_MAX_BATCH one-signed nodes per level of depth (a wider level is split),
-and the grid.
+batches: one big-int addition per addition of the shift, one lane per node.
+Memory is the walk's stack, at most _MAX_BATCH one-signed nodes per level
+of depth (a wider level is split), and the grid.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -275,10 +276,16 @@ def _gradient_identities(xs: tuple[int, ...]) -> tuple[int, int]:
 # every kept node is recorded) and the box test is the mediant test above.
 # The walk gathers the one-signed nodes it enters, _MAX_BATCH at a time,
 # and walks their subtrees a level at a time: a batch stores one list per
-# coefficient, one of signs and one per matrix entry p, q, r, s, and each
-# step of the Taylor shift, the heights and the prune and box masks are
-# one pass over whole lists.  A level wider than _MAX_BATCH is split and
-# the pieces are walked depth first, so at most one piece per level waits.
+# coefficient, one of signs and one per matrix entry p, q, r, s.  A level
+# wider than _MAX_BATCH is split and the pieces are walked depth first, so
+# at most one piece per level waits.  Each coefficient of the L parents of
+# a level is one int, node i in lane i of W = 64 m bits, m = ceil((n +
+# b_max.bit_length() + 1) / 64), and forms.taylor_shift, which only adds,
+# shifts it into the 2L lanes of the children.  A kept parent has
+# coefficients >= 0 of sum <= b_max, so every partial sum of the shift and
+# each child's sum F(2, 1) is at most 2^n b_max < 2^(W-1): no lane carries,
+# and the top bit of a lane is a free guard for the heights and the prune
+# mask, computed by subtractions with the guards set, lane by lane.
 #
 # Count: no image is stored.  The image f o g is hit by exactly the
 # matrices h g with h in the stabilizer Stab_f of f in SL2(Z).  They share
@@ -291,16 +298,30 @@ def _gradient_identities(xs: tuple[int, ...]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 _MAX_BATCH = 1024  # one-signed nodes per batch; a larger level is split
+_SWAP = sys.byteorder == "big"  # lanes are stored little-endian
 
 
-def _shift_columns(columns: list[list[int]]) -> list[list[int]]:
-    """forms.taylor_shift of every form of a batch stored as coefficient
-    columns: the same n(n+1)/2 additions, each one over a whole column."""
-    h = list(columns)
-    for top in range(len(h) - 1, 0, -1):
-        for j in range(1, top + 1):
-            h[j] = list(map(add, h[j], h[j - 1]))
-    return h
+def _pack(column: list[int], limbs: int) -> int:
+    """column as one int, entry i < 2^(64 limbs) in lane i of 64 limbs bits."""
+    words = array("Q", bytes(8 * limbs * len(column)))
+    for t in range(limbs - 1):
+        words[t::limbs] = array("Q", map(((1 << 64) - 1).__and__, column))
+        column = [c >> 64 for c in column]
+    words[limbs - 1::limbs] = array("Q", column)
+    if _SWAP:
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _unpack(x: int, size: int, limbs: int) -> list[int]:
+    """The entries of the size lanes of x, the inverse of _pack."""
+    words = array("Q", x.to_bytes(8 * limbs * size, "little"))
+    if _SWAP:
+        words.byteswap()
+    column = words[limbs - 1::limbs].tolist()
+    for t in range(limbs - 2, -1, -1):
+        column = [c << 64 | w for c, w in zip(column, words[t::limbs])]
+    return column
 
 
 def _one_signed_walk(rows: list[tuple[int, ...]], b_max: int, box: int):
@@ -313,13 +334,22 @@ def _one_signed_walk(rows: list[tuple[int, ...]], b_max: int, box: int):
     """
     columns = list(map(list, zip(*rows)))
     k = len(columns) - 5  # coefficient columns
+    limbs = -(-(k + b_max.bit_length()) // 64)  # m, as k = n + 1
+    width, guard = 64 * limbs, bytes(8 * limbs - 1) + b"\x80"  # top bit
+    packed = [_pack(c, limbs) for c in columns[:k]]
     stack: list[list[list[int]]] = []
     while True:
-        heights = list(map(max, *columns[:k]))
-        if heights:
-            yield heights, columns
-            kept = list(map(b_max.__ge__, map(sum, zip(*columns[:k]))))
-            if not all(kept):
+        size = len(columns[0])
+        if size:
+            high = int.from_bytes(guard * size, "little")
+            top = packed[0]
+            for x in packed[1:]:  # top = max(top, x) lane by lane
+                m = (((x | high) - top) & high) >> (width - 1)
+                top ^= (x ^ top) & ((m << width) - m)
+            yield _unpack(top, size, limbs), columns
+            kept = ((b_max * (high >> (width - 1)) | high) - sum(packed)) & high
+            if kept != high:
+                kept = _unpack(kept >> (width - 1), size, limbs)
                 columns = [list(compress(c, kept)) for c in columns]
             size = len(columns[0])
             if size > _MAX_BATCH:
@@ -330,18 +360,18 @@ def _one_signed_walk(rows: list[tuple[int, ...]], b_max: int, box: int):
         if not stack:
             return
         columns = stack.pop()
-        signs, ps, qs, rs, ss = columns[k:]
-        mps = list(map(add, ps, rs))
-        mqs = list(map(add, qs, ss))  # q and s are never negative
+        mps = list(map(add, columns[-4], columns[-2]))
+        mqs = list(map(add, columns[-3], columns[-1]))  # q, s >= 0
         if max(max(mps), -min(mps), max(mqs)) > box:  # a mediant leaves it
             inside = list(map(box.__ge__, map(max, map(abs, mps), mqs)))
             columns = [list(compress(c, inside)) for c in columns]
             mps = list(compress(mps, inside))
             mqs = list(compress(mqs, inside))
-            signs, ps, qs, rs, ss = columns[k:]
-        coeffs = columns[:k]
-        columns = list(map(add, _shift_columns(coeffs),
-                           _shift_columns(coeffs[::-1])[::-1]))
+        signs, ps, qs, rs, ss = columns[k:]
+        parents = [_pack(c, limbs) for c in columns[:k]]
+        left, right = taylor_shift(parents), taylor_shift(parents[::-1])[::-1]
+        packed = [x | y << width * len(ps) for x, y in zip(left, right)]
+        columns = [_unpack(x, 2 * len(ps), limbs) for x in packed]
         columns += (signs + signs, ps + mps, qs + mqs, mps + rs, mqs + ss)
 
 
@@ -355,9 +385,8 @@ def _farey_walk(xs: tuple[int, ...], b_max: int, box: int):
     on.  A node of height > b_max is not recorded and counts for nothing;
     the first batch holds recorded nodes only.
 
-    A sign-changing node is a batch of one.  The one-signed nodes this walk
-    enters are gathered, _MAX_BATCH at a time, and their subtrees walked
-    level by level, with every Taylor shift done over whole columns.
+    A sign-changing node is a batch of one.  The one-signed nodes it enters
+    are gathered, _MAX_BATCH at a time, and walked a packed level at a time.
     """
     root = substitute(xs, -1, 0, 0, 1)
     entered = ((substitute(xs, 0, 1, 1, 0), 0, 1, 1, 0),

@@ -3,7 +3,8 @@ import random
 import time
 from bisect import bisect_right
 from collections import Counter
-from operator import neg
+from itertools import compress
+from operator import add, neg
 
 import pytest
 
@@ -138,6 +139,60 @@ def walk_nodes(xs, b_max, box):
             if h <= b_max:
                 yield h, (tuple(signs[i] * c[i] for c in coeffs),
                           ps[i], qs[i], rs[i], ss[i])
+
+
+def shift_columns(columns):
+    """forms.taylor_shift of every form of a batch stored as coefficient
+    columns: the same n(n+1)/2 additions, each one over a whole column."""
+    h = list(columns)
+    for top in range(len(h) - 1, 0, -1):
+        for j in range(1, top + 1):
+            h[j] = list(map(add, h[j], h[j - 1]))
+    return h
+
+
+def list_one_signed_walk(rows, b_max, box):
+    """counting._one_signed_walk with lists in place of packed lanes: every
+    addition of the shift, the heights (map(max)) and the sums (map(sum))
+    are one pass over whole lists.  The reference the packed walk must
+    match batch for batch."""
+    columns = list(map(list, zip(*rows)))
+    k = len(columns) - 5  # coefficient columns
+    stack = []
+    while True:
+        heights = list(map(max, *columns[:k]))
+        if heights:
+            yield heights, columns
+            kept = list(map(b_max.__ge__, map(sum, zip(*columns[:k]))))
+            if not all(kept):
+                columns = [list(compress(c, kept)) for c in columns]
+            size = len(columns[0])
+            if size > counting._MAX_BATCH:
+                stack += ([c[i:i + counting._MAX_BATCH] for c in columns]
+                          for i in range(0, size, counting._MAX_BATCH))
+            elif size:
+                stack.append(columns)
+        if not stack:
+            return
+        columns = stack.pop()
+        signs, ps, qs, rs, ss = columns[k:]
+        mps = list(map(add, ps, rs))
+        mqs = list(map(add, qs, ss))
+        if max(max(mps), -min(mps), max(mqs)) > box:
+            inside = list(map(box.__ge__, map(max, map(abs, mps), mqs)))
+            columns = [list(compress(c, inside)) for c in columns]
+            mps = list(compress(mps, inside))
+            mqs = list(compress(mqs, inside))
+            signs, ps, qs, rs, ss = columns[k:]
+        coeffs = columns[:k]
+        columns = list(map(add, shift_columns(coeffs),
+                           shift_columns(coeffs[::-1])[::-1]))
+        columns += (signs + signs, ps + mps, qs + mqs, mps + rs, mqs + ss)
+
+
+def copied(batches):
+    """The batches of a walk, copied as they are yielded."""
+    return [(list(h), [list(c) for c in columns]) for h, columns in batches]
 
 
 def heights_series(heights, grid):
@@ -626,13 +681,21 @@ def test_set_free_counts_on_stabilizers_and_far_starts():
             moved = act(f, m)
             assert height(moved) > b_max
             assert count_series(moved, grid).points == expected, (coeffs, m)
+    # a form and its bound scaled by 2^61 and 2^130 count the same, with
+    # lanes two and three 64-bit words wide
+    for coeffs in ((1, 0, -1, -1), (1, 0, 0, 0, 1), (1, 0, -3, -1), sextic,
+                   (1, 0, 0, 0, 0, 0, 0, 0, 1)):
+        f = BinaryForm(coeffs)
+        counts = [n for _, n in count_series(f, grid).points]
+        for scale in (1 << 61, 1 << 130):
+            scaled = BinaryForm(tuple(scale * x for x in coeffs))
+            points = count_series(scaled, [scale * b for b in grid]).points
+            assert [n for _, n in points] == counts, (coeffs, scale)
+            assert entry_bound(scaled, scale * b_max) == entry_bound(f, b_max)
 
 
-def test_batch_boundaries_keep_counts(monkeypatch):
-    # one-signed levels split into batches of 1 and of 2 nodes count the
-    # same as the reference walk, on seeded random forms, on the stabilizer
-    # forms moved far from a small height and on the huge-root form; every
-    # node the walk yields, recorded or not, is a node of the box
+def random_batch_cases():
+    """24 seeded random forms of degree 3 to 6, each with its b_max."""
     rng = random.Random(73)
     cases = []
     while len(cases) < 24:
@@ -641,6 +704,15 @@ def test_batch_boundaries_keep_counts(monkeypatch):
         f = BinaryForm(coeffs)
         if any(coeffs) and disc(f) != 0:
             cases.append((f, rng.choice([60, 500, 3000])))
+    return cases
+
+
+def test_batch_boundaries_keep_counts(monkeypatch):
+    # one-signed levels split into batches of 1 and of 2 nodes count the
+    # same as the reference walk, on seeded random forms, on the stabilizer
+    # forms moved far from a small height and on the huge-root form; every
+    # node the walk yields, recorded or not, is a node of the box
+    cases = random_batch_cases()
     for coeffs in ((1, 0, 0, 0, 1), (1, 0, -3, -1), (0, 2, 5, 0, -5, -2, 0),
                    (2, 1, 0, -1, 1, 3)):
         f = BinaryForm(coeffs)
@@ -666,6 +738,46 @@ def test_batch_boundaries_keep_counts(monkeypatch):
                     assert F == substitute(f.coeffs, ps[i], rs[i], qs[i], ss[i])
                     assert h == max(map(abs, F))
                     assert max(abs(ps[i]), qs[i], abs(rs[i]), ss[i]) <= box
+
+
+def test_packed_walk_yields_the_list_walk_batches(monkeypatch):
+    # the packed level step yields the same heights and columns, batch for
+    # batch, as the list-based one, with levels split at 1, 2 and 1024 nodes
+    for size in (1, 2, 1024):
+        monkeypatch.setattr(counting, "_MAX_BATCH", size)
+        for f, b_max in random_batch_cases():
+            box = entry_bound(f, b_max)
+            packed = copied(_farey_walk(f.coeffs, b_max, box))
+            with monkeypatch.context() as m:
+                m.setattr(counting, "_one_signed_walk", list_one_signed_walk)
+                assert copied(_farey_walk(f.coeffs, b_max, box)) == packed, \
+                    (f, size)
+
+
+def test_packed_lanes_hold_a_whole_sum_on_one_coefficient(monkeypatch):
+    # a kept parent b_max z^n has the child b_max (z + w)^n of sum
+    # 2^n b_max, the largest a lane must hold; with n + b_max.bit_length()
+    # + 1 at 63, 64 and 65 a lane is one, one and two 64-bit words wide.
+    # Its neighbours: the mirror b_max w^n, random splits of b_max, ties,
+    # and a node with every coefficient b_max, recorded but not kept
+    rng = random.Random(79)
+    for n in (3, 8):
+        for bits in (63, 64, 65):
+            b_max = (1 << (bits - n - 1)) - 1
+            forms = [(b_max,) + (0,) * n, (0,) * n + (b_max,),
+                     (b_max // (n + 1),) * (n + 1), (b_max,) * (n + 1)]
+            for _ in range(4):
+                cuts = sorted(rng.randrange(b_max + 1) for _ in range(n))
+                forms.append(tuple(map(int.__sub__, cuts + [b_max], [0] + cuts)))
+            rows = [F + (rng.choice((1, -1)), 0, 1, 1, 0) for F in forms]
+            for size in (1, 2, 1024):
+                monkeypatch.setattr(counting, "_MAX_BATCH", size)
+                packed = copied(counting._one_signed_walk(rows, b_max, 6))
+                assert packed == copied(list_one_signed_walk(rows, b_max, 6))
+                sums = {sum(c[i] for c in columns[:-5])
+                        for heights, columns in packed
+                        for i in range(len(heights))}
+                assert max(sums) == b_max << n and (n + 1) * b_max in sums
 
 
 def test_cubic_series_pinned_at_one_million(monkeypatch):
