@@ -14,18 +14,21 @@ that box (see the Farey-tree section).  Each recorded node stands for one
 pair of matrices +-[v u] and one pair +-[u -v], and every matrix of the box
 belongs to exactly one recorded node; the second root stands for +-S and
 +-I again, so it is walked but not recorded.  Each child node costs one
-additions-only Taylor shift, and a subtree is dropped for good when f keeps
-one sign on it and is already too large, or when it leaves the box, so the
-walk only follows the root directions of the form and the regions where it
-is small.  No image is stored: every image is hit by exactly |Stab_f|
-matrices of the box, so N(B) = 4 M(B) / |Stab_f| for the number M(B) of
-recorded nodes of height <= B, counted per grid point as the walk goes,
-and |Stab_f| is read off the walk.  A Taylor shift only adds, so below a
-node whose form has one sign every form keeps that sign: those subtrees,
-nearly all of the walk, need no sign test and are walked level by level in
-batches: one big-int addition per addition of the shift, one lane per node.
-Memory is the walk's stack, at most _MAX_BATCH one-signed nodes per level
-of depth (a wider level is split), and the grid.
+additions-only Taylor shift.  A subtree is dropped for good when f keeps
+one sign on it and is already too large, and the sign-changing spine along
+the real roots of f, where that never happens, ends at the box; below a
+one-signed node the prune alone ends the walk, since by the lemma it drops
+every node outside the box.  No image is stored: every image is hit by
+exactly |Stab_f| matrices of the box, so N(B) = 4 M(B) / |Stab_f| for the
+number M(B) of recorded nodes of height <= B, counted per grid point as the
+walk goes, and |Stab_f| is read off the walk.  A Taylor shift only adds, so
+below a node whose form has one sign every form keeps that sign: those
+subtrees, nearly all of the walk, need no sign test and are walked level by
+level, a level being its k coefficients as packed big ints, one lane per
+node, and its signs: one big-int addition per addition of the shift, and
+one guarded subtraction per lane-wise comparison for the heights, the prune
+and the grid counts.  Memory is the walk's stack, at most _MAX_BATCH
+one-signed nodes per level of depth (a wider level is split), and the grid.
 """
 
 from __future__ import annotations
@@ -33,11 +36,9 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
-from operator import add, neg
+from itertools import compress
+from operator import neg
 
 from ._terms import ExactnessError
 from .forms import (BinaryForm, UnimodularMatrix, adjugate_solve, disc,
@@ -56,6 +57,16 @@ class InsufficientData(ValueError):
     """Exponent fits need at least 3 nonzero counts."""
 
 
+def _whole(x) -> int | None:
+    """x as an int when x is a whole number (10 or 10.0, not 10.5 or
+    "10"), else None."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if n == x else None
+
+
 @dataclass(frozen=True)
 class CountSeries:
     """(B, N) pairs with B >= 1 strictly increasing and N >= 0
@@ -64,10 +75,15 @@ class CountSeries:
     points: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pts = tuple((int(b), int(n)) for b, n in self.points)
-        for b, n in pts:
+        pts = []
+        for point in self.points:
+            b, n = map(_whole, point)
+            if b is None or n is None:
+                raise ValueError(f"point {tuple(point)} needs integers B and N")
             if b < 1 or n < 0:
                 raise ValueError(f"point ({b}, {n}) needs B >= 1 and N >= 0")
+            pts.append((b, n))
+        pts = tuple(pts)
         for (b1, n1), (b2, n2) in zip(pts, pts[1:]):
             if b2 <= b1 or n2 < n1:
                 raise ValueError("series must be increasing in B, nondecreasing in N")
@@ -266,26 +282,35 @@ def _gradient_identities(xs: tuple[int, ...]) -> tuple[int, int]:
 # signs, a subtree around a root of f keeps a sign change in F).
 #
 # Box: every node below has an entry at least as large as the mediant
-# u + v, so a node whose mediant leaves the box has no descendant in it and
-# is dropped as well.
+# u + v, so a node whose mediant leaves the box [-box, box] has no
+# descendant in it.  The box test cuts the sign-changing spine, the nodes
+# along the real roots of f, where the prune never applies: there it is what
+# ends the walk.  Below a one-signed node it is left out, which needs
+# box >= entry_bound(f, B): a node outside that box has height > B (the
+# entry_bound lemma), so in a one-signed subtree its sum |F(1, 1)| >= its
+# height is > B and the prune drops its subtree anyway.  The node itself is
+# walked, has height > B and counts for nothing.
 #
-# One-signed subtrees: a Taylor shift by 1 of coefficients >= 0 gives
+# One-signed levels: a Taylor shift by 1 of coefficients >= 0 gives
 # coefficients >= 0, so every node below a one-signed node has a form of
 # the same sign and needs no sign test.  With the form negated once where
-# that sign is -, the height is max(F), the prune test is sum(F) > B (so
-# every kept node is recorded) and the box test is the mediant test above.
+# that sign is -, the height is max(F) and the prune test is sum(F) > B.
 # The walk gathers the one-signed nodes it enters, _MAX_BATCH at a time,
-# and walks their subtrees a level at a time: a batch stores one list per
-# coefficient, one of signs and one per matrix entry p, q, r, s.  A level
-# wider than _MAX_BATCH is split and the pieces are walked depth first, so
-# at most one piece per level waits.  Each coefficient of the L parents of
-# a level is one int, node i in lane i of W = 64 m bits, m = ceil((n +
-# b_max.bit_length() + 1) / 64), and forms.taylor_shift, which only adds,
-# shifts it into the 2L lanes of the children.  A kept parent has
-# coefficients >= 0 of sum <= b_max, so every partial sum of the shift and
-# each child's sum F(2, 1) is at most 2^n b_max < 2^(W-1): no lane carries,
-# and the top bit of a lane is a free guard for the heights and the prune
-# mask, computed by subtractions with the guards set, lane by lane.
+# and walks their subtrees a level at a time.  A level is its k packed
+# coefficient ints and the list of its signs, nothing else: coefficient j
+# of node i is lane i, of W = 64 m bits, of the j-th int, with
+# m = ceil((n + 1 + B.bit_length()) / 64).  forms.taylor_shift, which only
+# adds, shifts the L lanes of the parents into the 2L lanes of the
+# children, left children first.  A kept parent has coefficients >= 0 of
+# sum <= B, so every partial sum of the shift and each child's sum F(2, 1)
+# or F(1, 2) is at most 2^n B < 2^(W-1): no lane carries, and the top bit
+# of a lane is a free guard.  With the guards set, one subtraction compares
+# two packed ints lane by lane, which gives the heights (a running lane
+# maximum), the prune mask and, in count_series, the grid counts.  Only
+# when the prune drops lanes are the kept ones compacted, by joining the
+# byte runs of consecutive kept lanes of each int.  A level wider than
+# _MAX_BATCH is split and the pieces are walked depth first, so at most one
+# piece per level waits.
 #
 # Count: no image is stored.  The image f o g is hit by exactly the
 # matrices h g with h in the stabilizer Stab_f of f in SL2(Z).  They share
@@ -301,6 +326,12 @@ _MAX_BATCH = 1024  # one-signed nodes per batch; a larger level is split
 _SWAP = sys.byteorder == "big"  # lanes are stored little-endian
 
 
+def _lane_width(k: int, b_max: int) -> int:
+    """W = 64 m, the least with k + b_max.bit_length() <= W, for forms
+    with k coefficients walked up to height b_max."""
+    return 64 * -(-(k + b_max.bit_length()) // 64)
+
+
 def _pack(column: list[int], limbs: int) -> int:
     """column as one int, entry i < 2^(64 limbs) in lane i of 64 limbs bits."""
     words = array("Q", bytes(8 * limbs * len(column)))
@@ -313,81 +344,86 @@ def _pack(column: list[int], limbs: int) -> int:
     return int.from_bytes(words, "little")
 
 
-def _unpack(x: int, size: int, limbs: int) -> list[int]:
-    """The entries of the size lanes of x, the inverse of _pack."""
-    words = array("Q", x.to_bytes(8 * limbs * size, "little"))
-    if _SWAP:
-        words.byteswap()
-    column = words[limbs - 1::limbs].tolist()
-    for t in range(limbs - 2, -1, -1):
-        column = [c << 64 | w for c, w in zip(column, words[t::limbs])]
-    return column
+def _compact(xs: list[int], keep: bytes, step: int) -> list[int]:
+    """The packed ints xs, lanes of step bytes, with only the lanes i of
+    keep[i] = 1 (keep holds 0 and 1), moved down in order: each int is cut
+    into the byte runs of consecutive kept lanes, which are joined."""
+    runs, end = [], 0
+    while (start := keep.find(1, end)) >= 0:
+        end = keep.find(0, start)
+        if end < 0:
+            end = len(keep)
+        runs.append(slice(step * start, step * end))
+    size = step * len(keep)
+    return [int.from_bytes(b"".join([data[run] for run in runs]), "little")
+            for data in (memoryview(x.to_bytes(size, "little")) for x in xs)]
 
 
-def _one_signed_walk(rows: list[tuple[int, ...]], b_max: int, box: int):
+def _one_signed_walk(rows: list[tuple[int, ...]], b_max: int, width: int):
     """Yield the given one-signed nodes, all of height <= b_max, as one
-    batch, then every level of their subtrees, children of height > b_max
-    included, in batches of at most 2 * _MAX_BATCH nodes.
+    level, then every level of their subtrees, children of height > b_max
+    included, in levels of at most 2 * _MAX_BATCH nodes (see _farey_walk).
 
     A row is a node form times its sign, so that every coefficient is
-    >= 0, then the sign and p, q, r, s; a batch holds the rows as columns.
+    >= 0, then the sign; width is _lane_width(k, b_max).
     """
-    columns = list(map(list, zip(*rows)))
-    k = len(columns) - 5  # coefficient columns
-    limbs = -(-(k + b_max.bit_length()) // 64)  # m, as k = n + 1
-    width, guard = 64 * limbs, bytes(8 * limbs - 1) + b"\x80"  # top bit
-    packed = [_pack(c, limbs) for c in columns[:k]]
-    stack: list[list[list[int]]] = []
+    limbs = width // 64
+    *columns, signs = map(list, zip(*rows))
+    coeffs = [_pack(c, limbs) for c in columns]
+    guard = bytes(8 * limbs - 1) + b"\x80"  # the top bit of a lane
+    stack: list[tuple[list[int], list[int]]] = []
     while True:
-        size = len(columns[0])
-        if size:
-            high = int.from_bytes(guard * size, "little")
-            top = packed[0]
-            for x in packed[1:]:  # top = max(top, x) lane by lane
-                m = (((x | high) - top) & high) >> (width - 1)
-                top ^= (x ^ top) & ((m << width) - m)
-            yield _unpack(top, size, limbs), columns
-            kept = ((b_max * (high >> (width - 1)) | high) - sum(packed)) & high
-            if kept != high:
-                kept = _unpack(kept >> (width - 1), size, limbs)
-                columns = [list(compress(c, kept)) for c in columns]
-            size = len(columns[0])
-            if size > _MAX_BATCH:
-                stack += ([c[i:i + _MAX_BATCH] for c in columns]
-                          for i in range(0, size, _MAX_BATCH))
-            elif size:
-                stack.append(columns)
+        size = len(signs)
+        guards = int.from_bytes(guard * size, "little")
+        heights = coeffs[0]
+        for x in coeffs[1:]:  # heights = max(heights, x) lane by lane
+            ge = ((x | guards) - heights) & guards
+            heights ^= (x ^ heights) & (ge - (ge >> (width - 1)))
+        yield heights, guards, coeffs, signs
+        bound = b_max * (guards >> (width - 1)) | guards
+        kept = (bound - sum(coeffs)) & guards  # the lanes of sum <= b_max
+        if kept != guards:
+            if kept:
+                keep = (kept >> (width - 1)).to_bytes(
+                    8 * limbs * size, "little")[::8 * limbs]  # lane bit 0
+                coeffs = _compact(coeffs, keep, 8 * limbs)
+                signs = list(compress(signs, keep))
+            else:
+                signs = []
+        size = len(signs)
+        if size > _MAX_BATCH:
+            piece = (1 << width * _MAX_BATCH) - 1
+            stack += (([x >> width * i & piece for x in coeffs],
+                       signs[i:i + _MAX_BATCH])
+                      for i in range(0, size, _MAX_BATCH))
+        elif size:
+            stack.append((coeffs, signs))
         if not stack:
             return
-        columns = stack.pop()
-        mps = list(map(add, columns[-4], columns[-2]))
-        mqs = list(map(add, columns[-3], columns[-1]))  # q, s >= 0
-        if max(max(mps), -min(mps), max(mqs)) > box:  # a mediant leaves it
-            inside = list(map(box.__ge__, map(max, map(abs, mps), mqs)))
-            columns = [list(compress(c, inside)) for c in columns]
-            mps = list(compress(mps, inside))
-            mqs = list(compress(mqs, inside))
-        signs, ps, qs, rs, ss = columns[k:]
-        parents = [_pack(c, limbs) for c in columns[:k]]
+        parents, signs = stack.pop()
         left, right = taylor_shift(parents), taylor_shift(parents[::-1])[::-1]
-        packed = [x | y << width * len(ps) for x, y in zip(left, right)]
-        columns = [_unpack(x, 2 * len(ps), limbs) for x in packed]
-        columns += (signs + signs, ps + mps, qs + mqs, mps + rs, mqs + ss)
+        shift = width * len(signs)
+        coeffs = [x | y << shift for x, y in zip(left, right)]
+        signs = signs + signs
 
 
 def _farey_walk(xs: tuple[int, ...], b_max: int, box: int):
-    """Yield batches (heights, columns) that hold every recorded node of
-    height <= b_max in the box of entries [-box, box] (box >= 1) exactly
-    once, and no node outside the box.  The columns of a batch are one list
-    per coefficient, one of signs and one per matrix entry p, q, r, s:
-    node i has height heights[i], the form F with
-    F[j] = columns[-5][i] * columns[j][i], and p = columns[-4][i], and so
-    on.  A node of height > b_max is not recorded and counts for nothing;
-    the first batch holds recorded nodes only.
+    """Yield levels (heights, guards, coeffs, signs) that hold every
+    recorded node of height <= b_max exactly once, for a box with
+    box >= entry_bound(f, b_max) (see the Farey-tree section).
 
-    A sign-changing node is a batch of one.  The one-signed nodes it enters
-    are gathered, _MAX_BATCH at a time, and walked a packed level at a time.
+    A level of L nodes is packed in lanes of W = _lane_width(len(xs), b_max)
+    bits: node i has the height in lane i of heights and the coefficient j
+    of its form, times signs[i], in lane i of coeffs[j], in W-bit two's
+    complement; guards has the top bit of each of the L lanes set.  A node
+    of height > b_max is not recorded and counts for nothing; the first
+    level holds recorded nodes only.
+
+    A sign-changing node is a level of one.  The one-signed nodes it enters
+    are gathered, _MAX_BATCH at a time, and walked a level at a time.
     """
+    width = _lane_width(len(xs), b_max)
+    lane, single = (1 << width) - 1, 1 << (width - 1)
     root = substitute(xs, -1, 0, 0, 1)
     entered = ((substitute(xs, 0, 1, 1, 0), 0, 1, 1, 0),
                (taylor_shift(root), -1, 0, -1, 1),
@@ -403,14 +439,14 @@ def _farey_walk(xs: tuple[int, ...], b_max: int, box: int):
             if lo < 0 < hi:
                 push(node)
                 if height <= b_max:
-                    yield [height], [[x] for x in F + (1,) + node[1:]]
+                    yield height, single, [x & lane for x in F], [1]
             elif height <= b_max:
                 if lo >= 0:
-                    rows.append(F + (1,) + node[1:])
+                    rows.append(F + (1,))
                 else:
-                    rows.append(tuple(map(neg, F)) + (-1,) + node[1:])
+                    rows.append(tuple(map(neg, F)) + (-1,))
                 if len(rows) == _MAX_BATCH:
-                    yield from _one_signed_walk(rows, b_max, box)
+                    yield from _one_signed_walk(rows, b_max, width)
                     rows = []
         if not stack:
             break
@@ -420,51 +456,77 @@ def _farey_walk(xs: tuple[int, ...], b_max: int, box: int):
             (taylor_shift(F), p, q, mp, mq),
             (taylor_shift(F[::-1])[::-1], mp, mq, r, s))
     if rows:
-        yield from _one_signed_walk(rows, b_max, box)
+        yield from _one_signed_walk(rows, b_max, width)
 
 
-def _node_form(columns: list[list[int]], i: int) -> tuple[int, ...]:
-    """The signed form of node i of a batch."""
-    sign = columns[-5][i]
-    return tuple(sign * c[i] for c in columns[:-5])
+def _lane_form(coeffs: list[int], signs: list[int], i: int,
+               width: int) -> tuple[int, ...]:
+    """The signed form of node i of a level."""
+    lane, top = (1 << width) - 1, 1 << (width - 1)
+    form = []
+    for x in coeffs:
+        v = x >> width * i & lane
+        form.append(signs[i] * (v - ((v & top) << 1)))
+    return tuple(form)
 
 
 def count_series(f: BinaryForm, b_grid) -> CountSeries:
     """Counts N(B) of distinct orbit coefficient vectors with height <= B,
-    for every B in the increasing grid, from one walk over the box of
-    entry_bound(f, max B).  Memory is the walk's stack, at most
+    for every B in the increasing grid of integers, from one walk over the
+    box of entry_bound(f, max B).  Memory is the walk's stack, at most
     _MAX_BATCH one-signed nodes per level of depth, and the grid.
+
+    The recorded nodes of height <= B of a level are counted from its
+    packed heights: one guarded subtraction per grid point sets the guard
+    of every lane with height <= B, and int.bit_count() counts them.  Node
+    forms are read only off the lanes of the first recorded height, for
+    the stabilizer order.
 
     Raises CountingError when the matrix counts are not whole multiples of
     a stabilizer order (see the Farey-tree section), which exact arithmetic
     rules out.
     """
-    grid = [int(b) for b in b_grid]
+    grid = []
+    for b in b_grid:
+        whole = _whole(b)
+        if whole is None:
+            raise ValueError(f"grid point {b!r} is not an integer")
+        grid.append(whole)
     if not grid or any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("grid must be nonempty and strictly increasing")
-    box = entry_bound(f, grid[-1])
+    b_max = grid[-1]
+    box = entry_bound(f, b_max)
+    width = _lane_width(len(f.coeffs), b_max)
     odd = f.degree % 2
-    nodes = Counter()  # walked nodes per grid bucket, len(grid) above it
+    counts = [0] * len(grid)  # recorded nodes of height <= B
     hits = first_height = 0
     refs: tuple = ()  # one entry per matrix of a node with the first image
-    for heights, columns in _farey_walk(f.coeffs, grid[-1], box):
-        nodes.update(map(bisect_left, repeat(grid), heights))
+    for heights, guards, coeffs, signs in _farey_walk(f.coeffs, b_max, box):
+        ones = guards >> (width - 1)
+        room = guards - heights  # lane i: 2^(W-1) - height, no borrow
+        for j in reversed(range(len(grid))):  # down to a B with none
+            below = ((room + grid[j] * ones) & guards).bit_count()
+            if not below:
+                break
+            counts[j] += below
         if not refs:
-            # the first image is F(w, z), of the first batch's first node,
+            # the first image is F(w, z), of the first level's first node,
             # which is recorded; a node form G has it as G(w, z) for G = F,
             # as G(z, -w) for G = alt, and as (-1)^n times either for
             # G = (-1)^n F or (-1)^n alt
-            F = _node_form(columns, 0)
+            F = _lane_form(coeffs, signs, 0, width)
             alt = tuple(-x if i % 2 else x for i, x in enumerate(F[::-1]))
             refs = (F, alt) + ((tuple(map(neg, F)), tuple(map(neg, alt)))
                                if odd else (F, alt))
-            first_height = heights[0]
-        if first_height in heights:
-            hits += sum(refs.count(_node_form(columns, i))
-                        for i, h in enumerate(heights) if h == first_height)
+            first_height = max(map(abs, F))
+        same = (guards - (heights ^ first_height * ones)) & guards
+        while same:  # the lanes of the first height
+            i = (same & -same).bit_length() // width - 1
+            hits += refs.count(_lane_form(coeffs, signs, i, width))
+            same &= same - 1
     if not refs:
         return CountSeries(tuple((b, 0) for b in grid))
-    matrices = list(accumulate(4 * nodes[i] for i in range(len(grid))))
+    matrices = [4 * c for c in counts]
     if (hits not in ((1, 3) if odd else (2, 4, 6))
             or any(m % hits for m in matrices)):
         raise CountingError(f"{hits} walked matrices hit one image, which is "

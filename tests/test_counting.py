@@ -3,7 +3,7 @@ import random
 import time
 from bisect import bisect_right
 from collections import Counter
-from itertools import compress
+from itertools import compress, islice
 from operator import add, neg
 
 import pytest
@@ -130,15 +130,40 @@ def reference_walk(xs, b_max, box):
     return seen
 
 
+def unpack_level(level, width):
+    """(heights, forms) of a level of the Farey walk: lane i, W = width
+    bits, of each packed int, read in two's complement; checks that the
+    ints hold their lanes and nothing above, and that each height is the
+    largest absolute coefficient of its signed form."""
+    heights, guards, coeffs, signs = level
+    size = len(signs)
+    assert guards == sum(1 << (width * i + width - 1) for i in range(size))
+    assert all(0 <= x < 1 << width * size for x in [heights] + coeffs)
+
+    def lane(x, i):
+        v = x >> width * i & ((1 << width) - 1)
+        return v - (1 << width) if v >> (width - 1) else v
+
+    hs = [lane(heights, i) for i in range(size)]
+    forms = [tuple(sign * lane(c, i) for c in coeffs)
+             for i, sign in enumerate(signs)]
+    assert hs == [max(map(abs, F)) for F in forms]
+    return hs, forms
+
+
+def unpacked(levels, width):
+    """The levels of a walk as (heights, forms) lists, in order."""
+    return [unpack_level(level, width) for level in levels]
+
+
 def walk_nodes(xs, b_max, box):
-    """(height, (F, p, q, r, s)) for every node the Farey walk records,
-    flattened out of its batches, with F the node's signed form."""
-    for heights, columns in _farey_walk(xs, b_max, box):
-        *coeffs, signs, ps, qs, rs, ss = columns
-        for i, h in enumerate(heights):
+    """(height, F) for every node the Farey walk records, flattened out of
+    its levels, with F the node's signed form."""
+    width = counting._lane_width(len(xs), b_max)
+    for heights, forms in unpacked(_farey_walk(xs, b_max, box), width):
+        for h, F in zip(heights, forms):
             if h <= b_max:
-                yield h, (tuple(signs[i] * c[i] for c in coeffs),
-                          ps[i], qs[i], rs[i], ss[i])
+                yield h, F
 
 
 def shift_columns(columns):
@@ -152,10 +177,14 @@ def shift_columns(columns):
 
 
 def list_one_signed_walk(rows, b_max, box):
-    """counting._one_signed_walk with lists in place of packed lanes: every
-    addition of the shift, the heights (map(max)) and the sums (map(sum))
-    are one pass over whole lists.  The reference the packed walk must
-    match batch for batch."""
+    """The one-signed levels of the Farey walk with lists in place of
+    packed lanes, and with the matrix entries p, q, r, s of every node: a
+    row is the node form times its sign, the sign, then p, q, r, s, and a
+    batch holds the rows as columns.  Every addition of the shift, the
+    heights (map(max)) and the sums (map(sum)) are one pass over whole
+    lists.  With a box, a node whose mediant leaves it has no children, as
+    on the sign-changing spine; with box None that test is left out, as in
+    counting._one_signed_walk."""
     columns = list(map(list, zip(*rows)))
     k = len(columns) - 5  # coefficient columns
     stack = []
@@ -178,7 +207,7 @@ def list_one_signed_walk(rows, b_max, box):
         signs, ps, qs, rs, ss = columns[k:]
         mps = list(map(add, ps, rs))
         mqs = list(map(add, qs, ss))
-        if max(max(mps), -min(mps), max(mqs)) > box:
+        if box is not None and max(max(mps), -min(mps), max(mqs)) > box:
             inside = list(map(box.__ge__, map(max, map(abs, mps), mqs)))
             columns = [list(compress(c, inside)) for c in columns]
             mps = list(compress(mps, inside))
@@ -190,9 +219,80 @@ def list_one_signed_walk(rows, b_max, box):
         columns += (signs + signs, ps + mps, qs + mqs, mps + rs, mqs + ss)
 
 
-def copied(batches):
-    """The batches of a walk, copied as they are yielded."""
-    return [(list(h), [list(c) for c in columns]) for h, columns in batches]
+def list_farey_walk(xs, b_max, box, one_signed_box=True):
+    """Batches (heights, columns) of the Farey walk with lists in place of
+    packed lanes and the matrix entries kept on every node: one column per
+    coefficient, one of signs and one per entry p, q, r, s, so that node i
+    has the signed form F[j] = columns[-5][i] * columns[j][i].  Every node
+    it yields is checked against F == substitute(xs, p, r, q, s).  With
+    one_signed_box False the box test is left out below one-signed nodes,
+    as in counting._farey_walk; the sign-changing spine keeps it."""
+    inner = box if one_signed_box else None
+    root = substitute(xs, -1, 0, 0, 1)
+    entered = ((substitute(xs, 0, 1, 1, 0), 0, 1, 1, 0),
+               (taylor_shift(root), -1, 0, -1, 1),
+               (taylor_shift(root[::-1])[::-1], -1, 1, 0, 1))
+    stack = []
+    rows = []
+
+    def checked(batches):
+        for heights, columns in batches:
+            *coeffs, signs, ps, qs, rs, ss = columns
+            for i, h in enumerate(heights):
+                F = tuple(signs[i] * c[i] for c in coeffs)
+                assert F == substitute(xs, ps[i], rs[i], qs[i], ss[i])
+                assert h == max(map(abs, F))
+            yield heights, columns
+
+    while True:
+        for node in entered:
+            F = node[0]
+            lo, hi = min(F), max(F)
+            height = hi if hi >= -lo else -lo
+            if lo < 0 < hi:
+                stack.append(node)
+                if height <= b_max:
+                    yield from checked([([height],
+                                         [[x] for x in F + (1,) + node[1:]])])
+            elif height <= b_max:
+                if lo >= 0:
+                    rows.append(F + (1,) + node[1:])
+                else:
+                    rows.append(tuple(map(neg, F)) + (-1,) + node[1:])
+                if len(rows) == counting._MAX_BATCH:
+                    yield from checked(list_one_signed_walk(rows, b_max, inner))
+                    rows = []
+        if not stack:
+            break
+        F, p, q, r, s = stack.pop()
+        mp, mq = p + r, q + s
+        entered = () if abs(mp) > box or mq > box else (
+            (taylor_shift(F), p, q, mp, mq),
+            (taylor_shift(F[::-1])[::-1], mp, mq, r, s))
+    if rows:
+        yield from checked(list_one_signed_walk(rows, b_max, inner))
+
+
+def list_batches(batches):
+    """The batches of a list walk as (heights, signed forms) lists."""
+    out = []
+    for heights, columns in batches:
+        *coeffs, signs = columns[:-4]
+        out.append((list(heights),
+                    [tuple(sign * c[i] for c in coeffs)
+                     for i, sign in enumerate(signs)]))
+    return out
+
+
+def list_nodes(xs, b_max, box, one_signed_box=True):
+    """Sorted (height, F, (p, q, r, s)) of the nodes the list walk records."""
+    nodes = []
+    for heights, columns in list_farey_walk(xs, b_max, box, one_signed_box):
+        *coeffs, signs, ps, qs, rs, ss = columns
+        nodes += ((h, tuple(signs[i] * c[i] for c in coeffs),
+                   (ps[i], qs[i], rs[i], ss[i]))
+                  for i, h in enumerate(heights) if h <= b_max)
+    return sorted(nodes)
 
 
 def heights_series(heights, grid):
@@ -609,25 +709,45 @@ def test_odd_degree_orbit_closed_under_negation():
 
 
 def test_walk_covers_box_once(monkeypatch):
-    # with no pruning (b_max above every height), the four matrices
-    # +-[v u] and +-[u -v] of the recorded nodes are every determinant-1
-    # matrix of the box, each exactly once: the second root stands for +-S
-    # and +-I again, so it is walked but not recorded.  So only the box
-    # test stops the walk, also in batches of 1 and 2 one-signed nodes
-    xs = (1, 0, -1, -1)
-    for size in (counting._MAX_BATCH, 1, 2):
-        monkeypatch.setattr(counting, "_MAX_BATCH", size)
-        for bound in range(1, 9):
+    # the four matrices +-[v u] and +-[u -v] of the recorded nodes are every
+    # determinant-1 matrix g of the box of entry_bound(f, B) with
+    # height(f o g) <= B, each exactly once: the second root stands for +-S
+    # and +-I again, so it is walked but not recorded.  The list walk, which
+    # keeps the matrix entries, shows it matrix by matrix; the packed walk's
+    # four images +-F(w, z) and +-F(z, -w) of each recorded node F, counted
+    # with multiplicity, are the images of those matrices.  Also in batches
+    # of 1 and 2 one-signed nodes
+    cases = [((1, 0, -1, -1), 10), ((1, 0, -1, -1), 20), ((1, 0, -3, -1), 10),
+             ((1, 0, 0, 0, 1), 1000), ((1, -3, -25, 75, 0), 100),
+             ((0, 2, -3, 1, 5), 200), ((2, 1, 0, -1, 1, 3), 5000),
+             ((0, 2, 5, 0, -5, -2, 0), 5000)]
+    for coeffs, b_max in cases:
+        f = BinaryForm(coeffs)
+        bound = entry_bound(f, b_max)
+        matrices, images = set(), Counter()
+        for m in enumerate_unimodular(bound):
+            g = act(f, m)
+            if height(g) <= b_max:
+                matrices.add(m.entries())
+                images[g.coeffs] += 1
+        assert len(matrices) > 20
+        sign = (-1) ** f.degree
+        for size in (counting._MAX_BATCH, 1, 2):
+            monkeypatch.setattr(counting, "_MAX_BATCH", size)
             found = Counter()
-            for h, (F, p, q, r, s) in walk_nodes(xs, 10 ** 9, bound):
-                assert F == substitute(xs, p, r, q, s)
-                assert h == max(map(abs, F))
+            for _, _, (p, q, r, s) in list_nodes(coeffs, b_max, bound):
                 for m in ((r, p, s, q), (p, -r, q, -s)):
                     found[m] += 1
                     found[tuple(map(neg, m))] += 1
             assert set(found.values()) == {1}
-            assert set(found) == {m.entries()
-                                  for m in enumerate_unimodular(bound)}
+            assert set(found) == matrices
+            seen = Counter()
+            for _, F in walk_nodes(coeffs, b_max, bound):
+                alternating = tuple(-x if i % 2 else x for i, x in enumerate(F))
+                for image in (F[::-1], alternating):
+                    seen[image] += 1
+                    seen[tuple(sign * x for x in image)] += 1
+            assert seen == images, (coeffs, size)
 
 
 def test_set_free_counts_match_reference_walk():
@@ -707,18 +827,27 @@ def random_batch_cases():
     return cases
 
 
-def test_batch_boundaries_keep_counts(monkeypatch):
-    # one-signed levels split into batches of 1 and of 2 nodes count the
-    # same as the reference walk, on seeded random forms, on the stabilizer
-    # forms moved far from a small height and on the huge-root form; every
-    # node the walk yields, recorded or not, is a node of the box
-    cases = random_batch_cases()
+def stabilizer_batch_cases():
+    """The stabilizer forms and a quintic, each also moved far from a small
+    height, and the huge-root form, each with its b_max."""
+    cases = []
     for coeffs in ((1, 0, 0, 0, 1), (1, 0, -3, -1), (0, 2, 5, 0, -5, -2, 0),
                    (2, 1, 0, -1, 1, 3)):
         f = BinaryForm(coeffs)
         cases += [(f, 2000), (act(f, UnimodularMatrix(34, 21, 55, 34)), 2000),
                   (act(f, UnimodularMatrix(1, 40, 0, 1)), 2000)]
     cases.append((BinaryForm((1, 0, 0, -(10 ** 48 + 12345))), 20000))
+    return cases
+
+
+def test_batch_boundaries_keep_counts(monkeypatch):
+    # one-signed levels split into batches of 1 and of 2 nodes count the
+    # same as the reference walk, on seeded random forms, on the stabilizer
+    # forms moved far from a small height and on the huge-root form; they
+    # record the same nodes as the default batch size and as the list walk,
+    # whose recorded nodes are nodes of the box; no level is wider than
+    # twice the batch size
+    cases = random_batch_cases() + stabilizer_batch_cases()
     grids = [sorted({b_max >> k for k in range(9)} - {0}) for _, b_max in cases]
     expected = [reference_series(f, grid) for (f, _), grid in zip(cases, grids)]
     recorded = [sorted(walk_nodes(f.coeffs, b_max, entry_bound(f, b_max)))
@@ -729,29 +858,50 @@ def test_batch_boundaries_keep_counts(monkeypatch):
             assert count_series(f, grid).points == want, (f, size)
         for (f, b_max), nodes in zip(cases, recorded):
             box = entry_bound(f, b_max)
-            assert sorted(walk_nodes(f.coeffs, b_max, box)) == nodes
-            for heights, columns in _farey_walk(f.coeffs, b_max, box):
-                assert len(heights) <= 2 * size
-                *coeffs, signs, ps, qs, rs, ss = columns
-                for i, h in enumerate(heights):
-                    F = tuple(signs[i] * c[i] for c in coeffs)
-                    assert F == substitute(f.coeffs, ps[i], rs[i], qs[i], ss[i])
-                    assert h == max(map(abs, F))
-                    assert max(abs(ps[i]), qs[i], abs(rs[i]), ss[i]) <= box
+            width = counting._lane_width(len(f.coeffs), b_max)
+            levels = unpacked(_farey_walk(f.coeffs, b_max, box), width)
+            assert max(len(heights) for heights, _ in levels) <= 2 * size
+            assert sorted((h, F) for heights, forms in levels
+                          for h, F in zip(heights, forms) if h <= b_max) == nodes
+            listed = list_nodes(f.coeffs, b_max, box)
+            assert [(h, F) for h, F, _ in listed] == nodes
+            assert all(max(abs(p), q, abs(r), s) <= box
+                       for _, _, (p, q, r, s) in listed)
+
+
+def test_one_signed_box_test_drops_no_recorded_node():
+    # entry_bound's lemma: every node outside the box of entry_bound(f, B)
+    # has height > B, so below a one-signed node its sum is > B and the
+    # prune drops it anyway.  The list walk without its one-signed box test
+    # records the same nodes, matrix entries included, as the list walk
+    # with it.  A smaller box does cut recorded nodes there
+    for f, b_max in random_batch_cases() + stabilizer_batch_cases():
+        box = entry_bound(f, b_max)
+        assert list_nodes(f.coeffs, b_max, box, one_signed_box=False) == \
+            list_nodes(f.coeffs, b_max, box), f
+    xs = (1, 0, -1, -1)
+    assert len(list_nodes(xs, 500, 6, one_signed_box=False)) > \
+        len(list_nodes(xs, 500, 6))
 
 
 def test_packed_walk_yields_the_list_walk_batches(monkeypatch):
-    # the packed level step yields the same heights and columns, batch for
-    # batch, as the list-based one, with levels split at 1, 2 and 1024 nodes
+    # the packed walk yields the same heights and signed forms, batch for
+    # batch, as the list walk without its one-signed box test, and records
+    # the same (height, signed form) multiset as the list walk with it, with
+    # levels split at 1, 2 and 1024 nodes
     for size in (1, 2, 1024):
         monkeypatch.setattr(counting, "_MAX_BATCH", size)
         for f, b_max in random_batch_cases():
             box = entry_bound(f, b_max)
-            packed = copied(_farey_walk(f.coeffs, b_max, box))
-            with monkeypatch.context() as m:
-                m.setattr(counting, "_one_signed_walk", list_one_signed_walk)
-                assert copied(_farey_walk(f.coeffs, b_max, box)) == packed, \
-                    (f, size)
+            width = counting._lane_width(len(f.coeffs), b_max)
+            packed = unpacked(_farey_walk(f.coeffs, b_max, box), width)
+            assert packed == list_batches(
+                list_farey_walk(f.coeffs, b_max, box, one_signed_box=False)), \
+                (f, size)
+            recorded = sorted((h, F) for heights, forms in packed
+                              for h, F in zip(heights, forms) if h <= b_max)
+            assert recorded == [(h, F) for h, F, _ in
+                                list_nodes(f.coeffs, b_max, box)], (f, size)
 
 
 def test_packed_lanes_hold_a_whole_sum_on_one_coefficient(monkeypatch):
@@ -759,7 +909,10 @@ def test_packed_lanes_hold_a_whole_sum_on_one_coefficient(monkeypatch):
     # 2^n b_max, the largest a lane must hold; with n + b_max.bit_length()
     # + 1 at 63, 64 and 65 a lane is one, one and two 64-bit words wide.
     # Its neighbours: the mirror b_max w^n, random splits of b_max, ties,
-    # and a node with every coefficient b_max, recorded but not kept
+    # and a node with every coefficient b_max, recorded but not kept.
+    # b_max z^n is its own right child (it has discriminant 0, so no box
+    # bounds its subtree), so each walk is cut after 8 levels; the rows are
+    # walked together and each alone
     rng = random.Random(79)
     for n in (3, 8):
         for bits in (63, 64, 65):
@@ -769,14 +922,18 @@ def test_packed_lanes_hold_a_whole_sum_on_one_coefficient(monkeypatch):
             for _ in range(4):
                 cuts = sorted(rng.randrange(b_max + 1) for _ in range(n))
                 forms.append(tuple(map(int.__sub__, cuts + [b_max], [0] + cuts)))
-            rows = [F + (rng.choice((1, -1)), 0, 1, 1, 0) for F in forms]
+            rows = [F + (rng.choice((1, -1)),) for F in forms]
+            width = counting._lane_width(n + 1, b_max)
+            assert width == (64, 64, 128)[bits - 63]
             for size in (1, 2, 1024):
                 monkeypatch.setattr(counting, "_MAX_BATCH", size)
-                packed = copied(counting._one_signed_walk(rows, b_max, 6))
-                assert packed == copied(list_one_signed_walk(rows, b_max, 6))
-                sums = {sum(c[i] for c in columns[:-5])
-                        for heights, columns in packed
-                        for i in range(len(heights))}
+                sums = set()
+                for group in [rows] + [[row] for row in rows]:
+                    packed = unpacked(islice(counting._one_signed_walk(
+                        group, b_max, width), 8), width)
+                    assert packed == list_batches(islice(list_one_signed_walk(
+                        [row + (0, 1, 1, 0) for row in group], b_max, None), 8))
+                    sums |= {abs(sum(F)) for _, forms in packed for F in forms}
                 assert max(sums) == b_max << n and (n + 1) * b_max in sums
 
 
@@ -796,8 +953,8 @@ def test_count_guard_refuses_inexact_hits(monkeypatch):
     # the cubic has a trivial stabilizer: a walk that yields every batch,
     # so every node, twice makes 2 hits, no odd-degree order; one that
     # yields the first node three times and one more node makes 3 hits
-    # against 16 matrices.  The walk's first two batches here are
-    # sign-changing nodes, each a batch of one
+    # against 16 matrices.  The walk's first two levels here are
+    # sign-changing nodes, each a level of one
     real = counting._farey_walk
 
     def doubled(xs, b_max, box):
@@ -808,7 +965,7 @@ def test_count_guard_refuses_inexact_hits(monkeypatch):
     def tripled_first(xs, b_max, box):
         walk = real(xs, b_max, box)
         first, second = next(walk), next(walk)
-        assert len(first[0]) == len(second[0]) == 1
+        assert len(first[3]) == len(second[3]) == 1
         yield from (first, first, first, second)
 
     f = BinaryForm((1, 0, -1, -1))
@@ -817,6 +974,25 @@ def test_count_guard_refuses_inexact_hits(monkeypatch):
         monkeypatch.setattr(counting, "_farey_walk", fake)
         with pytest.raises(CountingError):
             count_series(f, [50, 100])
+
+
+def test_non_integer_heights_are_refused():
+    # a grid point or a series entry that is not a whole number is named in
+    # a ValueError instead of being truncated; 10.0 is the integer 10
+    f = BinaryForm((1, 0, -1, -1))
+    with pytest.raises(ValueError, match=r"grid point 10\.7 is not an integer"):
+        count_series(f, [10.7, 20.2])
+    with pytest.raises(ValueError, match=r"grid point 20\.2 is not an integer"):
+        count_series(f, [10, 20.2])
+    for bad in ("20", None, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="is not an integer"):
+            count_series(f, [10, bad])
+    assert count_series(f, [10.0, 20]) == count_series(f, [10, 20])
+    with pytest.raises(ValueError, match=r"point \(1\.5, 2\.9\) needs integers"):
+        CountSeries(((1.5, 2.9),))
+    with pytest.raises(ValueError, match=r"point \(20, 6\.5\) needs integers"):
+        CountSeries(((10, 5), (20, 6.5)))
+    assert CountSeries(((10.0, 5.0),)).points == ((10, 5),)
 
 
 def test_series_validation_and_csv():
