@@ -2,8 +2,11 @@
 
 Each verified statement maps to one subcommand with machine-readable
 output.  Exit codes: 0 = pass or pure query, 1 = verification, solver or
-exactness failure, 2 = invalid input.  Exact rationals are printed as
-"p/q"; only `fit` prints decimals (it is statistical by nature).
+exactness failure, 2 = invalid input.  A subcommand returns 0 or 1 for
+its verdict and raises on failure; `main` alone maps the exceptions to
+exit codes: a `cone.ConeError` or an `ExactnessError` to 1, a ValueError
+to 2.  Exact rationals are printed as "p/q"; only `fit` prints decimals
+(it is statistical by nature).
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import comb
 
 from . import cone, counting, fiber, forms, picard
 from ._terms import ExactnessError
@@ -36,10 +38,6 @@ def _emit(payload: dict, fmt: str, csv_rows=None) -> None:
             print(f"{key}: {value}")
 
 
-class SystemExit2(Exception):
-    """Invalid input, mapped to exit code 2."""
-
-
 # Largest n for cone-cert, pairings and relation.  From n = 150 to 300 the
 # certificate's cost grows about like n^2.7: `cone-cert --n 300` takes about
 # 0.95 s and 51 MiB as a process on a 2-core Xeon (CPython 3.11.7) and prints
@@ -53,9 +51,9 @@ MAX_N_FIBER = 1000
 
 def _require_n(args, limit: int) -> int:
     if args.n < 3:
-        raise SystemExit2(f"n must be at least 3 (got {args.n})")
+        raise ValueError(f"n must be at least 3 (got {args.n})")
     if args.n > limit:
-        raise SystemExit2(f"n must be at most {limit} (got {args.n})")
+        raise ValueError(f"n must be at most {limit} (got {args.n})")
     return args.n
 
 
@@ -88,12 +86,8 @@ def _cmd_cone_cert(args) -> int:
 
 def _cmd_kodaira(args) -> int:
     n = _require_n(args, MAX_N_FIBER)
-    try:
-        value = (picard.kodaira_full(n) if args.space == "full"
-                 else fiber.kodaira_fiber(n))
-    except fiber.NotInSpan as exc:  # a verification failure, not bad input
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    value = (picard.kodaira_full(n) if args.space == "full"
+             else fiber.kodaira_fiber(n))
     expected = Fraction(2, n)
     verdict = "pass" if value == expected else "fail"
     payload = {"command": "kodaira", "n": n, "space": args.space,
@@ -104,16 +98,12 @@ def _cmd_kodaira(args) -> int:
 
 def _cmd_relation(args) -> int:
     n = _require_n(args, MAX_N)
+    trace = [{"s": s, "subsets_per_pair": per_pair,
+              "pair_incidences": incidences, "subsets": subsets,
+              "coefficient": str(per_subset)}
+             for s, per_pair, incidences, subsets, per_subset
+             in picard.pair_incidence_counts(n)]
     rel = picard.derive_l_relation(n)
-    trace = []
-    for s in range(2, n + 1):
-        trace.append({
-            "s": s,
-            "subsets_per_pair": comb(n - 2, s - 2),
-            "pair_incidences": comb(n, 2) * comb(n - 2, s - 2),
-            "subsets": comb(n, s),
-            "coefficient": str(-rel.b(s)),
-        })
     payload = {"command": "relation", "n": n, "relation": str(rel),
                "coefficients": trace}
     csv_rows = [["s", "coefficient"]] + [[t["s"], t["coefficient"]] for t in trace]
@@ -169,22 +159,15 @@ def _cmd_fiber_check(args) -> int:
 
 
 def _cmd_disc(args) -> int:
-    try:
-        f = forms.BinaryForm.from_csv(args.coeffs)
-        value = forms.disc(f)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
-    payload = {"command": "disc", "coeffs": list(f.coeffs), "disc": value}
+    f = forms.BinaryForm.from_csv(args.coeffs)
+    payload = {"command": "disc", "coeffs": list(f.coeffs), "disc": forms.disc(f)}
     _emit(payload, args.format)
     return 0
 
 
 def _cmd_act(args) -> int:
-    try:
-        f = forms.BinaryForm.from_csv(args.coeffs)
-        m = forms.UnimodularMatrix.from_csv(args.matrix)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    f = forms.BinaryForm.from_csv(args.coeffs)
+    m = forms.UnimodularMatrix.from_csv(args.matrix)
     g = forms.act(f, m)
     payload = {"command": "act", "coeffs": list(f.coeffs),
                "matrix": list(m.entries()), "result": list(g.coeffs)}
@@ -193,15 +176,12 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    try:
-        f = forms.BinaryForm.from_csv(args.coeffs)
-        if args.grid < 1 or args.bmax < 1:
-            raise ValueError("grid length and bmax must be positive")
-        steps = min(args.grid, args.bmax.bit_length())  # later steps give 0
-        grid = sorted({args.bmax // 2**k for k in range(steps)} - {0})
-        series = counting.count_series(f, grid)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    f = forms.BinaryForm.from_csv(args.coeffs)
+    if args.grid < 1 or args.bmax < 1:
+        raise ValueError("grid length and bmax must be positive")
+    steps = min(args.grid, args.bmax.bit_length())  # later steps give 0
+    grid = sorted({args.bmax // 2**k for k in range(steps)} - {0})
+    series = counting.count_series(f, grid)
     payload = {"command": "count", "coeffs": list(f.coeffs),
                "series": [[b, cnt] for b, cnt in series.points]}
     csv_rows = [["B", "N"]] + [[b, cnt] for b, cnt in series.points]
@@ -212,10 +192,10 @@ def _cmd_count(args) -> int:
 def _cmd_fit(args) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as handle:
-            series = counting.CountSeries.from_csv(handle.read())
-        result = counting.fit_exponent(series)
-    except (OSError, ValueError) as exc:
-        raise SystemExit2(str(exc))
+            text = handle.read()
+    except OSError as exc:  # an unreadable file is bad input
+        raise ValueError(str(exc)) from exc
+    result = counting.fit_exponent(counting.CountSeries.from_csv(text))
     payload = {"command": "fit", "slope": result.slope,
                "intercept": result.intercept,
                "residual_norm": result.residual_norm,
@@ -306,12 +286,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (cone.ConeError, cone.PivotLimitExceeded, ExactnessError) as exc:
+    except (cone.ConeError, ExactnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

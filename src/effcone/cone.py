@@ -9,13 +9,16 @@ number is an exact rational.  The LP solver is a simplex in
 dictionary form: it stores only the nonbasic columns, as gcd-reduced
 integer rows (constraint rows are scale-free), and uses Bland's
 smallest-index rule for both the entering and the leaving variable, so it
-terminates on degenerate inputs.  The coordinates are free variables; each
-enters the basis once, before phase one, and never leaves.  These k entries
-rewrite no other row: each pivot row is frozen as it stands when its free
-variable enters, a bounded row replays the frozen rows it has missed only
-when the choice of the next pivot row reads it, and at the end every row
-replaces each free variable it still holds once, by that variable's final
-row.  The resulting dictionary is the one Gauss-Jordan pivots would give.
+terminates on degenerate inputs.  A pivot swaps a variable into the basis
+on its row (`_freeze`) and then rewrites every other row.  The coordinates
+are free variables; each enters the basis once, before phase one, and
+never leaves.  These k entries are freezes alone: each pivot row is frozen
+as it stands when its free variable enters, a bounded row replays the
+frozen rows it has missed only when the choice of the next pivot row reads
+it, and at the end every row replaces each free variable it still holds
+once, by that variable's final row.  The resulting dictionary is the one
+Gauss-Jordan pivots would give.  Every error raised here is a ConeError,
+the pivot limit included.
 
 Every coordinate minimum over the slice shares its feasible region, so
 phase one runs once per ConeH and each later `lp_min` on that ConeH
@@ -129,7 +132,7 @@ class ConeH:
 _PIVOT_LIMIT = 200_000  # per lp_min call
 
 
-class PivotLimitExceeded(RuntimeError):
+class PivotLimitExceeded(ConeError):
     """One lp_min call made more than _PIVOT_LIMIT simplex pivots."""
 
 
@@ -176,28 +179,24 @@ class _Tableau:
             self.z[1 + self.nonbasic.index(var)] = 1
 
     def _pivot(self, r: int, c: int) -> None:
-        """Swap nonbasic[c] into the basis at row r."""
+        """Swap nonbasic[c] into the basis at row r (_freeze), then remove
+        column c from every other row and from the objective row."""
+        self._freeze(r, c)
         prow = self.rows[r]
-        assert prow[1 + c] > 0
-        prow[0], prow[1 + c] = prow[1 + c], prow[0]
-        prow = self.rows[r] = _reduce_ints(prow)
         for i, row in enumerate(self.rows):
             if i != r and row[1 + c]:
                 self.rows[i] = _eliminate(row, prow, c)
         if self.z[1 + c]:
             self.z = _eliminate(self.z, prow, c)
-        self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
-        self._count_pivot()
 
     def _freeze(self, r: int, c: int) -> None:
-        """Swap the free variable nonbasic[c] into the basis at row r, on an
-        entry of either sign, and rewrite no other row.
+        """Swap nonbasic[c] into the basis at row r, on an entry of either
+        sign, and rewrite no other row.
 
-        A negative entry is made positive by negating all of row r; the new
-        basic variable is free, so its right-hand side may take either
-        sign.  The caller brings the other rows up to date (see _phase_one).
-        The objective row is zero until phase one sets it, so it needs no
-        update.
+        A negative entry is made positive by negating all of row r; the
+        entering variable is then free, so its right-hand side may take
+        either sign (`optimize` pivots on positive entries only).  A free
+        variable's entry before phase one is a freeze alone (_phase_one).
         """
         prow = self.rows[r]
         if prow[1 + c] < 0:
@@ -334,16 +333,6 @@ def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult) -> bo
     return True
 
 
-def _pivot_either_sign(tab: _Tableau, r: int, c: int) -> None:
-    """Pivot on a nonzero entry of either sign.  Negating row r (all of it,
-    the basic coefficient too) turns a negative entry positive; the leaving
-    variable takes the negated coefficient with it, and the new basic
-    variable is free or the right-hand side is 0, so no bound is broken."""
-    if tab.rows[r][1 + c] < 0:
-        tab.rows[r] = [-a for a in tab.rows[r]]
-    tab._pivot(r, c)
-
-
 def _substitute(row: list[int], pending: list[tuple[int, int]],
                 rows: list[list[int]]) -> list[int]:
     """`row` with each x-column in `pending` replaced by a final free row.
@@ -381,7 +370,7 @@ def _phase_one(cone: ConeH) -> _Tableau:
     as it is, whatever the sign of the entry.  Only when no such constraint
     row exists is the normalization row used; every bounded row then has a
     zero entry and keeps its right-hand side, and the artificial variable
-    leaves at 0.  A free variable with neither stays nonbasic.
+    leaves the basis.  A free variable with neither stays nonbasic.
 
     These pivots rewrite no other row when they happen.  A pivot row is
     frozen as it stands when its free variable enters.  A bounded row is
@@ -395,6 +384,15 @@ def _phase_one(cone: ConeH) -> _Tableau:
     once (_substitute).  A gcd-reduced dictionary row with a positive basic
     coefficient is determined by the basis, so the dictionary is the one
     that rewriting every row at every pivot would give.
+
+    An artificial variable that is basic at the phase-one optimum is never
+    at 0, so no degenerate artificial row is left to pivot out.  Every
+    constraint row starts with right-hand side 0, and the free pivots keep
+    it 0.  A bounded row with a positive entry and right-hand side 0 has
+    ratio 0, so each simplex pivot of phase one is either degenerate, and
+    keeps every right-hand side, or takes the artificial variable's row.
+    So while the artificial variable is basic its value stays 1, and if it
+    is basic at the phase-one optimum the slice is empty.
     """
     k = cone.num_vars
     m = len(cone.rows)
@@ -436,13 +434,7 @@ def _phase_one(cone: ConeH) -> _Tableau:
     tab.set_objective(art)
     tab.optimize()
     if art in tab.basis:
-        r = tab.basis.index(art)
-        if tab.rows[r][-1]:
-            raise Infeasible("cone slice sum(x) = 1 is empty")
-        nonzero = [c for c in range(k) if tab.rows[r][1 + c]]
-        if not nonzero:
-            raise ConeError("degenerate artificial row cannot be pivoted out")
-        _pivot_either_sign(tab, r, min(nonzero, key=tab.nonbasic.__getitem__))
+        raise Infeasible("cone slice sum(x) = 1 is empty")
     tab.banned.add(art)
     return tab
 

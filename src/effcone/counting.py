@@ -34,8 +34,6 @@ one-signed nodes per level of depth (a wider level is split), and the grid.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from dataclasses import dataclass
 from itertools import compress
 from operator import neg
@@ -310,7 +308,8 @@ def _gradient_identities(xs: tuple[int, ...]) -> tuple[int, int]:
 # when the prune drops lanes are the kept ones compacted, by joining the
 # byte runs of consecutive kept lanes of each int.  A level wider than
 # _MAX_BATCH is split and the pieces are walked depth first, so at most one
-# piece per level waits.
+# piece per level waits.  The gathered nodes are packed once, by joining
+# the W/8 little-endian bytes of each entry.
 #
 # Count: no image is stored.  The image f o g is hit by exactly the
 # matrices h g with h in the stabilizer Stab_f of f in SL2(Z).  They share
@@ -323,7 +322,6 @@ def _gradient_identities(xs: tuple[int, ...]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 _MAX_BATCH = 1024  # one-signed nodes per batch; a larger level is split
-_SWAP = sys.byteorder == "big"  # lanes are stored little-endian
 
 
 def _lane_width(k: int, b_max: int) -> int:
@@ -332,16 +330,11 @@ def _lane_width(k: int, b_max: int) -> int:
     return 64 * -(-(k + b_max.bit_length()) // 64)
 
 
-def _pack(column: list[int], limbs: int) -> int:
-    """column as one int, entry i < 2^(64 limbs) in lane i of 64 limbs bits."""
-    words = array("Q", bytes(8 * limbs * len(column)))
-    for t in range(limbs - 1):
-        words[t::limbs] = array("Q", map(((1 << 64) - 1).__and__, column))
-        column = [c >> 64 for c in column]
-    words[limbs - 1::limbs] = array("Q", column)
-    if _SWAP:
-        words.byteswap()
-    return int.from_bytes(words, "little")
+def _pack(column: list[int], step: int) -> int:
+    """column as one int, entry i (0 <= entry < 2^(8 step)) in lane i of
+    step bytes."""
+    return int.from_bytes(b"".join([c.to_bytes(step, "little") for c in column]),
+                          "little")
 
 
 def _compact(xs: list[int], keep: bytes, step: int) -> list[int]:
@@ -367,10 +360,10 @@ def _one_signed_walk(rows: list[tuple[int, ...]], b_max: int, width: int):
     A row is a node form times its sign, so that every coefficient is
     >= 0, then the sign; width is _lane_width(k, b_max).
     """
-    limbs = width // 64
+    step = width // 8  # bytes per lane
     *columns, signs = map(list, zip(*rows))
-    coeffs = [_pack(c, limbs) for c in columns]
-    guard = bytes(8 * limbs - 1) + b"\x80"  # the top bit of a lane
+    coeffs = [_pack(c, step) for c in columns]
+    guard = bytes(step - 1) + b"\x80"  # the top bit of a lane
     stack: list[tuple[list[int], list[int]]] = []
     while True:
         size = len(signs)
@@ -385,8 +378,8 @@ def _one_signed_walk(rows: list[tuple[int, ...]], b_max: int, width: int):
         if kept != guards:
             if kept:
                 keep = (kept >> (width - 1)).to_bytes(
-                    8 * limbs * size, "little")[::8 * limbs]  # lane bit 0
-                coeffs = _compact(coeffs, keep, 8 * limbs)
+                    step * size, "little")[::step]  # lane bit 0
+                coeffs = _compact(coeffs, keep, step)
                 signs = list(compress(signs, keep))
             else:
                 signs = []

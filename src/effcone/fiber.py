@@ -31,8 +31,9 @@ class BadIndex(ValueError):
     pass
 
 
-class NotInSpan(ValueError):
-    """The class is not a combination of the two symmetric generators."""
+class NotInSpan(ExactnessError):
+    """The class is not a combination of the two symmetric generators: a
+    class table is wrong."""
 
 
 def basis_labels(n: int) -> list[str]:

@@ -77,12 +77,6 @@ class DivisorClass:
             coeffs[s] = coeffs.get(s, 0) + q
         return DivisorClass(self.n, self.coeff_L + other.coeff_L, coeffs)
 
-    def __neg__(self) -> "DivisorClass":
-        return self.scale(-1)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-other)
-
     def scale(self, q) -> "DivisorClass":
         q = _exact(q)
         return DivisorClass(self.n, q * self.coeff_L,
@@ -101,28 +95,38 @@ def format_divisor(c: DivisorClass) -> str:
                         + [(c.coeff_B[s], f"B[{s}]") for s in sorted(c.coeff_B)])
 
 
-def derive_l_relation(n: int) -> DivisorClass:
-    """The class (n-1)*L - sum_s s(s-1)/2 * B[s], which is zero in the
-    invariant Picard group.
+def pair_incidence_counts(n: int) -> list[tuple[int, int, int, int, int]]:
+    """The counts behind the L-relation, one tuple per s = 2..n:
+    (s, subsets per pair, pair incidences, subsets, pairs per subset).
 
-    The B-coefficients are produced by counting: each of the comb(n, 2)
-    pairs of marked points lies in comb(n-2, s-2) subsets of size s, the
-    incidence total over all pairs is spread over the comb(n, s) subsets of
-    that size, and the count per subset is checked against the closed form
-    s(s-1)/2.
+    Each of the comb(n, 2) pairs of marked points lies in comb(n-2, s-2)
+    subsets of size s, the incidence total over all pairs is spread over
+    the comb(n, s) subsets of that size, and the count per subset is
+    checked against the closed form s(s-1)/2; a mismatch raises
+    ExactnessError.
     """
     if n < 3:
         raise ValueError("need at least 3 marked points")
-    coeffs: dict[int, int] = {}
+    counts = []
     pairs = comb(n, 2)
     for s in range(2, n + 1):
-        incidences = pairs * comb(n - 2, s - 2)
-        per_subset, rem = divmod(incidences, comb(n, s))
+        per_pair = comb(n - 2, s - 2)
+        incidences = pairs * per_pair
+        subsets = comb(n, s)
+        per_subset, rem = divmod(incidences, subsets)
         if rem or per_subset != s * (s - 1) // 2:
             raise ExactnessError(
                 f"pair-incidence count disagrees with s(s-1)/2 at s={s}")
-        coeffs[s] = -per_subset
-    return DivisorClass(n, n - 1, coeffs)
+        counts.append((s, per_pair, incidences, subsets, per_subset))
+    return counts
+
+
+def derive_l_relation(n: int) -> DivisorClass:
+    """The class (n-1)*L - sum_s s(s-1)/2 * B[s], which is zero in the
+    invariant Picard group, with its B-coefficients produced by counting
+    (pair_incidence_counts)."""
+    return DivisorClass(n, n - 1, {s: -per_subset for s, *_, per_subset
+                                   in pair_incidence_counts(n)})
 
 
 def _cleared_b_vector(c: DivisorClass) -> list[int | Fraction]:
@@ -277,29 +281,20 @@ def pair_subset(curve: SubsetCurve, T, n: int) -> int:
 
 
 def pair_averaged(curve: CurveClass, j: int, n: int) -> int:
-    """Intersection with B[j], via the closed-form tables.
-
-    C: s at j = s-1 and the derived self term at j = s.  R: 1 at j = s+1,
-    n-s-1 at j = 2, the derived self term at j = s; for s = 2 the j = 2 and
-    j = s contributions land on the same class and add up (to n-4).  Equal
-    to the sum of pair_subset over all size-j subsets.
-    """
-    curve.validate(n)
+    """Intersection with B[j]: entry j - 2 of the curve's pairing-matrix
+    row.  Equal to the sum of pair_subset over all size-j subsets."""
     if not 2 <= j <= n:
         raise InvalidSubset(f"B[{j}] does not exist for n={n}")
-    s = curve.s
-    total = _off_diagonal(curve.kind, s, n).get(j, 0)
-    if j == s:
-        total += derive_self_pairing(curve.kind, s, n)
-    return total
+    return _pairing_row(curve, n)[j - 2]
 
 
 def pair(c: DivisorClass, curve: CurveClass) -> int | Fraction:
-    """Bilinear extension of the tables to any divisor class."""
-    curve.validate(c.n)
+    """Bilinear extension of the curve's pairing-matrix row to any divisor
+    class."""
+    row = _pairing_row(curve, c.n)
     total = c.coeff_L * pair_L(curve)
     for s, q in c.coeff_B.items():
-        total += q * pair_averaged(curve, s, c.n)
+        total += q * row[s - 2]
     return total
 
 
@@ -314,8 +309,14 @@ def b_labels(n: int) -> list[str]:
 
 
 def _pairing_row(curve: CurveClass, n: int) -> list[int]:
-    """The row (pair_averaged(curve, j, n) for j = 2..n), built from the
-    same tables with one validation and one derived self term."""
+    """The averaged pairings of the curve with B[2], ..., B[n], from the
+    closed-form tables.
+
+    C_s: s at j = s-1 and the derived self term at j = s.  R_s: 1 at
+    j = s+1, n-s-1 at j = 2 and the derived self term at j = s; for s = 2
+    the j = 2 and j = s contributions land on the same class and add up
+    (to n-4).  Every pairing of a curve family is read from this row.
+    """
     s = curve.s
     self_term = derive_self_pairing(curve.kind, s, n)  # validates the curve
     row = [0] * (n - 1)  # entry j - 2 pairs with B[j]
@@ -326,8 +327,8 @@ def _pairing_row(curve: CurveClass, n: int) -> list[int]:
 
 
 def pairing_matrix(n: int) -> list[list[int]]:
-    """(2n-4) x (n-1) integer matrix of curve/boundary pairings, row by row;
-    `pair_averaged` is the per-entry reference."""
+    """(2n-4) x (n-1) integer matrix of curve/boundary pairings, row by
+    row, in the order of matrix_curves."""
     if n < 3:
         raise ValueError("need at least 3 marked points")
     return [_pairing_row(curve, n) for curve in matrix_curves(n)]

@@ -103,7 +103,9 @@ def test_cone_cert_text_bytes_are_pinned(capsys, n, fmt):
 
 # sha256 of the stdout of `fiber-check --n N` and `kodaira --n N --space S`
 # in each format, recorded before the class arithmetic moved from Fraction
-# to int: the outputs must stay byte for byte the same
+# to int, and of `relation --n N`, recorded while its trace still
+# recomputed the counts that the relation checks: the outputs must stay
+# byte for byte the same
 CLASS_OUTPUT_SHA256 = {
     ("fiber-check", 3, "human"):
         "44f413f9fb3841cb37cfa40400fcdfd8768b361efbc9f7dfa0de785e145a76f1",
@@ -231,6 +233,24 @@ CLASS_OUTPUT_SHA256 = {
         "226ac9c0df24505b7aac9cdeb81181663342fe5af50a6598d3a2f0b0fe1a4e38",
     ("kodaira --space fiber", 1000, "csv"):
         "9aefd076b8f73c4364408abfc27fec87740ee62b0609645f2e625be48d9d86ae",
+    ("relation", 4, "json"):
+        "a30e631eec049eec0712339f0f62dc4505e9bf80313d67fad613390f13f2bb97",
+    ("relation", 4, "csv"):
+        "0676238543676ca55ffdecbe7cf6034b0bb90820dd0da11cb621dea61b11765f",
+    ("relation", 4, "human"):
+        "82b41c0a18b2443c7e083a906da76117b252dab3935182ee2a6be68e124aab9f",
+    ("relation", 10, "json"):
+        "96adb5c6f01bb42cc7dd9495a4e9b0f05a28c4ffd5b9ef722ee50ee219ade83e",
+    ("relation", 10, "csv"):
+        "827d2bb572acac4e2cbbc2b975ac812aff2853d7bbf6b04813570169738f7aff",
+    ("relation", 10, "human"):
+        "5d4591a528c5e01a3e440042edff078603fee27f45fcd7067ffe322e49c0abfc",
+    ("relation", 300, "json"):
+        "708ad97dbe09d2c96211903769474a555853d7ef35fb7a72591063faad2d7f15",
+    ("relation", 300, "csv"):
+        "5373cb0377ab8500d0367b668eae27df44f324663c2d4956c3415084a689a049",
+    ("relation", 300, "human"):
+        "68ee5b2f3dd4a87adb72946763b41154ef081f0268e148df7829301651b2bcda",
 }
 
 
@@ -396,6 +416,9 @@ def test_exit_codes_for_invalid_input(capsys, tmp_path):
         assert run(capsys, "fit", "--in", str(bad)) == (
             2, "", f"error: line 3: expected B,N as two integers, got '{row}'\n")
     assert run(capsys, "act", "--coeffs", "1,0,1", "--matrix", "1,1,1,1")[0] == 2
+    for argv in (("--grid", "0", "--bmax", "100"), ("--bmax", "0")):
+        assert run(capsys, "count", "--coeffs=1,0,-1,-1", *argv) == (
+            2, "", "error: grid length and bmax must be positive\n")
 
 
 def test_size_guard_exits_two(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, lcm
 
 import pytest
@@ -457,13 +458,30 @@ def _outcome(cone, j):
     return res.value
 
 
-def test_warm_start_matches_cold_start():
+def warm_start_rows():
+    """The random integer cones of the warm-start suite."""
     rng = random.Random(13)
-    kinds = set()
     for _ in range(120):
         k = rng.randint(2, 5)
-        rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 6))]
-        calls = range(k)
+        yield [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 6))]
+
+
+def phase_one_rows():
+    """The random cones of the phase-one suite, every third one with rows
+    scaled from fractions."""
+    rng = random.Random(29)
+    for trial in range(1000):
+        k = rng.randint(2, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 8))]
+        if trial % 3 == 0:
+            rows = [canonical_ray([Q(a, rng.randint(1, 4)) for a in row]) for row in rows]
+        yield rows
+
+
+def test_warm_start_matches_cold_start():
+    kinds = set()
+    for rows in warm_start_rows():
+        calls = range(len(rows[0]))
         cold = {j: _outcome(ConeH.from_rows(rows), j) for j in calls}
         # in order, in reverse, and the even coordinates before the odd ones
         for visit in (calls, calls[::-1], [*calls[::2], *calls[1::2]]):
@@ -475,18 +493,15 @@ def test_warm_start_matches_cold_start():
 
 def test_warm_start_keeps_the_pivot_limit_per_call(monkeypatch):
     pivots = [0]
+    count_pivot = cone_module._Tableau._count_pivot
 
-    def counted(step):
-        def counting_step(self, r, e):
-            pivots[0] += 1
-            return step(self, r, e)
-        return counting_step
+    def counted(self):
+        pivots[0] += 1
+        return count_pivot(self)
 
     # every pivot that counts toward the limit: the simplex pivots and the
     # free variables' entries in phase one
-    for name in ("_pivot", "_freeze"):
-        monkeypatch.setattr(cone_module._Tableau, name,
-                            counted(getattr(cone_module._Tableau, name)))
+    monkeypatch.setattr(cone_module._Tableau, "_count_pivot", counted)
     matrix = pairing_matrix(10)
     cone = ConeH.from_rows(matrix)
     per_call = []
@@ -524,7 +539,7 @@ def _gauss_jordan_phase_one(cone):
         r = next((i for i, b in enumerate(tab.basis) if b >= k and tab.rows[i][1 + c]),
                  None)
         if r is not None:
-            cone_module._pivot_either_sign(tab, r, c)
+            tab._pivot(r, c)
     tab.set_objective(art)
     tab.optimize()
     if art in tab.basis:
@@ -534,7 +549,7 @@ def _gauss_jordan_phase_one(cone):
         nonzero = [c for c in range(k) if tab.rows[r][1 + c]]
         if not nonzero:
             raise ConeError("degenerate artificial row cannot be pivoted out")
-        cone_module._pivot_either_sign(tab, r, min(nonzero, key=tab.nonbasic.__getitem__))
+        tab._pivot(r, min(nonzero, key=tab.nonbasic.__getitem__))
     tab.banned.add(art)
     return tab
 
@@ -556,20 +571,15 @@ def test_phase_one_matches_gauss_jordan_on_pairing_matrices():
 
 
 def test_phase_one_matches_gauss_jordan_on_random_cones():
-    rng = random.Random(29)
     kinds = set()
-    for trial in range(1000):
-        k = rng.randint(2, 6)
-        rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 8))]
-        if trial % 3 == 0:
-            rows = [canonical_ray([Q(a, rng.randint(1, 4)) for a in row]) for row in rows]
+    for rows in phase_one_rows():
         cone = ConeH.from_rows(rows)
         expected = _phase_one_outcome(_gauss_jordan_phase_one, cone)
         assert _phase_one_outcome(cone_module._phase_one, cone) == expected
         if expected is Infeasible:
             kinds.add(Infeasible)
             continue
-        for j in range(k):
+        for j in range(cone.num_vars):
             try:
                 lp_min(cone, j)
             except Unbounded:
@@ -577,6 +587,46 @@ def test_phase_one_matches_gauss_jordan_on_random_cones():
             else:
                 kinds.add("min")
     assert kinds == {"min", Infeasible, Unbounded}
+
+
+def test_phase_one_leaves_the_artificial_variable_nonbasic(monkeypatch):
+    # while the artificial variable is basic its value stays 1 (see
+    # _phase_one), so it is basic at the phase-one optimum exactly when the
+    # slice is empty, and never basic at 0
+    optimize, pivot = cone_module._Tableau.optimize, cone_module._Tableau._pivot
+    basic_at_optimum = []
+
+    def artificial(tab):
+        return tab.num_free + len(tab.rows) - 1
+
+    def value(tab):
+        if artificial(tab) not in tab.basis:
+            return None
+        row = tab.rows[tab.basis.index(artificial(tab))]
+        return Q(row[-1], row[0])
+
+    def checked_pivot(self, r, c):
+        pivot(self, r, c)
+        assert value(self) in (None, 1)
+
+    def checked_optimize(self):
+        assert value(self) in (None, 1)
+        optimize(self)
+        assert value(self) in (None, 1)
+        basic_at_optimum.append(value(self) == 1)
+
+    monkeypatch.setattr(cone_module._Tableau, "_pivot", checked_pivot)
+    monkeypatch.setattr(cone_module._Tableau, "optimize", checked_optimize)
+    infeasible = returned = 0
+    for rows in chain(phase_one_rows(), warm_start_rows()):
+        try:
+            tab = cone_module._phase_one(ConeH.from_rows(rows))
+        except Infeasible:
+            infeasible += 1
+            continue
+        assert artificial(tab) not in tab.basis
+        returned += 1
+    assert sum(basic_at_optimum) == infeasible > 0 and returned > 0
 
 
 def test_cone_rows_are_ints():

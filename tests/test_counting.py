@@ -995,6 +995,12 @@ def test_non_integer_heights_are_refused():
     assert CountSeries(((10.0, 5.0),)).points == ((10, 5),)
 
 
+@pytest.mark.parametrize("grid", [[], [20, 10], [10, 10]])
+def test_grid_must_be_nonempty_and_increasing(grid):
+    with pytest.raises(ValueError, match="nonempty and strictly increasing"):
+        count_series(BinaryForm((1, 0, -1, -1)), grid)
+
+
 def test_series_validation_and_csv():
     with pytest.raises(ValueError):
         CountSeries(((10, 5), (10, 6)))
