@@ -572,11 +572,12 @@ def dual_contained_in_orthant(matrix, labels=None) -> Certificate:
     sum(d) = 1 and records exact minima, witnesses and dual multipliers.
     Raises Infeasible when the slice is empty (reported, never silently counted as a pass)
     and Unbounded when some coordinate has no finite minimum there, which is
-    a containment failure with no finite witness.
+    a containment failure with no finite witness.  A zero matrix, which
+    certifies nothing, raises ConeError.
     """
     cone = ConeH.from_rows(matrix, labels)
     if all(q == 0 for row in cone.rows for q in row):
-        raise ValueError("constraint matrix is zero")
+        raise ConeError("constraint matrix is zero")
     results = tuple(lp_min(cone, j) for j in range(cone.num_vars))
     return Certificate(cone.labels, cone.rows, results)
 

@@ -87,9 +87,6 @@ class CountSeries:
                 raise ValueError("series must be increasing in B, nondecreasing in N")
         object.__setattr__(self, "points", pts)
 
-    def to_csv(self) -> str:
-        return "B,N\n" + "\n".join(f"{b},{n}" for b, n in self.points) + "\n"
-
     @staticmethod
     def from_csv(text: str) -> "CountSeries":
         """Rows `B,N` of two integers; blank lines are skipped, and a first
@@ -296,8 +293,8 @@ def _gradient_identities(xs: tuple[int, ...]) -> tuple[int, int]:
 # The walk gathers the one-signed nodes it enters, _MAX_BATCH at a time,
 # and walks their subtrees a level at a time.  A level is its k packed
 # coefficient ints and the list of its signs, nothing else: coefficient j
-# of node i is lane i, of W = 64 m bits, of the j-th int, with
-# m = ceil((n + 1 + B.bit_length()) / 64).  forms.taylor_shift, which only
+# of node i is lane i, of W = 8 m bits, of the j-th int, with
+# m = ceil((n + 1 + B.bit_length()) / 8) bytes.  forms.taylor_shift, which only
 # adds, shifts the L lanes of the parents into the 2L lanes of the
 # children, left children first.  A kept parent has coefficients >= 0 of
 # sum <= B, so every partial sum of the shift and each child's sum F(2, 1)
@@ -325,9 +322,10 @@ _MAX_BATCH = 1024  # one-signed nodes per batch; a larger level is split
 
 
 def _lane_width(k: int, b_max: int) -> int:
-    """W = 64 m, the least with k + b_max.bit_length() <= W, for forms
-    with k coefficients walked up to height b_max."""
-    return 64 * -(-(k + b_max.bit_length()) // 64)
+    """W = 8 m, the least with k + b_max.bit_length() <= W, for forms
+    with k coefficients walked up to height b_max: a lane is a whole number
+    of bytes, as few as hold 2^(k-1) b_max below its guard bit."""
+    return 8 * -(-(k + b_max.bit_length()) // 8)
 
 
 def _pack(column: list[int], step: int) -> int:

@@ -490,6 +490,19 @@ def test_solver_failures_exit_one(capsys, monkeypatch, failure):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_zero_pairing_table_exits_one(capsys, monkeypatch):
+    # a broken table is a failed certificate, not invalid input
+    from effcone import picard
+
+    real = picard.pairing_matrix
+    monkeypatch.setattr(picard, "pairing_matrix",
+                        lambda n: [[0] * len(row) for row in real(n)])
+    code, out, err = run(capsys, "cone-cert", "--n", "5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: constraint matrix is zero\n"
+
+
 @pytest.mark.parametrize("scale, message", [
     (-1, "no coordinate bounds the shift from below"),
     (0, "coordinate is negative for every shift"),

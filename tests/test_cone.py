@@ -680,7 +680,7 @@ def test_certificate_infeasible_slice_propagates():
 
 
 def test_certificate_rejects_zero_matrix():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConeError, match="constraint matrix is zero"):
         dual_contained_in_orthant([[0, 0], [0, 0]])
 
 

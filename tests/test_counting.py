@@ -8,7 +8,7 @@ from operator import add, neg
 
 import pytest
 
-from effcone import counting
+from effcone import cli, counting
 from effcone.counting import (
     CountingError,
     CountSeries,
@@ -907,7 +907,8 @@ def test_packed_walk_yields_the_list_walk_batches(monkeypatch):
 def test_packed_lanes_hold_a_whole_sum_on_one_coefficient(monkeypatch):
     # a kept parent b_max z^n has the child b_max (z + w)^n of sum
     # 2^n b_max, the largest a lane must hold; with n + b_max.bit_length()
-    # + 1 at 63, 64 and 65 a lane is one, one and two 64-bit words wide.
+    # + 1 at 15, 16, 17, 63, 64 and 65 a lane is 2, 2, 3, 8, 8 and 9 bytes
+    # wide, so the widths cross both a byte and a 64-bit word boundary.
     # Its neighbours: the mirror b_max w^n, random splits of b_max, ties,
     # and a node with every coefficient b_max, recorded but not kept.
     # b_max z^n is its own right child (it has discriminant 0, so no box
@@ -915,7 +916,8 @@ def test_packed_lanes_hold_a_whole_sum_on_one_coefficient(monkeypatch):
     # walked together and each alone
     rng = random.Random(79)
     for n in (3, 8):
-        for bits in (63, 64, 65):
+        for bits, lane_bits in zip((15, 16, 17, 63, 64, 65),
+                                   (16, 16, 24, 64, 64, 72)):
             b_max = (1 << (bits - n - 1)) - 1
             forms = [(b_max,) + (0,) * n, (0,) * n + (b_max,),
                      (b_max // (n + 1),) * (n + 1), (b_max,) * (n + 1)]
@@ -924,7 +926,7 @@ def test_packed_lanes_hold_a_whole_sum_on_one_coefficient(monkeypatch):
                 forms.append(tuple(map(int.__sub__, cuts + [b_max], [0] + cuts)))
             rows = [F + (rng.choice((1, -1)),) for F in forms]
             width = counting._lane_width(n + 1, b_max)
-            assert width == (64, 64, 128)[bits - 63]
+            assert width == lane_bits
             for size in (1, 2, 1024):
                 monkeypatch.setattr(counting, "_MAX_BATCH", size)
                 sums = set()
@@ -935,6 +937,15 @@ def test_packed_lanes_hold_a_whole_sum_on_one_coefficient(monkeypatch):
                         [row + (0, 1, 1, 0) for row in group], b_max, None), 8))
                     sums |= {abs(sum(F)) for _, forms in packed for F in forms}
                 assert max(sums) == b_max << n and (n + 1) * b_max in sums
+
+
+def test_lane_width_is_the_least_whole_number_of_bytes():
+    for k in range(4, 22):
+        for e in range(201):
+            for b in {(1 << e) - 1, 1 << e, (1 << e) + 1} - {0}:
+                width = counting._lane_width(k, b)
+                assert width % 8 == 0, (k, b)
+                assert width - 8 < k + b.bit_length() <= width, (k, b)
 
 
 def test_cubic_series_pinned_at_one_million(monkeypatch):
@@ -1001,18 +1012,21 @@ def test_grid_must_be_nonempty_and_increasing(grid):
         count_series(BinaryForm((1, 0, -1, -1)), grid)
 
 
-def test_series_validation_and_csv():
+def test_series_validation_and_csv(capsys):
     with pytest.raises(ValueError):
         CountSeries(((10, 5), (10, 6)))
     with pytest.raises(ValueError):
         CountSeries(((10, 5), (20, 4)))
     series = CountSeries(((100, 12), (200, 20)))
-    text = series.to_csv()
-    assert text == "B,N\n100,12\n200,20\n"
-    assert CountSeries.from_csv(text) == series
+    assert CountSeries.from_csv("B,N\n100,12\n200,20\n") == series
     assert CountSeries.from_csv("b,n\n\n100,12\n 200,20 \n") == series
     with pytest.raises(ValueError, match="line 2: .* got 'B,N'"):
         CountSeries.from_csv("100,12\nB,N\n200,20\n")
+    # the count command writes a series as csv; fit reads it back
+    assert cli.main(["count", "--coeffs=1,0,-1,-1", "--bmax", "400",
+                     "--grid", "3", "--format", "csv"]) == 0
+    assert CountSeries.from_csv(capsys.readouterr().out) == count_series(
+        BinaryForm((1, 0, -1, -1)), [100, 200, 400])
 
 
 # ---------------------------------------------------------------------------
