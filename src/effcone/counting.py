@@ -1,10 +1,5 @@
 """Counting unimodular-orbit forms of bounded height and fitting the growth.
 
-`enumerate_unimodular` walks every determinant-1 integer matrix in a box:
-for each coprime top row (a, b) the bottom rows form the integer family
-(c, d) = (c0 + t*a, d0 + t*b) through one extended-gcd base solution,
-clipped to the box.
-
 Orbit counts are exact.  For a form f of degree n >= 3 with nonzero
 discriminant, `entry_bound(f, B)` is an integer T such that every
 determinant-1 matrix g with height(f o g) <= B has all entries in [-T, T];
@@ -39,8 +34,8 @@ from itertools import compress
 from operator import neg
 
 from ._terms import ExactnessError
-from .forms import (BinaryForm, UnimodularMatrix, adjugate_solve, disc,
-                    gradient_sylvester, substitute, taylor_shift)
+from .forms import (BinaryForm, adjugate_solve, disc, gradient_sylvester,
+                    substitute, taylor_shift)
 
 
 class NonGenericForm(ValueError):
@@ -114,71 +109,6 @@ class FitResult:
     intercept: float
     residual_norm: float
     points_used: int
-
-
-# ---------------------------------------------------------------------------
-# unimodular enumeration
-# ---------------------------------------------------------------------------
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        return -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
-def _t_interval(base: int, step: int, bound: int) -> tuple[int, int] | None:
-    """Integer t with |base + t*step| <= bound, for step != 0; None marks an
-    empty range."""
-    lo_num, hi_num = -bound - base, bound - base
-    if step < 0:
-        lo_num, hi_num, step = -hi_num, -lo_num, -step
-    lo = -((-lo_num) // step)  # ceil
-    hi = hi_num // step        # floor
-    if lo > hi:
-        return None
-    return lo, hi
-
-
-def _entries_for_top_row(a: int, b: int, bound: int):
-    """All (c, d) with a*d - b*c = 1 and |c|, |d| <= bound."""
-    g, x, y = _egcd(a, b)
-    d0, c0 = x, -y  # a*d0 - b*c0 = 1
-    if a == 0:
-        if abs(c0) > bound:
-            return
-        rng = _t_interval(d0, b, bound)
-    elif b == 0:
-        if abs(d0) > bound:
-            return
-        rng = _t_interval(c0, a, bound)
-    else:
-        ra = _t_interval(c0, a, bound)
-        rb = _t_interval(d0, b, bound)
-        rng = None if ra is None or rb is None else (max(ra[0], rb[0]),
-                                                    min(ra[1], rb[1]))
-    if rng is None or rng[0] > rng[1]:
-        return
-    for t in range(rng[0], rng[1] + 1):
-        yield c0 + t * a, d0 + t * b
-
-
-def enumerate_unimodular(bound: int):
-    """Yield every determinant-1 integer matrix with entries in [-T, T]
-    exactly once (T = bound)."""
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if math.gcd(a, b) == 1:
-                for c, d in _entries_for_top_row(a, b, bound):
-                    yield UnimodularMatrix(a, b, c, d)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cone
-from ._terms import ExactnessError, _exact, format_terms
+from ._terms import ExactnessError, _exact
 
 
 class BadName(ValueError):
@@ -72,9 +72,6 @@ class FiberClass:
 
     def __rmul__(self, q) -> "FiberClass":
         return self.scale(q)
-
-    def __str__(self) -> str:
-        return format_terms(zip(self.coords, basis_labels(self.n)))
 
 
 def _unit(n: int, index: int) -> FiberClass:

@@ -12,19 +12,13 @@ That resultant is projective, so roots at infinity need no change of chart.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._terms import ExactnessError
 
 
 class DegreeTooSmall(ValueError):
     """Discriminants need degree at least 2."""
-
-
-class InconsistentRatio(ValueError):
-    """Two discriminant conventions disagree by more than a constant."""
 
 
 @dataclass(frozen=True)
@@ -47,12 +41,6 @@ class BinaryForm:
     def from_csv(text: str) -> "BinaryForm":
         return BinaryForm(tuple(int(part) for part in text.split(",")))
 
-    def to_csv(self) -> str:
-        return ",".join(str(x) for x in self.coeffs)
-
-    def __neg__(self) -> "BinaryForm":
-        return BinaryForm(tuple(-x for x in self.coeffs))
-
 
 @dataclass(frozen=True)
 class UnimodularMatrix:
@@ -68,26 +56,11 @@ class UnimodularMatrix:
             raise ValueError("matrix determinant must be 1")
 
     @staticmethod
-    def identity() -> "UnimodularMatrix":
-        return UnimodularMatrix(1, 0, 0, 1)
-
-    @staticmethod
     def from_csv(text: str) -> "UnimodularMatrix":
         parts = [int(p) for p in text.split(",")]
         if len(parts) != 4:
             raise ValueError("expected 4 comma-separated entries a,b,c,d")
         return UnimodularMatrix(*parts)
-
-    def __matmul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
-        return UnimodularMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __neg__(self) -> "UnimodularMatrix":
-        return UnimodularMatrix(-self.a, -self.b, -self.c, -self.d)
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -137,14 +110,10 @@ def taylor_shift(xs: tuple[int, ...]) -> tuple[int, ...]:
 def act(f: BinaryForm, m: UnimodularMatrix) -> BinaryForm:
     """Coefficients of f(a*z + b*w, c*z + d*w), expanded exactly.
 
-    Satisfies the right-action law act(act(f, m), m2) == act(f, m @ m2).
+    Satisfies the right-action law: act(act(f, m), m2) is act(f, m m2)
+    for the matrix product m m2.
     """
     return BinaryForm(substitute(f.coeffs, m.a, m.b, m.c, m.d))
-
-
-def height(f: BinaryForm) -> int:
-    """Largest absolute coefficient."""
-    return max(abs(x) for x in f.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -248,53 +217,3 @@ def disc(f: BinaryForm) -> int:
         raise ExactnessError(f"Res(f_z, f_w) = {res} is not a multiple of "
                              f"n^(n-2) = {n ** (n - 2)}")
     return -quot if (n * (n - 1) // 2) % 2 else quot
-
-
-def disc_cubic_reference(x0: int, x1: int, x2: int, x3: int) -> int:
-    """Independent reference formula for the cubic discriminant, in the
-    convention where disc(z^3 - z*w^2) = -4:
-    27*x0^2*x3^2 - 18*x0*x1*x2*x3 + 4*x0*x2^3 + 4*x1^3*x3 - x1^2*x2^2."""
-    return (27 * x0**2 * x3**2 - 18 * x0 * x1 * x2 * x3
-            + 4 * x0 * x2**3 + 4 * x1**3 * x3 - x1**2 * x2**2)
-
-
-def compare_disc_conventions(sample_count: int, seed: int = 0,
-                             coeff_bound: int = 50) -> Fraction:
-    """Ratio disc(f) / disc_cubic_reference(f) over random cubics with
-    nonzero discriminant; asserts the ratio is one constant and returns it.
-
-    Cubics where the reference formula vanishes are resampled.  Raises
-    InconsistentRatio if two samples disagree, which would mean the
-    implemented convention is not a constant multiple of the reference.
-    """
-    if sample_count < 1:
-        raise ValueError("need at least one sample")
-    rng = random.Random(seed)
-    ratio = None
-    produced = 0
-    while produced < sample_count:
-        coeffs = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(4))
-        ref = disc_cubic_reference(*coeffs)
-        if ref == 0:
-            continue
-        ours = disc(BinaryForm(coeffs))
-        r = Fraction(ours, ref)
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            raise InconsistentRatio(f"ratio {r} != {ratio} at {coeffs}")
-        produced += 1
-    return ratio
-
-
-def form_from_roots(leading: int, roots: list[int]) -> BinaryForm:
-    """The form leading * prod (z - r_i w): integer coefficients, with the
-    discriminant leading^(2n-2) * prod_(i<j) (r_i - r_j)^2."""
-    coeffs = [leading]
-    for r in roots:
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c
-            nxt[i + 1] -= c * r
-        coeffs = nxt
-    return BinaryForm(tuple(coeffs))

@@ -24,10 +24,6 @@ from . import cone
 from ._terms import ExactnessError, _exact, format_terms
 
 
-class InvalidSubset(ValueError):
-    """A pairing was requested against a set outside {1, ..., n}."""
-
-
 # ---------------------------------------------------------------------------
 # divisor classes
 # ---------------------------------------------------------------------------
@@ -59,10 +55,6 @@ class DivisorClass:
                 cleaned[int(s)] = q
         object.__setattr__(self, "coeff_B", cleaned)
 
-    @staticmethod
-    def zero(n: int) -> "DivisorClass":
-        return DivisorClass(n, 0, {})
-
     def b(self, s: int) -> int | Fraction:
         return self.coeff_B.get(s, 0)
 
@@ -76,14 +68,6 @@ class DivisorClass:
         for s, q in other.coeff_B.items():
             coeffs[s] = coeffs.get(s, 0) + q
         return DivisorClass(self.n, self.coeff_L + other.coeff_L, coeffs)
-
-    def scale(self, q) -> "DivisorClass":
-        q = _exact(q)
-        return DivisorClass(self.n, q * self.coeff_L,
-                            {s: q * c for s, c in self.coeff_B.items()})
-
-    def __rmul__(self, q) -> "DivisorClass":
-        return self.scale(q)
 
     def __str__(self) -> str:
         return format_divisor(self)
@@ -181,46 +165,6 @@ class CurveClass:
         return f"{self.kind}_{self.s}"
 
 
-@dataclass(frozen=True)
-class SubsetCurve:
-    """One representative of a curve family, at the level of subsets:
-    the component carries the marked points of S, and R-curves forget the
-    extra point tau outside S."""
-
-    kind: str
-    S: frozenset[int]
-    tau: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "S", frozenset(self.S))
-        if self.kind == "C":
-            if len(self.S) < 3:
-                raise ValueError("C-curves need |S| >= 3")
-            if self.tau is not None:
-                raise ValueError("C-curves carry no forgotten point")
-        elif self.kind == "R":
-            if len(self.S) < 2:
-                raise ValueError("R-curves need |S| >= 2")
-            if self.tau is None or self.tau in self.S:
-                raise ValueError("R-curves need a forgotten point outside S")
-        else:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-
-    def validate(self, n: int) -> None:
-        points = set(self.S) | ({self.tau} if self.tau is not None else set())
-        if not points <= set(range(1, n + 1)):
-            raise ValueError(f"curve marked points exceed n={n}")
-
-
-def representative(curve: CurveClass, n: int) -> SubsetCurve:
-    """The fixed representative S = {1..s}, tau = s+1 used for averaging."""
-    curve.validate(n)
-    S = frozenset(range(1, curve.s + 1))
-    if curve.kind == "C":
-        return SubsetCurve("C", S)
-    return SubsetCurve("R", S, curve.s + 1)
-
-
 def pair_L(curve: CurveClass) -> int:
     """Intersection with the hyperplane pullback: C-curves are collapsed
     (0), R-curves map to lines (1)."""
@@ -256,46 +200,6 @@ def derive_self_pairing(kind: str, s: int, n: int) -> int:
         raise ExactnessError(
             f"self term of {curve.label()} is not an integer at n={n}")
     return self_term
-
-
-def pair_subset(curve: SubsetCurve, T, n: int) -> int:
-    """Intersection of the subset-level curve with the boundary divisor B_T."""
-    curve.validate(n)
-    T = frozenset(T)
-    if not T <= set(range(1, n + 1)):
-        raise InvalidSubset(f"T must be a subset of {{1..{n}}}")
-    if len(T) < 2:
-        raise InvalidSubset("boundary subsets have at least 2 elements")
-    S, s = curve.S, len(curve.S)
-    if T == S:
-        return derive_self_pairing(curve.kind, s, n)
-    if curve.kind == "C":
-        if len(T) == s - 1 and T < S:
-            return 1
-        return 0
-    if T == S | {curve.tau}:
-        return 1
-    if len(T) == 2 and curve.tau in T and not (T - {curve.tau}) & S:
-        return 1
-    return 0
-
-
-def pair_averaged(curve: CurveClass, j: int, n: int) -> int:
-    """Intersection with B[j]: entry j - 2 of the curve's pairing-matrix
-    row.  Equal to the sum of pair_subset over all size-j subsets."""
-    if not 2 <= j <= n:
-        raise InvalidSubset(f"B[{j}] does not exist for n={n}")
-    return _pairing_row(curve, n)[j - 2]
-
-
-def pair(c: DivisorClass, curve: CurveClass) -> int | Fraction:
-    """Bilinear extension of the curve's pairing-matrix row to any divisor
-    class."""
-    row = _pairing_row(curve, c.n)
-    total = c.coeff_L * pair_L(curve)
-    for s, q in c.coeff_B.items():
-        total += q * row[s - 2]
-    return total
 
 
 def matrix_curves(n: int) -> list[CurveClass]:

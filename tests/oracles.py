@@ -1,0 +1,199 @@
+"""Reference oracles that the tests compare the package against.
+
+Each is an independent route to a value the package computes another way:
+the plain box enumerator of determinant-1 matrices, the classical cubic
+discriminant, forms built from their roots, the pairing of a curve at the
+level of subsets, and the bilinear pairing of a divisor class with a curve.
+No command-line path runs them, so they live here and not in the package.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from effcone.forms import BinaryForm, UnimodularMatrix
+from effcone.picard import (CurveClass, DivisorClass, _pairing_row,
+                            derive_self_pairing, pair_L)
+
+
+def height(f: BinaryForm) -> int:
+    """Largest absolute coefficient."""
+    return max(abs(x) for x in f.coeffs)
+
+
+def matmul(m1: UnimodularMatrix, m2: UnimodularMatrix) -> UnimodularMatrix:
+    """The matrix product m1 m2."""
+    return UnimodularMatrix(
+        m1.a * m2.a + m1.b * m2.c,
+        m1.a * m2.b + m1.b * m2.d,
+        m1.c * m2.a + m1.d * m2.c,
+        m1.c * m2.b + m1.d * m2.d,
+    )
+
+
+# ---------------------------------------------------------------------------
+# unimodular enumeration
+# ---------------------------------------------------------------------------
+
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        return -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+def _t_interval(base: int, step: int, bound: int) -> tuple[int, int] | None:
+    """Integer t with |base + t*step| <= bound, for step != 0; None marks an
+    empty range."""
+    lo_num, hi_num = -bound - base, bound - base
+    if step < 0:
+        lo_num, hi_num, step = -hi_num, -lo_num, -step
+    lo = -((-lo_num) // step)  # ceil
+    hi = hi_num // step        # floor
+    if lo > hi:
+        return None
+    return lo, hi
+
+
+def _entries_for_top_row(a: int, b: int, bound: int):
+    """All (c, d) with a*d - b*c = 1 and |c|, |d| <= bound."""
+    g, x, y = _egcd(a, b)
+    d0, c0 = x, -y  # a*d0 - b*c0 = 1
+    if a == 0:
+        if abs(c0) > bound:
+            return
+        rng = _t_interval(d0, b, bound)
+    elif b == 0:
+        if abs(d0) > bound:
+            return
+        rng = _t_interval(c0, a, bound)
+    else:
+        ra = _t_interval(c0, a, bound)
+        rb = _t_interval(d0, b, bound)
+        rng = None if ra is None or rb is None else (max(ra[0], rb[0]),
+                                                    min(ra[1], rb[1]))
+    if rng is None or rng[0] > rng[1]:
+        return
+    for t in range(rng[0], rng[1] + 1):
+        yield c0 + t * a, d0 + t * b
+
+
+def enumerate_unimodular(bound: int):
+    """Yield every determinant-1 integer matrix with entries in [-T, T]
+    exactly once (T = bound).
+
+    For each coprime top row (a, b) the bottom rows form the integer family
+    (c, d) = (c0 + t*a, d0 + t*b) through one extended-gcd base solution,
+    clipped to the box.
+    """
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            if math.gcd(a, b) == 1:
+                for c, d in _entries_for_top_row(a, b, bound):
+                    yield UnimodularMatrix(a, b, c, d)
+
+
+# ---------------------------------------------------------------------------
+# discriminants
+# ---------------------------------------------------------------------------
+
+def disc_cubic_reference(x0: int, x1: int, x2: int, x3: int) -> int:
+    """Independent reference formula for the cubic discriminant, in the
+    convention where disc(z^3 - z*w^2) = -4:
+    27*x0^2*x3^2 - 18*x0*x1*x2*x3 + 4*x0*x2^3 + 4*x1^3*x3 - x1^2*x2^2."""
+    return (27 * x0**2 * x3**2 - 18 * x0 * x1 * x2 * x3
+            + 4 * x0 * x2**3 + 4 * x1**3 * x3 - x1**2 * x2**2)
+
+
+def form_from_roots(leading: int, roots: list[int]) -> BinaryForm:
+    """The form leading * prod (z - r_i w): integer coefficients, with the
+    discriminant leading^(2n-2) * prod_(i<j) (r_i - r_j)^2."""
+    coeffs = [leading]
+    for r in roots:
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i] += c
+            nxt[i + 1] -= c * r
+        coeffs = nxt
+    return BinaryForm(tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# subset-level pairings
+# ---------------------------------------------------------------------------
+
+class InvalidSubset(ValueError):
+    """A pairing was requested against a set outside {1, ..., n}."""
+
+
+@dataclass(frozen=True)
+class SubsetCurve:
+    """One representative of a curve family, at the level of subsets:
+    the component carries the marked points of S, and R-curves forget the
+    extra point tau outside S."""
+
+    kind: str
+    S: frozenset[int]
+    tau: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "S", frozenset(self.S))
+        if self.kind == "C":
+            if len(self.S) < 3:
+                raise ValueError("C-curves need |S| >= 3")
+            if self.tau is not None:
+                raise ValueError("C-curves carry no forgotten point")
+        elif self.kind == "R":
+            if len(self.S) < 2:
+                raise ValueError("R-curves need |S| >= 2")
+            if self.tau is None or self.tau in self.S:
+                raise ValueError("R-curves need a forgotten point outside S")
+        else:
+            raise ValueError(f"unknown curve kind {self.kind!r}")
+
+    def validate(self, n: int) -> None:
+        points = set(self.S) | ({self.tau} if self.tau is not None else set())
+        if not points <= set(range(1, n + 1)):
+            raise ValueError(f"curve marked points exceed n={n}")
+
+
+def pair_subset(curve: SubsetCurve, T, n: int) -> int:
+    """Intersection of the subset-level curve with the boundary divisor B_T."""
+    curve.validate(n)
+    T = frozenset(T)
+    if not T <= set(range(1, n + 1)):
+        raise InvalidSubset(f"T must be a subset of {{1..{n}}}")
+    if len(T) < 2:
+        raise InvalidSubset("boundary subsets have at least 2 elements")
+    S, s = curve.S, len(curve.S)
+    if T == S:
+        return derive_self_pairing(curve.kind, s, n)
+    if curve.kind == "C":
+        if len(T) == s - 1 and T < S:
+            return 1
+        return 0
+    if T == S | {curve.tau}:
+        return 1
+    if len(T) == 2 and curve.tau in T and not (T - {curve.tau}) & S:
+        return 1
+    return 0
+
+
+def pair(c: DivisorClass, curve: CurveClass) -> int | Fraction:
+    """Bilinear extension of the curve's pairing-matrix row to any divisor
+    class."""
+    row = _pairing_row(curve, c.n)
+    total = c.coeff_L * pair_L(curve)
+    for s, q in c.coeff_B.items():
+        total += q * row[s - 2]
+    return total

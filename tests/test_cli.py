@@ -1,6 +1,10 @@
 import hashlib
+import inspect
 import json
 import math
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -610,3 +614,83 @@ def test_count_form_with_huge_root(capsys):
                          "20000", "--grid", "3", "--format", "json")
     assert code == 0, err
     assert json.loads(out)["series"] == [[5000, 0], [10000, 0], [20000, 0]]
+
+
+# Functions of src/effcone that no command-line run needs to enter; each
+# entry is recorded with its reason in CHANGES.md.
+UNREACHED_ALLOWED: frozenset[str] = frozenset()
+
+
+def _library_functions(src) -> dict[tuple[str, int, str], str]:
+    """(file name, first line, name) -> qualified name of every function
+    and method compiled from the package's modules.  Module and class
+    bodies, lambdas and comprehensions are left out."""
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        stack = [(compile(path.read_text(encoding="utf-8"), str(path), "exec"), "")]
+        while stack:
+            code, prefix = stack.pop()
+            for const in code.co_consts:
+                if not isinstance(const, types.CodeType) or const.co_name.startswith("<"):
+                    continue
+                if const.co_flags & inspect.CO_NEWLOCALS:  # a function body
+                    name = prefix + const.co_name
+                    found[(path.name, const.co_firstlineno, const.co_name)] = (
+                        f"{path.stem}.{name}")
+                    stack.append((const, name + ".<locals>."))
+                else:  # a class body
+                    stack.append((const, prefix + const.co_name + "."))
+    return found
+
+
+def test_every_library_function_runs_under_the_cli(capsys, tmp_path):
+    from effcone import cli
+
+    src = Path(cli.__file__).resolve().parent
+    series = tmp_path / "series.csv"
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("B,N\n10,x\n")
+    formats = ("human", "json", "csv")
+    argvs = [[*argv, "--format", fmt] for fmt in formats for argv in (
+        ["pairings", "--n", "5"], ["cone-cert", "--n", "5"],
+        ["kodaira", "--n", "5", "--space", "full"],
+        ["kodaira", "--n", "5", "--space", "fiber"],
+        ["relation", "--n", "5"], ["fiber-check", "--n", "3"],
+        ["fiber-check", "--n", "5"], ["disc", "--coeffs=1,0,-1,-1"],
+        ["act", "--coeffs=1,0,-1,-1", "--matrix", "1,1,0,1"],
+        ["count", "--coeffs=1,0,-1,-1", "--bmax", "400", "--grid", "3"],
+        ["fit", "--in", str(series)])]
+    argvs += [["count", "--coeffs=1,-3,-25,75,0", "--bmax", "2000"],
+              ["count", "--coeffs=1,0,0,0,1", "--bmax", "2000"]]
+    exit_two = [["disc", "--coeffs=1,1"],
+                ["act", "--coeffs=1,0,-1,-1", "--matrix", "1,1,1,1"],
+                ["count", "--coeffs=1,0,-1,-1", "--bmax", "0"],
+                ["count", "--coeffs=1,0,-1", "--bmax", "100"],
+                ["cone-cert", "--n", "301"],
+                ["fit", "--in", str(tmp_path / "missing.csv")],
+                ["fit", "--in", str(malformed)]]
+    assert main(["count", "--coeffs=1,0,-1,-1", "--bmax", "800",
+                 "--format", "csv"]) == 0
+    series.write_text(capsys.readouterr().out)
+
+    cli.build_parser.cache_clear()  # earlier tests built the shared parser
+    entered = set()
+
+    def on_call(frame, event, arg):
+        entered.add(frame.f_code)
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        codes = [main(argv) for argv in argvs + exit_two]
+    finally:
+        sys.settrace(previous)
+    capsys.readouterr()
+    assert codes == [0] * len(argvs) + [2] * len(exit_two)
+
+    functions = _library_functions(src)
+    ran = {(Path(c.co_filename).name, c.co_firstlineno, c.co_name)
+           for c in entered if Path(c.co_filename).resolve().parent == src}
+    unreached = sorted(name for key, name in functions.items() if key not in ran)
+    assert unreached == sorted(UNREACHED_ALLOWED), (
+        "never entered under the CLI: " + ", ".join(unreached))

@@ -18,7 +18,6 @@ from effcone.counting import (
     _gradient_identities,
     count_series,
     entry_bound,
-    enumerate_unimodular,
     fit_exponent,
 )
 from effcone.forms import (
@@ -27,12 +26,11 @@ from effcone.forms import (
     act,
     bareiss_det,
     disc,
-    form_from_roots,
-    height,
     substitute,
     sylvester_matrix,
     taylor_shift,
 )
+from oracles import enumerate_unimodular, form_from_roots, height
 
 
 def evaluate(xs, a, c):

@@ -8,9 +8,8 @@ import pytest
 from effcone.picard import (
     CurveClass,
     DivisorClass,
-    InvalidSubset,
-    SubsetCurve,
     _cleared_b_vector,
+    _pairing_row,
     b_labels,
     cone_certificate,
     derive_l_relation,
@@ -18,16 +17,19 @@ from effcone.picard import (
     format_divisor,
     kodaira_full,
     matrix_curves,
-    pair,
     pair_L,
-    pair_averaged,
-    pair_subset,
     pairing_matrix,
-    representative,
     standard_class,
 )
+from oracles import InvalidSubset, SubsetCurve, pair, pair_subset
 
 Q = Fraction
+
+
+def scaled(c, q):
+    """The divisor class q * c."""
+    return DivisorClass(c.n, q * c.coeff_L,
+                        {s: q * v for s, v in c.coeff_B.items()})
 
 
 def reduce_to_B(c):
@@ -84,7 +86,7 @@ def test_relation_closed_form_coefficients():
 def test_reduce_to_b_examples():
     assert reduce_to_B(standard_class(4, "hyperplane")).coeff_B == {
         2: Q(1, 3), 3: Q(1), 4: Q(2)}
-    zero = DivisorClass.zero(5)
+    zero = DivisorClass(5, 0, {})
     assert reduce_to_B(zero) == zero
     k3 = standard_class(3, "canonical")
     assert reduce_to_B(k3).coeff_B == {2: Q(-1), 3: Q(-2)}
@@ -101,7 +103,7 @@ def test_reduce_to_b_is_projection():
         assert reduced.coeff_L == 0
         assert reduce_to_B(reduced) == reduced
         q = Q(rng.randint(-7, 7), rng.randint(1, 5))
-        moved = c + q * derive_l_relation(n)
+        moved = c + scaled(derive_l_relation(n), q)
         assert reduce_to_B(moved) == reduced
 
 
@@ -147,9 +149,10 @@ def test_pair_subset_errors():
 
 
 def test_pair_averaged_examples():
-    assert pair_averaged(CurveClass("C", 4), 3, 5) == 4
-    assert pair_averaged(CurveClass("R", 3), 2, 5) == 1
-    assert pair_averaged(CurveClass("R", 2), 2, 5) == 1  # (n-s-1) + (-1)
+    # entry j - 2 of a curve's row is its pairing with B[j]
+    assert _pairing_row(CurveClass("C", 4), 5)[3 - 2] == 4
+    assert _pairing_row(CurveClass("R", 3), 5)[2 - 2] == 1
+    assert _pairing_row(CurveClass("R", 2), 5)[2 - 2] == 1  # (n-s-1) + (-1)
 
 
 def test_pair_averaged_equals_subset_sums_all_representatives():
@@ -160,14 +163,14 @@ def test_pair_averaged_equals_subset_sums_all_representatives():
         for j in range(2, n + 1):
             size_j = [frozenset(t) for t in combinations(range(1, n + 1), j)]
             for s in range(3, n + 1):
-                expected = pair_averaged(CurveClass("C", s), j, n)
+                expected = _pairing_row(CurveClass("C", s), n)[j - 2]
                 for S in subsets:
                     if len(S) != s:
                         continue
                     curve = SubsetCurve("C", S)
                     assert sum(pair_subset(curve, t, n) for t in size_j) == expected
             for s in range(2, n):
-                expected = pair_averaged(CurveClass("R", s), j, n)
+                expected = _pairing_row(CurveClass("R", s), n)[j - 2]
                 for S in subsets:
                     if len(S) != s:
                         continue
@@ -175,12 +178,6 @@ def test_pair_averaged_equals_subset_sums_all_representatives():
                         curve = SubsetCurve("R", S, tau)
                         assert sum(pair_subset(curve, t, n)
                                    for t in size_j) == expected
-
-
-def test_fixed_representative():
-    rep = representative(CurveClass("R", 3), 6)
-    assert rep.S == frozenset({1, 2, 3}) and rep.tau == 4
-    assert representative(CurveClass("C", 4), 6).S == frozenset({1, 2, 3, 4})
 
 
 def test_pair_L_values():
@@ -192,8 +189,8 @@ def test_relation_consistency_identity():
     # pairing the relation against every curve gives zero, i.e.
     # sum_j j(j-1)/2 * pairing = (n-1) * pairing with L
     for n in range(3, 13):
-        for curve in matrix_curves(n):
-            weighted = sum(Q(j * (j - 1), 2) * pair_averaged(curve, j, n)
+        for curve, row in zip(matrix_curves(n), pairing_matrix(n)):
+            weighted = sum(Q(j * (j - 1), 2) * row[j - 2]
                            for j in range(2, n + 1))
             assert weighted == (n - 1) * pair_L(curve)
 
@@ -220,7 +217,7 @@ def test_inexact_self_term_raises(monkeypatch):
     with pytest.raises(ArithmeticError, match="C_4"):
         derive_self_pairing("C", 4, 5)
     with pytest.raises(ArithmeticError):
-        pair_averaged(CurveClass("C", 4), 4, 5)
+        _pairing_row(CurveClass("C", 4), 5)
     with pytest.raises(ArithmeticError):
         pair_subset(SubsetCurve("C", {1, 2, 3, 4}), {1, 2, 3, 4}, 5)
     with pytest.raises(ArithmeticError):
@@ -258,7 +255,7 @@ def test_pair_is_bilinear():
         q = Q(rng.randint(-6, 6), rng.randint(1, 4))
         curves = matrix_curves(n)
         curve = curves[rng.randrange(len(curves))]
-        assert pair(c1 + q * c2, curve) == pair(c1, curve) + q * pair(c2, curve)
+        assert pair(c1 + scaled(c2, q), curve) == pair(c1, curve) + q * pair(c2, curve)
 
 
 def test_pairing_matrix_small_cases():
@@ -269,9 +266,22 @@ def test_pairing_matrix_small_cases():
 
 
 def test_pairing_matrix_equals_per_entry_tables():
+    # C_s: s at B[s-1] and -(s-2) at B[s]; R_s: 1 at B[s+1], n-s-1 at B[2]
+    # and -1 at B[s], entry by entry
     for n in range(3, 61):
-        assert pairing_matrix(n) == [[pair_averaged(curve, j, n) for j in range(2, n + 1)]
-                                     for curve in matrix_curves(n)]
+        expected = []
+        for curve in matrix_curves(n):
+            s = curve.s
+            row = {j: 0 for j in range(2, n + 1)}
+            if curve.kind == "C":
+                row[s - 1] += s
+                row[s] += -(s - 2)
+            else:
+                row[s + 1] += 1
+                row[2] += n - s - 1
+                row[s] += -1
+            expected.append([row[j] for j in range(2, n + 1)])
+        assert pairing_matrix(n) == expected
 
 
 def test_pairing_matrix_shape():
@@ -298,7 +308,7 @@ def test_pairing_matrix_rows_kill_relation():
 def test_format_canonical():
     c = DivisorClass(4, Q(-2), {3: Q(1), 4: Q(2)})
     assert format_divisor(c) == "-2*L + 1*B[3] + 2*B[4]"
-    assert str(DivisorClass.zero(5)) == "0"
+    assert str(DivisorClass(5, 0, {})) == "0"
     assert format_divisor(DivisorClass(4, Q(0), {2: Q(1, 3), 4: Q(-1)})) == \
         "1/3*B[2] - 1*B[4]"
 
@@ -323,7 +333,7 @@ def test_parse_round_trip():
         coeff_L = terms.pop("L", 0)
         assert DivisorClass(n, coeff_L, {int(name[2:-1]): q
                                          for name, q in terms.items()}) == c
-    assert parse_terms(format_divisor(DivisorClass.zero(6))) == {}
+    assert parse_terms(format_divisor(DivisorClass(6, 0, {}))) == {}
 
 
 def test_divisor_class_validation():
