@@ -21,9 +21,10 @@ Gauss-Jordan pivots would give.  Every error raised here is a ConeError,
 the pivot limit included.
 
 Every coordinate minimum over the slice shares its feasible region, so
-phase one runs once per ConeH and each later `lp_min` on that ConeH
-warm-starts phase two from the previous optimal basis.  A witness may
-therefore depend on the order of the calls; a minimum never does.
+phase one runs once per ConeH (again after a solver error) and each later
+`lp_min` on that ConeH warm-starts phase two from the previous optimal
+basis.  A witness may therefore depend on the order of the calls; a
+minimum never does.
 
 The arithmetic stays in integers from the input rows to the printed
 certificate: the dictionary is integer; a result is read out of it as two
@@ -444,11 +445,11 @@ def lp_min(cone: ConeH, objective_index: int) -> LpResult:
 
     The feasible set is {x free : cone.rows . x >= 0, sum(x) = 1}.  The free
     coordinates enter the basis once, in phase one, which runs on the first
-    call for a cone; later calls on the same ConeH start phase two from the
-    basis the previous call ended at, which is feasible because the region
-    is shared.  The minimum does not depend on the order of the calls, but
-    at a degenerate optimum the witness and multipliers may.  The pivot
-    limit applies per call.
+    call for a cone and on the first call after an error; later calls on the
+    same ConeH start phase two from the basis at which the previous call
+    returned, which is feasible because the region is shared.  The minimum
+    does not depend on the order of the calls, but at a degenerate optimum
+    the witness and multipliers may.  The pivot limit applies per call.
 
     The result is read out of the integer dictionary as it stands: the
     witness numerators over the lcm of the basic coefficients of the nonzero
@@ -461,8 +462,7 @@ def lp_min(cone: ConeH, objective_index: int) -> LpResult:
     if not 0 <= objective_index < k:
         raise DimensionMismatch("objective index out of range")
 
-    # The tableau is off the cone while it pivots, so an exception in the
-    # middle of a pivot cannot leave a half-updated tableau for the next call.
+    # the tableau is off the cone while it pivots: an error leaves none behind
     if cone._warm:
         tab = cone._warm.pop()
         tab.pivots = 0
@@ -470,12 +470,7 @@ def lp_min(cone: ConeH, objective_index: int) -> LpResult:
         tab = _phase_one(cone)
 
     tab.set_objective(objective_index)
-    try:
-        tab.optimize()
-    except Unbounded:
-        cone._warm.append(tab)
-        raise
-    cone._warm.append(tab)
+    tab.optimize()
 
     # basic coordinates with a nonzero value, over a common denominator
     values = [(v, row[-1], row[0]) for v, row in zip(tab.basis, tab.rows)
@@ -498,6 +493,7 @@ def lp_min(cone: ConeH, objective_index: int) -> LpResult:
     result = LpResult(Fraction(xs[objective_index], d_x), tuple(xs), d_x,
                       tuple(mus), nu, z[0])
     verify_lp_minimum(cone, objective_index, result)
+    cone._warm.append(tab)
     return result
 
 
@@ -517,25 +513,28 @@ def _block(nums: tuple[int, ...], den: int) -> list[str]:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Per-coordinate minima over {d : constraints . d >= 0, sum(d) = 1}.
+    """Per-coordinate minima over {d : cone.rows . d >= 0, sum(d) = 1}.
 
     Passing (all minima >= 0) certifies that the dual cone of the constraint
     rows is contained in the nonnegative orthant.  `results` holds one
-    LpResult per label: its witness attains the minimum and its multiplier
-    block proves optimality.  Construction re-checks every coordinate and
-    raises ConeError unless there is exactly one result per label.
+    LpResult per label of the cone lp_min solved on: its witness attains the
+    minimum and its multiplier block proves optimality.  Construction
+    re-checks each one on that cone and raises ConeError unless there is
+    exactly one result per label.
     """
 
-    labels: tuple[str, ...]
-    constraints: tuple[tuple[int, ...], ...]
+    cone: ConeH
     results: tuple[LpResult, ...]
 
     def __post_init__(self):
-        cone = ConeH(self.constraints, self.labels)
-        if len(self.results) != len(self.labels):
+        if len(self.results) != self.cone.num_vars:
             raise ConeError("one result per label required")
         for j, res in enumerate(self.results):
-            verify_lp_minimum(cone, j, res)
+            verify_lp_minimum(self.cone, j, res)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.cone.labels
 
     @property
     def minima(self) -> tuple[Fraction, ...]:
@@ -551,7 +550,7 @@ class Certificate:
         results = self.results
         return {
             "variables": list(self.labels),
-            "constraints": [[str(q) for q in row] for row in self.constraints],
+            "constraints": [[str(q) for q in row] for row in self.cone.rows],
             "normalization": "sum = 1",
             "minima": {lab: str(res.value) for lab, res in zip(self.labels, results)},
             "witnesses": [_block(res.witness, res.witness_den) for res in results],
@@ -579,7 +578,8 @@ def dual_contained_in_orthant(matrix, labels=None) -> Certificate:
     if all(q == 0 for row in cone.rows for q in row):
         raise ConeError("constraint matrix is zero")
     results = tuple(lp_min(cone, j) for j in range(cone.num_vars))
-    return Certificate(cone.labels, cone.rows, results)
+    cone._warm.clear()  # the certificate keeps the cone, not the solver's tableau
+    return Certificate(cone, results)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ of lines blown up along the small diagonal (exceptional divisor E) and then
 along n-3 disjoint sections of E, giving the exceptional divisors
 F_4, ..., F_n.  Its Picard group has the basis (g1, g2, g3, E, F4, ..., Fn)
 of rank n+1, with the sums over empty index ranges understood as zero so
-that n = 3 follows the same code path.
+that n = 3 follows the same code path.  `fiber_class` is the table of
+named classes: the basis labels, A_top, A_sub, K, Lhalf and B2_n3 (n = 3).
 
 The symmetric subgroup is spanned by the boundary classes A[n-1] (sum of
 all F_k, the relabelled large diagonals included) and A[n] = E, and the
@@ -15,20 +16,12 @@ is computed there.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import cone
 from ._terms import ExactnessError, _exact
-
-
-class BadName(ValueError):
-    pass
-
-
-class BadIndex(ValueError):
-    pass
 
 
 class NotInSpan(ExactnessError):
@@ -38,6 +31,12 @@ class NotInSpan(ExactnessError):
 
 def basis_labels(n: int) -> list[str]:
     return ["g1", "g2", "g3", "E"] + [f"F{k}" for k in range(4, n + 1)]
+
+
+@cache
+def _basis_index(n: int) -> dict[str, int]:
+    """Position of each basis label, built once per n."""
+    return {label: i for i, label in enumerate(basis_labels(n))}
 
 
 @dataclass(frozen=True)
@@ -66,18 +65,9 @@ class FiberClass:
     def __sub__(self, other: "FiberClass") -> "FiberClass":
         return self + (-1) * other
 
-    def scale(self, q) -> "FiberClass":
+    def __rmul__(self, q) -> "FiberClass":
         q = _exact(q)
         return FiberClass(self.n, tuple(q * a for a in self.coords))
-
-    def __rmul__(self, q) -> "FiberClass":
-        return self.scale(q)
-
-
-def _unit(n: int, index: int) -> FiberClass:
-    coords = [0] * (n + 1)
-    coords[index] = 1
-    return FiberClass(n, tuple(coords))
 
 
 def _halve(c: FiberClass) -> FiberClass:
@@ -91,58 +81,33 @@ def _halve(c: FiberClass) -> FiberClass:
     return FiberClass(c.n, tuple(halves))
 
 
-_F_NAME = re.compile(r"F(\d+)$")
-_DELTA_NAME = re.compile(r"Delta(\d)(\d)$")
-
-
 def fiber_class(n: int, name: str) -> FiberClass:
-    """Expand a named class into basis coordinates.
+    """The named class in basis coordinates, read from a table.
 
-    Names: g1 g2 g3 E, F1..Fn, Delta12 Delta13 Delta23, A_top (= E),
-    A_sub (= F1 + ... + Fn), K (canonical), Lhalf (the hyperplane pullback,
-    half of (n-2) A_sub + n A_top), and B2_n3 (the n = 3 large diagonal sum).
+    Names: the basis labels g1 g2 g3 E F4..Fn, A_top (= E), A_sub
+    (= F1 + ... + Fn, the relabelled large diagonals F1..F3 included),
+    K (canonical), Lhalf (the hyperplane pullback, half of
+    (n-2) A_sub + n A_top) and, at n = 3 only, B2_n3 (the large-diagonal
+    sum).  Any other name raises ValueError.
     """
     if n < 3:
         raise ValueError("need at least 3 marked points")
-    if name in ("g1", "g2", "g3"):
-        return _unit(n, int(name[1]) - 1)
-    if name == "E":
-        return _unit(n, 3)
-    mo = _F_NAME.match(name)
-    if mo:
-        k = int(mo.group(1))
-        if not 1 <= k <= n:
-            raise BadIndex(f"F{k} does not exist for n={n}")
-        if k >= 4:
-            return _unit(n, k)
-        # F_k for k <= 3 is the relabelled large diagonal:
-        # g_i + g_j - E - (F_4 + ... + F_n), {i,j,k} = {1,2,3}
-        i, j = sorted({1, 2, 3} - {k})
-        coords = [0] * 3 + [-1] + [-1] * (n - 3)
-        coords[i - 1] = coords[j - 1] = 1
-        return FiberClass(n, tuple(coords))
-    mo = _DELTA_NAME.match(name)
-    if mo:
-        i, j = int(mo.group(1)), int(mo.group(2))
-        if not (1 <= i < j <= 3):
-            raise BadIndex(f"no large diagonal Delta{i}{j}")
-        return _unit(n, i - 1) + _unit(n, j - 1) - _unit(n, 3)
-    if name == "A_top":
-        return _unit(n, 3)
-    if name == "A_sub":
-        # F_1 + ... + F_n = 2(g1 + g2 + g3) - 3E - 2(F4 + ... + Fn)
-        coords = [2] * 3 + [-3] + [-2] * (n - 3)
-        return FiberClass(n, tuple(coords))
-    if name == "K":
-        coords = [-2] * 3 + [1] + [2] * (n - 3)
-        return FiberClass(n, tuple(coords))
-    if name == "Lhalf":
+    index = _basis_index(n).get("E" if name == "A_top" else name)
+    if index is not None:
+        coords = [0] * (n + 1)
+        coords[index] = 1
+    elif name == "A_sub":
+        # F_k for k <= 3 is g_i + g_j - E - (F4 + ... + Fn), {i,j,k} = {1,2,3}
+        coords = [2, 2, 2, -3] + [-2] * (n - 3)
+    elif name == "K":
+        coords = [-2, -2, -2, 1] + [2] * (n - 3)
+    elif name == "Lhalf":
         return _halve((n - 2) * fiber_class(n, "A_sub") + n * fiber_class(n, "A_top"))
-    if name == "B2_n3":
-        if n != 3:
-            raise BadIndex("B2_n3 is the n=3 large-diagonal sum only")
-        return FiberClass(3, (2, 2, 2, -3))
-    raise BadName(f"unknown fiber class {name!r}")
+    elif name == "B2_n3" and n == 3:
+        coords = [2, 2, 2, -3]
+    else:
+        raise ValueError(f"no fiber class {name!r} for n={n}")
+    return FiberClass(n, tuple(coords))
 
 
 @dataclass(frozen=True)

@@ -644,7 +644,7 @@ def _library_functions(src) -> dict[tuple[str, int, str], str]:
 
 
 def test_every_library_function_runs_under_the_cli(capsys, tmp_path):
-    from effcone import cli
+    from effcone import cli, fiber
 
     src = Path(cli.__file__).resolve().parent
     series = tmp_path / "series.csv"
@@ -674,6 +674,7 @@ def test_every_library_function_runs_under_the_cli(capsys, tmp_path):
     series.write_text(capsys.readouterr().out)
 
     cli.build_parser.cache_clear()  # earlier tests built the shared parser
+    fiber._basis_index.cache_clear()  # and the label index of each n
     entered = set()
 
     def on_call(frame, event, arg):

@@ -24,7 +24,7 @@ from effcone.cone import (
     lp_min,
     verify_lp_minimum,
 )
-from effcone.picard import pairing_matrix
+from effcone.picard import cone_certificate, pairing_matrix
 
 Q = Fraction
 
@@ -195,6 +195,7 @@ def test_lp_min_rank_deficient_constraints():
     assert fm_minimum(rows, 2) == ("unbounded",)
     with pytest.raises(Unbounded):
         lp_min(cone, 2)
+    assert not cone._warm  # an error leaves no tableau: phase one reruns
     assert lp_min(cone, 0).value == 0
 
 
@@ -702,18 +703,35 @@ def test_certificate_requires_one_entry_per_label():
     truncations = [(), results[:2], results[:3], results + (results[0],)]
     for short in truncations:
         with pytest.raises(ConeError, match="per label required"):
-            Certificate(cert.labels, cert.constraints, short)
+            Certificate(cert.cone, short)
     # a witness block one entry short is caught by the re-check
     bad = replace(results[1], witness=results[1].witness[:3])
     with pytest.raises(DimensionMismatch, match="witness has wrong dimension"):
-        Certificate(cert.labels, cert.constraints, (results[0], bad, *results[2:]))
+        Certificate(cert.cone, (results[0], bad, *results[2:]))
 
 
 def test_certificate_validates_on_construction():
     cert = dual_contained_in_orthant([[3, -1], [-1, 1]])
     bad = replace(cert.results[0], value=cert.minima[0] + 1)
     with pytest.raises(ConeError, match="recorded minimum"):
-        Certificate(cert.labels, cert.constraints, (bad, cert.results[1]))
+        Certificate(cert.cone, (bad, cert.results[1]))
+
+
+def test_cone_certificate_builds_one_cone(monkeypatch):
+    # the certificate re-checks its results on the cone lp_min solved on
+    built = []
+    post_init = ConeH.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ConeH, "__post_init__", counted)
+    for n in (3, 5, 32):
+        built.clear()
+        cert = cone_certificate(n)
+        assert len(built) == 1 and cert.cone is built[0]
+        assert not cert.cone._warm  # the solver's tableau is not kept
 
 
 def test_pairing_certificates_pass_the_fraction_reference():

@@ -6,8 +6,6 @@ import pytest
 from effcone._terms import format_terms
 from effcone.fiber import (
     AClass,
-    BadIndex,
-    BadName,
     FiberClass,
     NotInSpan,
     basis_labels,
@@ -32,6 +30,16 @@ def expand(a):
             + a.a_top * fiber_class(a.n, "A_top"))
 
 
+def large_diagonal(n, k):
+    """F_k for k <= 3, the relabelled large diagonal
+    g_i + g_j - E - (F4 + ... + Fn) with {i, j, k} = {1, 2, 3}."""
+    i, j = sorted({1, 2, 3} - {k})
+    c = fiber_class(n, f"g{i}") + fiber_class(n, f"g{j}") - fiber_class(n, "E")
+    for m in range(4, n + 1):
+        c = c - fiber_class(n, f"F{m}")
+    return c
+
+
 def test_basis_units():
     assert fiber_class(4, "g2").coords == (0, 1, 0, 0, 0)
     assert fiber_class(3, "E").coords == (0, 0, 0, 1)
@@ -41,10 +49,9 @@ def test_basis_units():
 
 def test_relabelled_diagonal_expansions():
     # F_k for k <= 3 subtracts every later exceptional divisor
-    assert fiber_class(4, "F1").coords == (0, 1, 1, -1, -1)
-    assert fiber_class(3, "F2").coords == (1, 0, 1, -1)
-    assert fiber_class(6, "F3").coords == (1, 1, 0, -1, -1, -1, -1)
-    assert fiber_class(4, "Delta12").coords == (1, 1, 0, -1, 0)
+    assert large_diagonal(4, 1).coords == (0, 1, 1, -1, -1)
+    assert large_diagonal(3, 2).coords == (1, 0, 1, -1)
+    assert large_diagonal(6, 3).coords == (1, 1, 0, -1, -1, -1, -1)
 
 
 def test_canonical_class_coordinates():
@@ -56,21 +63,19 @@ def test_symmetric_generators():
     assert fiber_class(4, "A_top").coords == (0, 0, 0, 1, 0)
     assert fiber_class(4, "A_sub").coords == (2, 2, 2, -3, -2)
     for n in (3, 4, 5, 9, 17, 30):
-        total = fiber_class(n, "F1")
+        total = large_diagonal(n, 1)
         for k in range(2, n + 1):
-            total = total + fiber_class(n, f"F{k}")
+            f_k = large_diagonal(n, k) if k <= 3 else fiber_class(n, f"F{k}")
+            total = total + f_k
         assert total == fiber_class(n, "A_sub")
 
 
 def test_bad_names_and_indices():
-    with pytest.raises(BadName):
-        fiber_class(4, "H")
-    with pytest.raises(BadIndex):
-        fiber_class(4, "F5")
-    with pytest.raises(BadIndex):
-        fiber_class(4, "Delta14")
-    with pytest.raises(BadIndex):
-        fiber_class(4, "B2_n3")
+    # the relabelled diagonals F1..F3 and Delta_ij are not in the table
+    for n, name in [(4, "H"), (3, "F1"), (3, "F4"), (4, "F5"), (4, "Delta12"),
+                    (4, "B2_n3")]:
+        with pytest.raises(ValueError, match="no fiber class"):
+            fiber_class(n, name)
 
 
 def test_to_A_basis_canonical():
@@ -161,7 +166,7 @@ def test_n3_large_diagonal_coherence():
 
 
 def test_class_arithmetic_and_text():
-    c = fiber_class(4, "F1") - 2 * fiber_class(4, "E")
+    c = large_diagonal(4, 1) - 2 * fiber_class(4, "E")
     assert c.coords == (0, 1, 1, -3, -1)
     assert text(c) == "1*g2 + 1*g3 - 3*E - 1*F4"
     assert text(FiberClass(3, (0, 0, 0, 0))) == "0"
