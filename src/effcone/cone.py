@@ -2,7 +2,9 @@
 
 Coordinate minima over the slice sum(x) = 1 of a cone with integer rows
 (simplex LP with exact dual certificates), orthant-containment certificates
-for dual cones, and effectivity thresholds along a ray.
+for dual cones, and effectivity thresholds along a ray.  A threshold is
+taken once the certificate has shown the effective cone to be the orthant,
+along a big direction L, one in the open orthant: it is max -b/d.
 
 No floating point anywhere: the cone rows are ints and every produced
 number is an exact rational.  The LP solver is a simplex in
@@ -62,14 +64,6 @@ class DimensionMismatch(ConeError):
     pass
 
 
-class NotAttainable(ConeError):
-    """No shift along the ray lands in the cone (empty threshold set)."""
-
-
-class MinusInfinity(ConeError):
-    """Every sufficiently negative shift lands in the cone (threshold -oo)."""
-
-
 def _reduce_ints(row: list[int]) -> list[int]:
     g = gcd(*row) if row else 0
     if g > 1:
@@ -84,19 +78,22 @@ def _reduce_ints(row: list[int]) -> list[int]:
 @dataclass(frozen=True)
 class ConeH:
     """Half-space description of a cone {x : rows . x >= 0} with integer
-    rows; an entry that is not an int raises ValueError."""
+    rows, one label per column; an entry that is not an int raises
+    ValueError.  Rows and labels are kept as tuples, the labels as str."""
 
     rows: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        width = len(self.labels)
+        labels = tuple(map(str, self.labels))
+        width = len(labels)
         rows = tuple(tuple(r) for r in self.rows)
         if any(len(r) != width for r in rows):
             raise DimensionMismatch("constraint row width does not match labels")
         if not set(map(type, chain.from_iterable(rows))) <= {int}:
             raise ValueError("constraint entries must be int")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "labels", labels)
         # Neither attribute below is a dataclass field, so equality and
         # hashing see only rows and labels.  _int_rows[i] holds rows[i]
         # sparsely as ((j, rows[i][j]), ...) over the nonzero entries, and
@@ -111,15 +108,6 @@ class ConeH:
         object.__setattr__(self, "_int_rows", int_rows)
         object.__setattr__(self, "_int_cols", tuple(map(tuple, cols)))
         object.__setattr__(self, "_warm", [])
-
-    @staticmethod
-    def from_rows(rows, labels=None) -> "ConeH":
-        mat = tuple(map(tuple, rows))
-        if labels is None:
-            if not mat:
-                raise ValueError("need labels to build a cone with no constraints")
-            labels = tuple(f"x{j}" for j in range(len(mat[0])))
-        return ConeH(mat, tuple(str(s) for s in labels))
 
     @property
     def num_vars(self) -> int:
@@ -564,17 +552,18 @@ class Certificate:
         }
 
 
-def dual_contained_in_orthant(matrix, labels=None) -> Certificate:
+def dual_contained_in_orthant(matrix, labels) -> Certificate:
     """Certify that {d : matrix . d >= 0} lies inside the orthant {d >= 0}.
 
-    `matrix` has int entries.  Minimizes every coordinate over the slice
-    sum(d) = 1 and records exact minima, witnesses and dual multipliers.
+    `matrix` has int entries and one column per label.  Minimizes every
+    coordinate over the slice sum(d) = 1 and records exact minima,
+    witnesses and dual multipliers.
     Raises Infeasible when the slice is empty (reported, never silently counted as a pass)
     and Unbounded when some coordinate has no finite minimum there, which is
     a containment failure with no finite witness.  A zero matrix, which
     certifies nothing, raises ConeError.
     """
-    cone = ConeH.from_rows(matrix, labels)
+    cone = ConeH(matrix, labels)
     if all(q == 0 for row in cone.rows for q in row):
         raise ConeError("constraint matrix is zero")
     results = tuple(lp_min(cone, j) for j in range(cone.num_vars))
@@ -589,11 +578,10 @@ def dual_contained_in_orthant(matrix, labels=None) -> Certificate:
 def kodaira_energy(base, direction) -> Fraction:
     """inf{a : base + a * direction >= 0 componentwise}, exactly.
 
-    The cone is the nonnegative orthant in the coordinates supplied.  Each
-    coordinate with direction > 0 contributes the lower bound -base/direction
-    and the infimum is their maximum.  Raises NotAttainable when the feasible
-    interval is empty (a dead coordinate, or crossing upper/lower bounds) and
-    MinusInfinity when no coordinate bounds a from below.
+    The cone is the nonnegative orthant in the coordinates supplied, and
+    the direction must lie in its interior (L big): every entry > 0, else
+    ConeError.  Each coordinate then bounds a from below by -base/direction,
+    and the threshold is the largest of these bounds, max -b/d.
 
     Each bound p/q is kept as the pair (p, q) with q > 0 and compared by
     cross-multiplying, so integer inputs stay in ints; the one Fraction built
@@ -603,21 +591,10 @@ def kodaira_energy(base, direction) -> Fraction:
     d = tuple(map(_exact, direction))
     if len(b) != len(d):
         raise DimensionMismatch("base and direction have different lengths")
-    lower = None
-    upper = None
+    if not d or min(d) <= 0:
+        raise ConeError("the direction needs every entry > 0 (L big)")
+    p, q = -b[0], d[0]
     for bj, dj in zip(b, d):
-        if dj > 0:
-            if lower is None or -bj * lower[1] > lower[0] * dj:
-                lower = (-bj, dj)
-        elif dj < 0:
-            if upper is None or bj * upper[1] < upper[0] * -dj:
-                upper = (bj, -dj)
-        elif bj < 0:
-            raise NotAttainable("coordinate is negative for every shift")
-    if (lower is not None and upper is not None
-            and lower[0] * upper[1] > upper[0] * lower[1]):
-        raise NotAttainable("lower bound exceeds upper bound")
-    if lower is None:
-        raise MinusInfinity("no coordinate bounds the shift from below")
-    return Fraction(*lower)
-
+        if -bj * q > p * dj:
+            p, q = -bj, dj
+    return Fraction(p, q)

@@ -50,28 +50,18 @@ class InsufficientData(ValueError):
     """Exponent fits need at least 3 nonzero counts."""
 
 
-def _whole(x) -> int | None:
-    """x as an int when x is a whole number (10 or 10.0, not 10.5 or
-    "10"), else None."""
-    try:
-        n = int(x)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return n if n == x else None
-
-
 @dataclass(frozen=True)
 class CountSeries:
-    """(B, N) pairs with B >= 1 strictly increasing and N >= 0
-    nondecreasing."""
+    """(B, N) pairs of ints with B >= 1 strictly increasing and N >= 0
+    nondecreasing; an entry that is not an int raises ValueError."""
 
     points: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         pts = []
         for point in self.points:
-            b, n = map(_whole, point)
-            if b is None or n is None:
+            b, n = point
+            if type(b) is not int or type(n) is not int:
                 raise ValueError(f"point {tuple(point)} needs integers B and N")
             if b < 1 or n < 0:
                 raise ValueError(f"point ({b}, {n}) needs B >= 1 and N >= 0")
@@ -393,9 +383,10 @@ def _lane_form(coeffs: list[int], signs: list[int], i: int,
 
 def count_series(f: BinaryForm, b_grid) -> CountSeries:
     """Counts N(B) of distinct orbit coefficient vectors with height <= B,
-    for every B in the increasing grid of integers, from one walk over the
-    box of entry_bound(f, max B).  Memory is the walk's stack, at most
-    _MAX_BATCH one-signed nodes per level of depth, and the grid.
+    for every B in the increasing grid of ints (a point of any other type
+    raises ValueError), from one walk over the box of entry_bound(f, max B).
+    Memory is the walk's stack, at most _MAX_BATCH one-signed nodes per
+    level of depth, and the grid.
 
     The recorded nodes of height <= B of a level are counted from its
     packed heights: one guarded subtraction per grid point sets the guard
@@ -407,12 +398,10 @@ def count_series(f: BinaryForm, b_grid) -> CountSeries:
     a stabilizer order (see the Farey-tree section), which exact arithmetic
     rules out.
     """
-    grid = []
-    for b in b_grid:
-        whole = _whole(b)
-        if whole is None:
+    grid = list(b_grid)
+    for b in grid:
+        if type(b) is not int:
             raise ValueError(f"grid point {b!r} is not an integer")
-        grid.append(whole)
     if not grid or any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("grid must be nonempty and strictly increasing")
     b_max = grid[-1]

@@ -41,18 +41,18 @@ def _basis_index(n: int) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class FiberClass:
-    """Exact coordinates over the ordered basis (g1, g2, g3, E, F4..Fn):
-    ints stay ints, and a coordinate is a Fraction only when it has to be."""
+    """Integer coordinates over the ordered basis (g1, g2, g3, E, F4..Fn);
+    a coordinate that is not an int raises ValueError."""
 
     n: int
-    coords: tuple[int | Fraction, ...]
+    coords: tuple[int, ...]
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need at least 3 marked points")
         coords = tuple(self.coords)
-        if set(map(type, coords)) != {int}:
-            coords = tuple(map(_exact, coords))
+        if not set(map(type, coords)) <= {int}:
+            raise ValueError("fiber coordinates must be int")
         if len(coords) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} coordinates for n={self.n}")
         object.__setattr__(self, "coords", coords)
@@ -65,8 +65,7 @@ class FiberClass:
     def __sub__(self, other: "FiberClass") -> "FiberClass":
         return self + (-1) * other
 
-    def __rmul__(self, q) -> "FiberClass":
-        q = _exact(q)
+    def __rmul__(self, q: int) -> "FiberClass":
         return FiberClass(self.n, tuple(q * a for a in self.coords))
 
 

@@ -23,12 +23,15 @@ class DegreeTooSmall(ValueError):
 
 @dataclass(frozen=True)
 class BinaryForm:
-    """Integer coefficient vector (x0..xn) of a degree-n binary form."""
+    """Integer coefficient vector (x0..xn) of a degree-n binary form; a
+    coefficient that is not an int raises ValueError."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(x) for x in self.coeffs)
+        coeffs = tuple(self.coeffs)
+        if not set(map(type, coeffs)) <= {int}:
+            raise ValueError("form coefficients must be int")
         if len(coeffs) < 2:
             raise ValueError("a binary form has degree at least 1")
         object.__setattr__(self, "coeffs", coeffs)
@@ -44,7 +47,8 @@ class BinaryForm:
 
 @dataclass(frozen=True)
 class UnimodularMatrix:
-    """2x2 integer matrix (a b; c d) with determinant 1."""
+    """2x2 integer matrix (a b; c d) with determinant 1; an entry that is
+    not an int raises ValueError."""
 
     a: int
     b: int
@@ -52,6 +56,8 @@ class UnimodularMatrix:
     d: int
 
     def __post_init__(self):
+        if not set(map(type, self.entries())) <= {int}:
+            raise ValueError("matrix entries must be int")
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("matrix determinant must be 1")
 

@@ -101,8 +101,7 @@ def test_criterion_5_fiber_basis_identities():
         ok = ok and (k.a_sub, k.a_top) == (Q(-1), Q(-2))
         lhs = ((n - 2) * fiber.fiber_class(n, "A_sub")
                + n * fiber.fiber_class(n, "A_top"))
-        coords = ([Q(2 * (n - 2))] * 3 + [Q(-2 * (n - 3))]
-                  + [Q(-2 * (n - 2))] * (n - 3))
+        coords = [2 * (n - 2)] * 3 + [-2 * (n - 3)] + [-2 * (n - 2)] * (n - 3)
         ok = ok and lhs == fiber.FiberClass(n, tuple(coords))
         ok = ok and lhs == 2 * fiber.fiber_class(n, "Lhalf")
     elapsed = time.monotonic() - start

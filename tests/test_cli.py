@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import inspect
 import json
@@ -507,20 +508,18 @@ def test_zero_pairing_table_exits_one(capsys, monkeypatch):
     assert err == "error: constraint matrix is zero\n"
 
 
-@pytest.mark.parametrize("scale, message", [
-    (-1, "no coordinate bounds the shift from below"),
-    (0, "coordinate is negative for every shift"),
-])
-def test_threshold_failures_exit_one(capsys, monkeypatch, scale, message):
-    # K + boundary has B[n]-coordinate -1, so along the zero direction no
-    # shift is effective, and along -L every negative enough shift is
+@pytest.mark.parametrize("scale", [-1, 0])
+def test_threshold_failures_exit_one(capsys, monkeypatch, scale):
+    # a threshold is taken along L big only: along -L or the zero
+    # direction the energy is refused as a failure, not as bad input
     from effcone import cone
 
     real = cone.kodaira_energy
     monkeypatch.setattr(cone, "kodaira_energy",
                         lambda base, direction: real(base, [scale * q for q in direction]))
     code, out, err = run(capsys, "kodaira", "--n", "5", "--format", "json")
-    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert (code, out, err) == (
+        1, "", "error: the direction needs every entry > 0 (L big)\n")
 
 
 def test_inexact_count_exits_one(capsys, monkeypatch):
@@ -616,9 +615,15 @@ def test_count_form_with_huge_root(capsys):
     assert json.loads(out)["series"] == [[5000, 0], [10000, 0], [20000, 0]]
 
 
-# Functions of src/effcone that no command-line run needs to enter; each
-# entry is recorded with its reason in CHANGES.md.
-UNREACHED_ALLOWED: frozenset[str] = frozenset()
+# Branches of src/effcone that no command-line run needs to execute, each
+# as (function, first line of its first unreached statement); every entry
+# is recorded with its reason in CHANGES.md.
+UNREACHED_ALLOWED: frozenset[tuple[str, str]] = frozenset({
+    ("cone._Tableau.set_objective",
+     "self.z = [1] + [0] * len(self.nonbasic) + [0]"),
+    ("counting._farey_walk", "yield from _one_signed_walk(rows, b_max, width)"),
+    ("_terms.format_terms", 'return "0"'),
+})
 
 
 def _library_functions(src) -> dict[tuple[str, int, str], str]:
@@ -643,10 +648,38 @@ def _library_functions(src) -> dict[tuple[str, int, str], str]:
     return found
 
 
+def _statement_blocks(path):
+    """Yield (function, statements) for each statement list in a function
+    body of the module at path, with the simple statements of that list
+    that must run: raise statements and bare strings (docstrings) are left
+    out, and so are except handlers, which are error handling."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def visit(stmts, qualname, in_function):
+        simple = []
+        for node in stmts:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(node.body, f"{qualname}.{node.name}",
+                                 not isinstance(node, ast.ClassDef))
+            elif hasattr(node, "body"):  # if, for, while, with, try
+                for field in ("body", "orelse", "finalbody"):
+                    yield from visit(getattr(node, field, []), qualname, in_function)
+            elif in_function and not isinstance(node, ast.Raise) and not (
+                    isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, str)):
+                simple.append(node)
+        if simple:
+            yield qualname, simple
+
+    yield from visit(tree.body, path.stem, False)
+
+
 def test_every_library_function_runs_under_the_cli(capsys, tmp_path):
+    # every function is entered, and every simple statement of a function
+    # body runs, as judged by a line event within its lines
     from effcone import cli, fiber
 
-    src = Path(cli.__file__).resolve().parent
+    src = Path(cli.__file__).parent
     series = tmp_path / "series.csv"
     malformed = tmp_path / "malformed.csv"
     malformed.write_text("B,N\n10,x\n")
@@ -661,7 +694,14 @@ def test_every_library_function_runs_under_the_cli(capsys, tmp_path):
         ["count", "--coeffs=1,0,-1,-1", "--bmax", "400", "--grid", "3"],
         ["fit", "--in", str(series)])]
     argvs += [["count", "--coeffs=1,-3,-25,75,0", "--bmax", "2000"],
-              ["count", "--coeffs=1,0,0,0,1", "--bmax", "2000"]]
+              ["count", "--coeffs=1,0,0,0,1", "--bmax", "2000"],
+              # a separate negative token, and a level wider than _MAX_BATCH
+              ["count", "--coeffs", "-1,0,1,1", "--bmax", "1000000", "--grid", "2"],
+              # no orbit form of height <= 2000: every count is 0
+              ["count", "--coeffs=1,0,0,-1000000000000000000000000000000000000000000012345",
+               "--bmax", "2000"],
+              # a Bareiss row swap, and a zero pivot column
+              ["disc", "--coeffs=0,1,0,-1"], ["disc", "--coeffs=0,0,1,7"]]
     exit_two = [["disc", "--coeffs=1,1"],
                 ["act", "--coeffs=1,0,-1,-1", "--matrix", "1,1,1,1"],
                 ["count", "--coeffs=1,0,-1,-1", "--bmax", "0"],
@@ -675,10 +715,19 @@ def test_every_library_function_runs_under_the_cli(capsys, tmp_path):
 
     cli.build_parser.cache_clear()  # earlier tests built the shared parser
     fiber._basis_index.cache_clear()  # and the label index of each n
+    files = {str(path) for path in src.glob("*.py")}
     entered = set()
+    ran = set()  # (file, line) of every line event in the package
+
+    def on_line(frame, event, arg):
+        ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return on_line
 
     def on_call(frame, event, arg):
-        entered.add(frame.f_code)
+        if frame.f_code.co_filename in files:  # line events in the package only
+            entered.add(frame.f_code)
+            return on_line
+        return None
 
     previous = sys.gettrace()
     sys.settrace(on_call)
@@ -690,8 +739,22 @@ def test_every_library_function_runs_under_the_cli(capsys, tmp_path):
     assert codes == [0] * len(argvs) + [2] * len(exit_two)
 
     functions = _library_functions(src)
-    ran = {(Path(c.co_filename).name, c.co_firstlineno, c.co_name)
-           for c in entered if Path(c.co_filename).resolve().parent == src}
-    unreached = sorted(name for key, name in functions.items() if key not in ran)
-    assert unreached == sorted(UNREACHED_ALLOWED), (
-        "never entered under the CLI: " + ", ".join(unreached))
+    called = {(Path(c.co_filename).name, c.co_firstlineno, c.co_name) for c in entered}
+    unentered = sorted(name for key, name in functions.items() if key not in called)
+    assert not unentered, "never entered under the CLI: " + ", ".join(unentered)
+
+    unreached = {}
+    for path in sorted(src.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for function, block in _statement_blocks(path):
+            missed = [node for node in block if not any(
+                (str(path), line) in ran
+                for line in range(node.lineno, node.end_lineno + 1))]
+            if missed:
+                key = (function, lines[missed[0].lineno - 1].strip())
+                unreached[key] = ", ".join(f"{path.name}:{node.lineno}" for node in missed)
+    extra = sorted(f"{where} {function}: {text}"
+                   for (function, text), where in unreached.items()
+                   if (function, text) not in UNREACHED_ALLOWED)
+    assert not extra, "never run under the CLI: " + "; ".join(extra)
+    assert sorted(unreached) == sorted(UNREACHED_ALLOWED)

@@ -986,8 +986,8 @@ def test_count_guard_refuses_inexact_hits(monkeypatch):
 
 
 def test_non_integer_heights_are_refused():
-    # a grid point or a series entry that is not a whole number is named in
-    # a ValueError instead of being truncated; 10.0 is the integer 10
+    # a grid point or a series entry that is not an int is named in a
+    # ValueError instead of being truncated, 10.0 and True included
     f = BinaryForm((1, 0, -1, -1))
     with pytest.raises(ValueError, match=r"grid point 10\.7 is not an integer"):
         count_series(f, [10.7, 20.2])
@@ -996,12 +996,15 @@ def test_non_integer_heights_are_refused():
     for bad in ("20", None, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="is not an integer"):
             count_series(f, [10, bad])
-    assert count_series(f, [10.0, 20]) == count_series(f, [10, 20])
+    for bad in (10.0, True):
+        with pytest.raises(ValueError, match=rf"grid point {bad} is not an integer"):
+            count_series(f, [bad, 20])
     with pytest.raises(ValueError, match=r"point \(1\.5, 2\.9\) needs integers"):
         CountSeries(((1.5, 2.9),))
     with pytest.raises(ValueError, match=r"point \(20, 6\.5\) needs integers"):
         CountSeries(((10, 5), (20, 6.5)))
-    assert CountSeries(((10.0, 5.0),)).points == ((10, 5),)
+    with pytest.raises(ValueError, match=r"point \(10\.0, 5\) needs integers"):
+        CountSeries(((10.0, 5),))
 
 
 @pytest.mark.parametrize("grid", [[], [20, 10], [10, 10]])

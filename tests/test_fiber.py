@@ -25,9 +25,12 @@ def text(c):
 
 
 def expand(a):
-    """The fiber class a_sub * A_sub + a_top * A_top of an AClass."""
-    return (a.a_sub * fiber_class(a.n, "A_sub")
-            + a.a_top * fiber_class(a.n, "A_top"))
+    """The fiber class a_sub * A_sub + a_top * A_top of an AClass, whose
+    coordinates are ints when a_sub and a_top are halves of two integers
+    of one parity: halve the class of the doubled coordinates."""
+    sub2, top2 = int(2 * a.a_sub), int(2 * a.a_top)
+    twice = sub2 * fiber_class(a.n, "A_sub") + top2 * fiber_class(a.n, "A_top")
+    return FiberClass(a.n, tuple(q // 2 for q in twice.coords))
 
 
 def large_diagonal(n, k):
@@ -101,8 +104,8 @@ def test_to_A_basis_round_trip():
     rng = random.Random(2)
     for _ in range(40):
         n = rng.randint(3, 12)
-        a = AClass(n, Q(rng.randint(-9, 9), rng.randint(1, 5)),
-                   Q(rng.randint(-9, 9), rng.randint(1, 5)))
+        sub2 = rng.randint(-9, 9)
+        a = AClass(n, Q(sub2, 2), Q(sub2 + 2 * rng.randint(-9, 9), 2))
         back = to_A_basis(expand(a))
         assert (back.a_sub, back.a_top) == (a.a_sub, a.a_top)
 
@@ -111,8 +114,7 @@ def test_hyperplane_expansion_identity():
     # (n-2) A_sub + n A_top = 2((n-2)(g1+g2+g3) - (n-3)E - (n-2)(F4+..+Fn))
     for n in range(3, 31):
         lhs = (n - 2) * fiber_class(n, "A_sub") + n * fiber_class(n, "A_top")
-        coords = ([Q(2 * (n - 2))] * 3 + [Q(-2 * (n - 3))]
-                  + [Q(-2 * (n - 2))] * (n - 3))
+        coords = [2 * (n - 2)] * 3 + [-2 * (n - 3)] + [-2 * (n - 2)] * (n - 3)
         assert lhs == FiberClass(n, tuple(coords))
         assert lhs == 2 * fiber_class(n, "Lhalf")
 
@@ -174,6 +176,10 @@ def test_class_arithmetic_and_text():
         fiber_class(3, "g1") + fiber_class(4, "g1")
     with pytest.raises(ValueError):
         FiberClass(4, (1, 2, 3))
+    with pytest.raises(ValueError, match="must be int"):
+        FiberClass(3, (0, 0, 0, Q(1)))
+    with pytest.raises(ValueError, match="must be int"):
+        Q(1, 2) * fiber_class(3, "g1")
 
 
 def parse_terms(text):
@@ -189,10 +195,10 @@ def test_parse_fiber_class():
     rng = random.Random(8)
     for _ in range(25):
         n = rng.randint(3, 8)
-        c = FiberClass(n, tuple(Q(rng.randint(-9, 9), rng.randint(1, 4))
-                                for _ in range(n + 1)))
+        c = FiberClass(n, tuple(rng.randint(-9, 9) for _ in range(n + 1)))
         terms = parse_terms(text(c))
-        assert FiberClass(n, tuple(terms.get(lab, 0)
+        assert FiberClass(n, tuple(int(terms.get(lab, 0))
                                    for lab in basis_labels(n))) == c
-    assert text(FiberClass(4, (2, 0, 0, Q(-1, 2), 3))) == "2*g1 - 1/2*E + 3*F4"
+    assert format_terms(zip((2, 0, 0, Q(-1, 2), 3), basis_labels(4))) == (
+        "2*g1 - 1/2*E + 3*F4")
     assert parse_terms(text(FiberClass(5, (0,) * 6))) == {}

@@ -152,6 +152,22 @@ def test_unimodular_validation():
     assert m.entries() == (2, 3, 1, 2)
 
 
+def test_unimodular_entries_are_ints():
+    # a float entry with determinant 1 is refused, not carried into act
+    for bad in ((0.5, 0, 0, 2), (Fraction(1), 0, 0, 1), (True, 0, 0, 1),
+                ("1", 0, 0, 1)):
+        with pytest.raises(ValueError, match="must be int"):
+            UnimodularMatrix(*bad)
+
+
+def test_form_coefficients_are_ints():
+    # nothing is truncated or converted: 1.5 is not 1, "3" is not 3
+    for bad in ((1.5, 0, 1), ("3", True, 1), (Fraction(1), 0, 1), (1.0, 0)):
+        with pytest.raises(ValueError, match="must be int"):
+            BinaryForm(bad)
+    assert BinaryForm([3, -1, 1]).coeffs == (3, -1, 1)
+
+
 def test_height():
     assert height(BinaryForm((1, 0, -1, 0))) == 1
     assert height(BinaryForm((0, 0, 0, 0))) == 0
