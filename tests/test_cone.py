@@ -776,13 +776,33 @@ def test_kodaira_energy_zero_base():
     assert kodaira_energy((0, 0), (1, 2)) == 0
 
 
+BIG_DIRECTION = r"every entry > 0 \(L big\)"
+
+
 def test_kodaira_energy_needs_a_big_direction():
-    # the threshold is taken along L big, in the open orthant: a zero or a
-    # negative direction entry, or no entry at all, is refused
-    for base, direction in (((-1, 0), (0, 1)), ((-1, 0), (1, -1)),
-                            ((1,), (-1,)), ((1, 2), (Q(1, 2), 0)), ((), ())):
-        with pytest.raises(ConeError, match=r"every entry > 0 \(L big\)"):
+    # the threshold is taken along L big, in the open orthant: a zero
+    # direction entry, or no entry at all, is refused
+    for base, direction in (((1, 2), (Q(1, 2), 0)), ((), ())):
+        with pytest.raises(ConeError, match=BIG_DIRECTION):
             kodaira_energy(base, direction)
+
+
+def test_kodaira_energy_dead_coordinate():
+    # a zero direction entry is not big, whatever the base entry there
+    with pytest.raises(ConeError, match=BIG_DIRECTION):
+        kodaira_energy((-1, 0), (0, 1))
+
+
+def test_kodaira_energy_crossing_bounds():
+    # a negative direction entry would bound a from above; it is not big
+    with pytest.raises(ConeError, match=BIG_DIRECTION):
+        kodaira_energy((-1, 0), (1, -1))
+
+
+def test_kodaira_energy_minus_infinity():
+    # every direction entry negative would leave a unbounded below
+    with pytest.raises(ConeError, match=BIG_DIRECTION):
+        kodaira_energy((1,), (-1,))
 
 
 def test_kodaira_energy_dimension_mismatch():
