@@ -17,9 +17,12 @@ class ExactnessError(ArithmeticError):
 
 
 def _exact(x) -> int | Fraction:
-    """x itself when it is an int or a Fraction, else x as a Fraction: the
-    arithmetic stays in ints until a value is really non-integral."""
-    return x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
+    """x itself when it is an int or a Fraction; any other value, a bool,
+    a float or a string included, raises ValueError.  The arithmetic stays
+    in ints until a value is really non-integral."""
+    if type(x) is int or isinstance(x, Fraction):
+        return x
+    raise ValueError(f"{x!r} is not an int or a Fraction")
 
 
 def format_terms(terms) -> str:

@@ -20,10 +20,15 @@ walk goes, and |Stab_f| is read off the walk.  A Taylor shift only adds, so
 below a node whose form has one sign every form keeps that sign: those
 subtrees, nearly all of the walk, need no sign test and are walked level by
 level, a level being its k coefficients as packed big ints, one lane per
-node, and its signs: one big-int addition per addition of the shift, and
-one guarded subtraction per lane-wise comparison for the heights, the prune
-and the grid counts.  Memory is the walk's stack, at most _MAX_BATCH
-one-signed nodes per level of depth (a wider level is split), and the grid.
+node, a guard word that marks the lanes holding nodes, and its signs: one
+big-int addition per addition of the shift, and one guarded subtraction per
+lane-wise comparison for the heights, the prune and the grid counts.  The
+lanes a prune drops are zeroed in place in one generation and cut out with
+the next one's, so only every second generation is compacted.  The
+recorded sign-changing nodes are yielded as packed levels too, _MAX_BATCH
+at a time.  Memory is the walk's stack, at most _MAX_BATCH one-signed lanes
+per entry and at most 2 _MAX_BATCH per level (a wider level is split), at
+most _MAX_BATCH gathered nodes of each kind, and the grid.
 """
 
 from __future__ import annotations
@@ -212,21 +217,36 @@ def _gradient_identities(xs: tuple[int, ...]) -> tuple[int, int]:
 # that sign is -, the height is max(F) and the prune test is sum(F) > B.
 # The walk gathers the one-signed nodes it enters, _MAX_BATCH at a time,
 # and walks their subtrees a level at a time.  A level is its k packed
-# coefficient ints and the list of its signs, nothing else: coefficient j
-# of node i is lane i, of W = 8 m bits, of the j-th int, with
-# m = ceil((n + 1 + B.bit_length()) / 8) bytes.  forms.taylor_shift, which only
-# adds, shifts the L lanes of the parents into the 2L lanes of the
-# children, left children first.  A kept parent has coefficients >= 0 of
-# sum <= B, so every partial sum of the shift and each child's sum F(2, 1)
-# or F(1, 2) is at most 2^n B < 2^(W-1): no lane carries, and the top bit
-# of a lane is a free guard.  With the guards set, one subtraction compares
-# two packed ints lane by lane, which gives the heights (a running lane
-# maximum), the prune mask and, in count_series, the grid counts.  Only
-# when the prune drops lanes are the kept ones compacted, by joining the
-# byte runs of consecutive kept lanes of each int.  A level wider than
-# _MAX_BATCH is split and the pieces are walked depth first, so at most one
-# piece per level waits.  The gathered nodes are packed once, by joining
-# the W/8 little-endian bytes of each entry.
+# coefficient ints, the guard word live and the list of its signs, nothing
+# else: coefficient j of the node in lane i is lane i, of W = 8 m bits, of
+# the j-th int, with m = ceil((n + 1 + B.bit_length()) / 8) bytes.
+# forms.taylor_shift, which only adds, shifts the L lanes of the parents
+# into the 2L lanes of the children, left children first.  A kept parent
+# has coefficients >= 0 of sum <= B, so every partial sum of the shift and
+# each child's sum F(2, 1) or F(1, 2) is at most 2^n B < 2^(W-1): no lane
+# carries, and the top bit of a lane is a free guard.  With the guards of
+# live set, one subtraction compares two packed ints lane by lane, which
+# gives the heights (a running lane maximum), the prune mask and, in
+# count_series, the grid counts, on the lanes of live only.  A level
+# wider than _MAX_BATCH is split and the pieces are walked depth first, so
+# at most one piece per level waits.  The gathered nodes are packed once,
+# by joining the W/8 little-endian bytes of each entry.
+#
+# Zero lanes: a lane without its guard in live holds no node and is zero
+# in every coefficient int, so it has height 0, fails every guarded
+# comparison and shifts to zero lanes.  When the prune drops lanes of a
+# level that has no zero lane and at most _MAX_BATCH lanes, they are
+# zeroed in place, with the one mask kept - (kept >> (W-1)) over the kept
+# guards; the kept lanes keep sum <= B, so the no-carry bound holds.  Every
+# other level that drops a lane, its zero lanes included, is compacted, by
+# joining the byte runs of consecutive kept lanes of each int.  So a zero
+# lane never enters live, the level of the zero children of a zeroed level
+# is compacted before it is pushed, and one generation in two is compacted.
+#
+# Spine levels: the recorded sign-changing nodes are gathered, _MAX_BATCH
+# at a time, and yielded as one level of sign +1 in the same W-bit lanes,
+# each coefficient in two's complement; a height is at most B, so
+# count_series reads the level as any other.
 #
 # Count: no image is stored.  The image f o g is hit by exactly the
 # matrices h g with h in the stabilizer Stab_f of f in SL2(Z).  They share
@@ -238,7 +258,7 @@ def _gradient_identities(xs: tuple[int, ...]) -> tuple[int, int]:
 # matrices whose image is the first image recorded.
 # ---------------------------------------------------------------------------
 
-_MAX_BATCH = 1024  # one-signed nodes per batch; a larger level is split
+_MAX_BATCH = 1024  # nodes per gathered batch; a larger level is split
 
 
 def _lane_width(k: int, b_max: int) -> int:
@@ -253,6 +273,11 @@ def _pack(column: list[int], step: int) -> int:
     step bytes."""
     return int.from_bytes(b"".join([c.to_bytes(step, "little") for c in column]),
                           "little")
+
+
+def _guards(size: int, step: int) -> int:
+    """The top bit of each of size lanes of step bytes."""
+    return int.from_bytes((bytes(step - 1) + b"\x80") * size, "little")
 
 
 def _compact(xs: list[int], keep: bytes, step: int) -> list[int]:
@@ -273,74 +298,95 @@ def _compact(xs: list[int], keep: bytes, step: int) -> list[int]:
 def _one_signed_walk(rows: list[tuple[int, ...]], b_max: int, width: int):
     """Yield the given one-signed nodes, all of height <= b_max, as one
     level, then every level of their subtrees, children of height > b_max
-    included, in levels of at most 2 * _MAX_BATCH nodes (see _farey_walk).
+    included, in levels of at most 2 * _MAX_BATCH lanes (see _farey_walk).
 
     A row is a node form times its sign, so that every coefficient is
-    >= 0, then the sign; width is _lane_width(k, b_max).
+    >= 0, then the sign; width is _lane_width(k, b_max).  A level without
+    zero lanes and of at most _MAX_BATCH lanes zeroes the lanes its prune
+    drops, so that its children hold zero lanes; every other level that
+    drops a lane, zero lanes included, is compacted.
     """
     step = width // 8  # bytes per lane
     *columns, signs = map(list, zip(*rows))
     coeffs = [_pack(c, step) for c in columns]
-    guard = bytes(step - 1) + b"\x80"  # the top bit of a lane
-    stack: list[tuple[list[int], list[int]]] = []
+    live = _guards(len(signs), step)  # the guards of the nodes, not of zero lanes
+    stack: list[tuple[list[int], list[int], int]] = []
     while True:
-        size = len(signs)
-        guards = int.from_bytes(guard * size, "little")
         heights = coeffs[0]
         for x in coeffs[1:]:  # heights = max(heights, x) lane by lane
-            ge = ((x | guards) - heights) & guards
+            ge = ((x | live) - heights) & live
             heights ^= (x ^ heights) & (ge - (ge >> (width - 1)))
-        yield heights, guards, coeffs, signs
-        bound = b_max * (guards >> (width - 1)) | guards
-        kept = (bound - sum(coeffs)) & guards  # the lanes of sum <= b_max
-        if kept != guards:
-            if kept:
+        yield heights, live, coeffs, signs
+        bound = b_max * (live >> (width - 1)) | live
+        kept = (bound - sum(coeffs)) & live  # the nodes of sum <= b_max
+        size = len(signs)
+        whole = live.bit_count() == size  # no zero lane
+        if not kept:
+            live = 0
+        elif kept != live or not whole:
+            if whole and size <= _MAX_BATCH:
+                mask = kept - (kept >> (width - 1))  # the kept lanes below the guard
+                coeffs = [x & mask for x in coeffs]
+            else:
                 keep = (kept >> (width - 1)).to_bytes(
                     step * size, "little")[::step]  # lane bit 0
                 coeffs = _compact(coeffs, keep, step)
                 signs = list(compress(signs, keep))
-            else:
-                signs = []
-        size = len(signs)
-        if size > _MAX_BATCH:
+                size = len(signs)
+                kept = _guards(size, step)
+            live = kept
+        if live and size > _MAX_BATCH:
             piece = (1 << width * _MAX_BATCH) - 1
             stack += (([x >> width * i & piece for x in coeffs],
-                       signs[i:i + _MAX_BATCH])
+                       signs[i:i + _MAX_BATCH], live >> width * i & piece)
                       for i in range(0, size, _MAX_BATCH))
-        elif size:
-            stack.append((coeffs, signs))
+        elif live:
+            stack.append((coeffs, signs, live))
         if not stack:
             return
-        parents, signs = stack.pop()
+        parents, signs, live = stack.pop()
         left, right = taylor_shift(parents), taylor_shift(parents[::-1])[::-1]
         shift = width * len(signs)
         coeffs = [x | y << shift for x, y in zip(left, right)]
         signs = signs + signs
+        live |= live << shift
+
+
+def _spine_level(nodes: list[tuple[int, ...]], width: int):
+    """The gathered sign-changing nodes, rows (height, *F), as one level
+    of W-bit two's complement lanes, every sign +1."""
+    step, lane = width // 8, (1 << width) - 1
+    heights, *coeffs = [_pack([x & lane for x in column], step)
+                        for column in zip(*nodes)]
+    return heights, _guards(len(nodes), step), coeffs, [1] * len(nodes)
 
 
 def _farey_walk(xs: tuple[int, ...], b_max: int, box: int):
-    """Yield levels (heights, guards, coeffs, signs) that hold every
+    """Yield levels (heights, live, coeffs, signs) that hold every
     recorded node of height <= b_max exactly once, for a box with
     box >= entry_bound(f, b_max) (see the Farey-tree section).
 
-    A level of L nodes is packed in lanes of W = _lane_width(len(xs), b_max)
-    bits: node i has the height in lane i of heights and the coefficient j
-    of its form, times signs[i], in lane i of coeffs[j], in W-bit two's
-    complement; guards has the top bit of each of the L lanes set.  A node
-    of height > b_max is not recorded and counts for nothing; the first
-    level holds recorded nodes only.
+    A level of L lanes is packed in lanes of W = _lane_width(len(xs), b_max)
+    bits: the node in lane i has the height in lane i of heights and the
+    coefficient j of its form, times signs[i], in lane i of coeffs[j], in
+    W-bit two's complement; live has the top bit of lane i set exactly
+    when lane i holds a node.  A lane without it is zero in heights and in
+    every coeffs[j], and is no node.  A node of height > b_max is not
+    recorded and counts for nothing; the first level holds recorded nodes
+    only, and its first lane is a node.
 
-    A sign-changing node is a level of one.  The one-signed nodes it enters
-    are gathered, _MAX_BATCH at a time, and walked a level at a time.
+    The recorded sign-changing nodes are gathered, _MAX_BATCH at a time,
+    and yielded as one level; the one-signed nodes the spine enters are
+    gathered, _MAX_BATCH at a time, and walked a level at a time.
     """
     width = _lane_width(len(xs), b_max)
-    lane, single = (1 << width) - 1, 1 << (width - 1)
     root = substitute(xs, -1, 0, 0, 1)
     entered = ((substitute(xs, 0, 1, 1, 0), 0, 1, 1, 0),
                (taylor_shift(root), -1, 0, -1, 1),
                (taylor_shift(root[::-1])[::-1], -1, 1, 0, 1))
     stack: list[tuple] = []
     push = stack.append
+    spine: list[tuple[int, ...]] = []  # gathered sign-changing nodes
     rows: list[tuple[int, ...]] = []  # gathered one-signed nodes
     while True:
         for node in entered:  # record, then keep or gather, unless pruned
@@ -350,7 +396,10 @@ def _farey_walk(xs: tuple[int, ...], b_max: int, box: int):
             if lo < 0 < hi:
                 push(node)
                 if height <= b_max:
-                    yield height, single, [x & lane for x in F], [1]
+                    spine.append((height,) + F)
+                    if len(spine) == _MAX_BATCH:
+                        yield _spine_level(spine, width)
+                        spine = []
             elif height <= b_max:
                 if lo >= 0:
                     rows.append(F + (1,))
@@ -366,6 +415,8 @@ def _farey_walk(xs: tuple[int, ...], b_max: int, box: int):
         entered = () if abs(mp) > box or mq > box else (
             (taylor_shift(F), p, q, mp, mq),
             (taylor_shift(F[::-1])[::-1], mp, mq, r, s))
+    if spine:
+        yield _spine_level(spine, width)
     if rows:
         yield from _one_signed_walk(rows, b_max, width)
 
@@ -385,14 +436,14 @@ def count_series(f: BinaryForm, b_grid) -> CountSeries:
     """Counts N(B) of distinct orbit coefficient vectors with height <= B,
     for every B in the increasing grid of ints (a point of any other type
     raises ValueError), from one walk over the box of entry_bound(f, max B).
-    Memory is the walk's stack, at most _MAX_BATCH one-signed nodes per
-    level of depth, and the grid.
+    Memory is the walk's (see the module docstring) and the grid.
 
     The recorded nodes of height <= B of a level are counted from its
-    packed heights: one guarded subtraction per grid point sets the guard
-    of every lane with height <= B, and int.bit_count() counts them.  Node
-    forms are read only off the lanes of the first recorded height, for
-    the stabilizer order.
+    packed heights: one subtraction guarded by the level's live word per
+    grid point sets the guard of every node's lane with height <= B, and
+    int.bit_count() counts them; a zero lane has no guard and is never
+    counted.  Node forms are read only off the nodes of the first recorded
+    height, for the stabilizer order.
 
     Raises CountingError when the matrix counts are not whole multiples of
     a stabilizer order (see the Farey-tree section), which exact arithmetic

@@ -622,6 +622,7 @@ UNREACHED_ALLOWED: frozenset[tuple[str, str]] = frozenset({
     ("cone._Tableau.set_objective",
      "self.z = [1] + [0] * len(self.nonbasic) + [0]"),
     ("counting._farey_walk", "yield from _one_signed_walk(rows, b_max, width)"),
+    ("counting._farey_walk", "yield _spine_level(spine, width)"),
     ("_terms.format_terms", 'return "0"'),
 })
 

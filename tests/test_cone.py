@@ -810,6 +810,14 @@ def test_kodaira_energy_dimension_mismatch():
         kodaira_energy((1, 2), (1,))
 
 
+def test_kodaira_energy_takes_exact_entries():
+    # an entry is an int or a Fraction: a float or a bool is refused, not
+    # read as a Fraction
+    for base, direction in (([0.5], [1]), ([0], [True]), ([1], [0.5])):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            kodaira_energy(base, direction)
+
+
 def kodaira_via_lp(base, direction):
     """Independent route: minimize a over {(a, t, z) : a*dir + t*base >= 0,
     z = -a, a + t + z = 1}, so t = 1, with the simplex engine."""

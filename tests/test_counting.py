@@ -129,22 +129,26 @@ def reference_walk(xs, b_max, box):
 
 
 def unpack_level(level, width):
-    """(heights, forms) of a level of the Farey walk: lane i, W = width
-    bits, of each packed int, read in two's complement; checks that the
-    ints hold their lanes and nothing above, and that each height is the
-    largest absolute coefficient of its signed form."""
-    heights, guards, coeffs, signs = level
+    """(heights, forms) of the nodes of a level of the Farey walk: the
+    lanes i, W = width bits, whose guard bit (the top bit of lane i of
+    live) is set, read in two's complement.  Checks that the ints hold
+    their lanes and nothing above, that live holds guard bits only and at
+    least one, that every unguarded lane is zero in every int, and that
+    each height is the largest absolute coefficient of its signed form."""
+    heights, live, coeffs, signs = level
     size = len(signs)
-    assert guards == sum(1 << (width * i + width - 1) for i in range(size))
+    nodes = [i for i in range(size) if live >> (width * i + width - 1) & 1]
+    assert nodes and live == sum(1 << (width * i + width - 1) for i in nodes)
     assert all(0 <= x < 1 << width * size for x in [heights] + coeffs)
 
     def lane(x, i):
         v = x >> width * i & ((1 << width) - 1)
         return v - (1 << width) if v >> (width - 1) else v
 
-    hs = [lane(heights, i) for i in range(size)]
-    forms = [tuple(sign * lane(c, i) for c in coeffs)
-             for i, sign in enumerate(signs)]
+    assert not any(lane(x, i) for i in set(range(size)) - set(nodes)
+                   for x in [heights] + coeffs)
+    hs = [lane(heights, i) for i in nodes]
+    forms = [tuple(signs[i] * lane(c, i) for c in coeffs) for i in nodes]
     assert hs == [max(map(abs, F)) for F in forms]
     return hs, forms
 
@@ -156,7 +160,7 @@ def unpacked(levels, width):
 
 def walk_nodes(xs, b_max, box):
     """(height, F) for every node the Farey walk records, flattened out of
-    its levels, with F the node's signed form."""
+    the guarded lanes of its levels, with F the node's signed form."""
     width = counting._lane_width(len(xs), b_max)
     for heights, forms in unpacked(_farey_walk(xs, b_max, box), width):
         for h, F in zip(heights, forms):
@@ -222,16 +226,23 @@ def list_farey_walk(xs, b_max, box, one_signed_box=True):
     packed lanes and the matrix entries kept on every node: one column per
     coefficient, one of signs and one per entry p, q, r, s, so that node i
     has the signed form F[j] = columns[-5][i] * columns[j][i].  Every node
-    it yields is checked against F == substitute(xs, p, r, q, s).  With
-    one_signed_box False the box test is left out below one-signed nodes,
-    as in counting._farey_walk; the sign-changing spine keeps it."""
+    it yields is checked against F == substitute(xs, p, r, q, s).  The
+    recorded sign-changing nodes are gathered, _MAX_BATCH at a time, into
+    one batch of sign +1.  With one_signed_box False the box test is left
+    out below one-signed nodes, as in counting._farey_walk; the
+    sign-changing spine keeps it."""
     inner = box if one_signed_box else None
     root = substitute(xs, -1, 0, 0, 1)
     entered = ((substitute(xs, 0, 1, 1, 0), 0, 1, 1, 0),
                (taylor_shift(root), -1, 0, -1, 1),
                (taylor_shift(root[::-1])[::-1], -1, 1, 0, 1))
     stack = []
+    spine = []
     rows = []
+
+    def spine_batch(batch):
+        return ([max(map(abs, row[:-5])) for row in batch],
+                list(map(list, zip(*batch))))
 
     def checked(batches):
         for heights, columns in batches:
@@ -250,8 +261,10 @@ def list_farey_walk(xs, b_max, box, one_signed_box=True):
             if lo < 0 < hi:
                 stack.append(node)
                 if height <= b_max:
-                    yield from checked([([height],
-                                         [[x] for x in F + (1,) + node[1:]])])
+                    spine.append(F + (1,) + node[1:])
+                    if len(spine) == counting._MAX_BATCH:
+                        yield from checked([spine_batch(spine)])
+                        spine = []
             elif height <= b_max:
                 if lo >= 0:
                     rows.append(F + (1,) + node[1:])
@@ -267,6 +280,8 @@ def list_farey_walk(xs, b_max, box, one_signed_box=True):
         entered = () if abs(mp) > box or mq > box else (
             (taylor_shift(F), p, q, mp, mq),
             (taylor_shift(F[::-1])[::-1], mp, mq, r, s))
+    if spine:
+        yield from checked([spine_batch(spine)])
     if rows:
         yield from checked(list_one_signed_walk(rows, b_max, inner))
 
@@ -843,8 +858,8 @@ def test_batch_boundaries_keep_counts(monkeypatch):
     # same as the reference walk, on seeded random forms, on the stabilizer
     # forms moved far from a small height and on the huge-root form; they
     # record the same nodes as the default batch size and as the list walk,
-    # whose recorded nodes are nodes of the box; no level is wider than
-    # twice the batch size
+    # whose recorded nodes are nodes of the box; no level has more than
+    # twice the batch size of lanes
     cases = random_batch_cases() + stabilizer_batch_cases()
     grids = [sorted({b_max >> k for k in range(9)} - {0}) for _, b_max in cases]
     expected = [reference_series(f, grid) for (f, _), grid in zip(cases, grids)]
@@ -857,14 +872,49 @@ def test_batch_boundaries_keep_counts(monkeypatch):
         for (f, b_max), nodes in zip(cases, recorded):
             box = entry_bound(f, b_max)
             width = counting._lane_width(len(f.coeffs), b_max)
-            levels = unpacked(_farey_walk(f.coeffs, b_max, box), width)
-            assert max(len(heights) for heights, _ in levels) <= 2 * size
+            raw = list(_farey_walk(f.coeffs, b_max, box))
+            assert max(len(signs) for *_, signs in raw) <= 2 * size
+            levels = unpacked(raw, width)
             assert sorted((h, F) for heights, forms in levels
                           for h, F in zip(heights, forms) if h <= b_max) == nodes
             listed = list_nodes(f.coeffs, b_max, box)
             assert [(h, F) for h, F, _ in listed] == nodes
             assert all(max(abs(p), q, abs(r), s) <= box
                        for _, _, (p, q, r, s) in listed)
+
+
+def test_zero_lanes_record_the_list_walk_nodes(monkeypatch):
+    # a one-signed level of at most _MAX_BATCH lanes without zero lanes
+    # zeroes the lanes its prune drops instead of compacting them, and its
+    # children's level is compacted.  On the seeded random forms, with
+    # levels split at 1, 2 and 1024 nodes, the walk still records the
+    # (height, signed form) multiset of the list walk, which compacts
+    # every level, and levels with zero lanes occur (a level of one lane
+    # keeps it or drops it, so not at 1).  The cubic at B = 51,200
+    # compacts 18 times, where compacting every level that drops a lane
+    # takes 36
+    calls = []
+    real = counting._compact
+
+    def compact(xs, keep, step):
+        calls.append(len(keep))
+        return real(xs, keep, step)
+
+    monkeypatch.setattr(counting, "_compact", compact)
+    for size in (1, 2, 1024):
+        monkeypatch.setattr(counting, "_MAX_BATCH", size)
+        zeroed = 0
+        for f, b_max in random_batch_cases():
+            box = entry_bound(f, b_max)
+            assert Counter(walk_nodes(f.coeffs, b_max, box)) == Counter(
+                (h, F) for h, F, _ in list_nodes(f.coeffs, b_max, box)), (f, size)
+            zeroed += sum(live.bit_count() < len(signs) for _, live, _, signs
+                          in _farey_walk(f.coeffs, b_max, box))
+        assert zeroed or size == 1, size
+    f = BinaryForm((1, 0, -1, -1))
+    calls.clear()
+    assert count_orbit(f, 51200) == 14168
+    assert 0 < len(calls) <= 18
 
 
 def test_one_signed_box_test_drops_no_recorded_node():
@@ -962,8 +1012,8 @@ def test_count_guard_refuses_inexact_hits(monkeypatch):
     # the cubic has a trivial stabilizer: a walk that yields every batch,
     # so every node, twice makes 2 hits, no odd-degree order; one that
     # yields the first node three times and one more node makes 3 hits
-    # against 16 matrices.  The walk's first two levels here are
-    # sign-changing nodes, each a level of one
+    # against 16 matrices.  The walk's first level here is the gathered
+    # sign-changing nodes; its first two lanes are cut out as levels of one
     real = counting._farey_walk
 
     def doubled(xs, b_max, box):
@@ -972,9 +1022,14 @@ def test_count_guard_refuses_inexact_hits(monkeypatch):
             yield item
 
     def tripled_first(xs, b_max, box):
-        walk = real(xs, b_max, box)
-        first, second = next(walk), next(walk)
-        assert len(first[3]) == len(second[3]) == 1
+        width = counting._lane_width(len(xs), b_max)
+        heights, live, coeffs, signs = next(real(xs, b_max, box))
+        assert signs[:2] == [1, 1]
+        first, second = ([x >> width * i & ((1 << width) - 1)
+                          for x in [heights, live] + coeffs]
+                         for i in (0, 1))
+        assert first[1] == second[1] == 1 << (width - 1)
+        first, second = ((h, g, cs, [1]) for h, g, *cs in (first, second))
         yield from (first, first, first, second)
 
     f = BinaryForm((1, 0, -1, -1))

@@ -100,6 +100,15 @@ def test_to_A_basis_rejects_asymmetric_class():
         to_A_basis(fiber_class(4, "F4"))
 
 
+def test_a_class_coordinates_are_exact():
+    # an A-coordinate is an int or a Fraction: a float, a string or a bool
+    # is refused, not read as a Fraction
+    assert AClass(3, Q(1, 2), 2) == AClass(3, Q(1, 2), Q(2))
+    for a_sub, a_top in ((0.1, "2"), (1, "2"), (True, 1)):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            AClass(3, a_sub, a_top)
+
+
 def test_to_A_basis_round_trip():
     rng = random.Random(2)
     for _ in range(40):

@@ -341,6 +341,14 @@ def test_divisor_class_validation():
         DivisorClass(2, Q(1), {})
     with pytest.raises(ValueError):
         DivisorClass(4, Q(0), {5: Q(1)})
+    # a coefficient is an int or a Fraction: a float, a string or a bool
+    # is refused, not read as a Fraction
+    with pytest.raises(ValueError, match="0.1 is not an int or a Fraction"):
+        DivisorClass(3, 0.1, {})
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        DivisorClass(3, "1/2", {2: True})
+    with pytest.raises(ValueError, match="True is not an int or a Fraction"):
+        DivisorClass(3, Q(1, 2), {2: True})
     a = DivisorClass(4, Q(1), {2: Q(1)})
     b = DivisorClass(5, Q(1), {2: Q(1)})
     with pytest.raises(ValueError):
