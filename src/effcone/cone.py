@@ -11,16 +11,23 @@ number is an exact rational.  The LP solver is a simplex in
 dictionary form: it stores only the nonbasic columns, as gcd-reduced
 integer rows (constraint rows are scale-free), and uses Bland's
 smallest-index rule for both the entering and the leaving variable, so it
-terminates on degenerate inputs.  A pivot swaps a variable into the basis
-on its row (`_freeze`) and then rewrites every other row.  The coordinates
-are free variables; each enters the basis once, before phase one, and
-never leaves.  These k entries are freezes alone: each pivot row is frozen
-as it stands when its free variable enters, a bounded row replays the
-frozen rows it has missed only when the choice of the next pivot row reads
-it, and at the end every row replaces each free variable it still holds
-once, by that variable's final row.  The resulting dictionary is the one
-Gauss-Jordan pivots would give.  Every error raised here is a ConeError,
-the pivot limit included.
+terminates on degenerate inputs.  The coordinates are free variables; each
+enters the basis once, before phase one, and never leaves.  These k
+entries are freezes alone: each pivot row is frozen as it stands when its
+free variable enters, a bounded row replays the frozen rows it has missed
+only when the choice of the next pivot row reads it, and at the end every
+frozen row replaces each free variable it still holds once, by that
+variable's final row.  A simplex pivot swaps a variable into the basis on
+its row (`_freeze`) and then rewrites the free rows and the objective row.
+A bounded row, whose basic variable is a slack or the artificial variable,
+is rewritten only when it is read in full: when it leaves the basis, when
+its variable becomes the objective, or when it would owe as many
+substitutions as it has entries.  Until then it owes the final
+substitution and the pivots since, and the ratio test reads its entry and
+right-hand side through them, as the revised simplex reads only the pivot
+row and column.  The resulting dictionary is the one Gauss-Jordan pivots
+would give.  Every error raised here is a ConeError, the pivot limit
+included.
 
 Every coordinate minimum over the slice shares its feasible region, so
 phase one runs once per ConeH (again after a solver error) and each later
@@ -141,6 +148,17 @@ class _Tableau:
     variable is 0.  The objective row z has the same layout, with
     z[0] = sigma > 0 and z[1 + c] / sigma the reduced cost of nonbasic[c].
 
+    A row is stored as it was last computed in full, rows[i], followed by
+    the substitutions it still owes, owed[i], oldest first, in the form
+    _substitute takes.  Only a bounded row, one whose basic variable is a
+    slack or the artificial variable, owes any: phase one's final
+    substitution of its x-columns, then each later pivot that meets it.
+    They are applied only when the whole row is read (`row`): when it leaves
+    the basis, when `set_objective` takes it, and when it would owe as many
+    substitutions as it has entries (_pivot).  The ratio test reads one
+    entry and the right-hand side through them (`_entry`).  Free rows and z
+    owe nothing.
+
     A free variable is pivoted in once, by _freeze before phase one, and
     never leaves: its row takes no part in the ratio test.  A free variable
     whose column is zero in every row with a bounded basic variable stays
@@ -151,6 +169,7 @@ class _Tableau:
     def __init__(self, rows: list[list[int]], basis: list[int], nonbasic: list[int],
                  num_free: int):
         self.rows = rows
+        self.owed: list[list[tuple]] = [[] for _ in rows]
         self.basis = basis
         self.nonbasic = nonbasic
         self.num_free = num_free  # variables 0..num_free-1 are free
@@ -158,38 +177,75 @@ class _Tableau:
         self.banned: set[int] = set()
         self.pivots = 0
 
+    def row(self, i: int) -> list[int]:
+        """Row i in full: the substitutions it owes are applied, with the
+        multipliers they were recorded with, and dropped."""
+        if self.owed[i]:
+            self.rows[i] = _substitute(self.rows[i], self.owed[i])
+            self.owed[i] = []
+        return self.rows[i]
+
+    def _entry(self, i: int, p: int) -> int:
+        """Entry p of row i (p >= 1, or -1 for the right-hand side), times
+        the positive scale that _substitute divides out of the whole row:
+        the owed substitutions are applied to this entry alone."""
+        v = self.rows[i][p]
+        for q, terms in self.owed[i]:
+            w = q * v
+            for prow, c, g in terms:
+                w -= g * prow[p]
+                if 1 + c == p:  # the replaced variable's own term goes
+                    w -= q * v
+            v = w
+        return v
+
+    def _column(self, c: int) -> list[int]:
+        """Entry 1 + c of every row, through _entry."""
+        return [self._entry(i, 1 + c) for i in range(len(self.rows))]
+
     def set_objective(self, var: int) -> None:
         """Minimize the single variable `var`."""
         if var in self.basis:
-            row = self.rows[self.basis.index(var)]
+            row = self.row(self.basis.index(var))
             self.z = [row[0]] + [-a for a in row[1:]]
         else:
             self.z = [1] + [0] * len(self.nonbasic) + [0]
             self.z[1 + self.nonbasic.index(var)] = 1
 
-    def _pivot(self, r: int, c: int) -> None:
+    def _pivot(self, r: int, c: int, col: list[int]) -> None:
         """Swap nonbasic[c] into the basis at row r (_freeze), then remove
-        column c from every other row and from the objective row."""
+        column c from every other row and from the objective row.
+
+        col is _column(c), read before the swap.  Each row with col[i] != 0
+        owes the pivot, with col[i] as the multiplier of the pivot row,
+        which it holds as it stands (_freeze never changes a row in place).
+        A free row pays at once, and so does a bounded row that would owe as
+        many substitutions as it has entries: reading an entry through them
+        would cost about as much as rewriting it.  z is rewritten at once.
+        """
         self._freeze(r, c)
         prow = self.rows[r]
-        for i, row in enumerate(self.rows):
-            if i != r and row[1 + c]:
-                self.rows[i] = _eliminate(row, prow, c)
+        for i, f in enumerate(col):
+            if f and i != r:
+                self.owed[i].append(_pivot_op(prow, c, f))
+                if self.basis[i] < self.num_free or len(self.owed[i]) >= len(prow):
+                    self.row(i)
         if self.z[1 + c]:
-            self.z = _eliminate(self.z, prow, c)
+            self.z = _substitute(self.z, [_pivot_op(prow, c, self.z[1 + c])])
 
     def _freeze(self, r: int, c: int) -> None:
         """Swap nonbasic[c] into the basis at row r, on an entry of either
         sign, and rewrite no other row.
 
-        A negative entry is made positive by negating all of row r; the
-        entering variable is then free, so its right-hand side may take
-        either sign (`optimize` pivots on positive entries only).  A free
-        variable's entry before phase one is a freeze alone (_phase_one).
+        Row r is read in full and replaced by a new list, as owed pivots
+        may hold the old one.  A negative entry is made positive by negating
+        all of row r; the entering variable is then free, so its right-hand
+        side may take either sign (`optimize` pivots on positive entries
+        only).  A free variable's entry before phase one is a freeze alone
+        (_phase_one).
         """
-        prow = self.rows[r]
-        if prow[1 + c] < 0:
-            prow = [-a for a in prow]
+        row = self.row(r)
+        prow = [-a for a in row] if row[1 + c] < 0 else row[:]
         prow[0], prow[1 + c] = prow[1 + c], prow[0]
         self.rows[r] = _reduce_ints(prow)
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
@@ -201,7 +257,10 @@ class _Tableau:
             raise PivotLimitExceeded("simplex pivot limit exceeded")
 
     def optimize(self) -> None:
-        """Bland's rule loop; raises Unbounded if no leaving row exists."""
+        """Bland's rule loop; raises Unbounded if no leaving row exists.
+
+        The ratio test compares rhs / entry across rows, which no positive
+        scale of a row changes, so it reads both through _entry."""
         if any(self.z[1 + c] for c, v in enumerate(self.nonbasic) if v < self.num_free):
             raise Unbounded("objective unbounded below")
         while True:
@@ -212,34 +271,67 @@ class _Tableau:
                     enter = c
             if enter < 0:
                 return
+            col = self._column(enter)
             leave = -1
             best_rhs = best_coef = 0
-            for i, row in enumerate(self.rows):
-                coef = row[1 + enter]
+            for i, coef in enumerate(col):
                 if coef <= 0 or self.basis[i] < self.num_free:
                     continue
-                rhs = row[-1]
+                rhs = self._entry(i, -1)
                 if leave < 0 or rhs * best_coef < best_rhs * coef or (
                     rhs * best_coef == best_rhs * coef and self.basis[i] < self.basis[leave]
                 ):
                     leave, best_rhs, best_coef = i, rhs, coef
             if leave < 0:
                 raise Unbounded("objective unbounded below")
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, col)
 
 
-def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
-    """Remove the entering column c from `row` with the swapped pivot row.
+def _substitute(row: list[int], ops) -> list[int]:
+    """`row` after each substitution in `ops`, in order, gcd-reduced.
 
-    prow[0] is the entering variable's coefficient and prow[1 + c] the
-    leaving variable's; `row` keeps its own basic variable, so its entry 0
-    only scales, and its entry 1 + c becomes the leaving variable's.
+    A substitution (q, terms) replaces the variable of column c of the row
+    by its own row prow, for each (prow, c, g) in terms: column c of `row`
+    still holds a variable that is now basic on prow, while column c of prow
+    (and of the result) holds the variable that left for it.  The result is
+    q * row minus the sum of g * prow, except that entry 0 is q * row[0] and
+    each column c drops its q * row[1 + c], the replaced variable's own
+    term.  So each variable is replaced once, whatever the others' rows
+    hold in its column.  For the result to be the row with the variables
+    replaced, g must be row[1 + c] * q / prow[0] (_plan, _pivot_op), with
+    row[1 + c] as the earlier substitutions in `ops` leave it before any gcd
+    reduction: that is what _Tableau._entry reads.  Only the final row is
+    gcd-reduced.  A substitution applied to a positive multiple of a row,
+    with its g scaled alike, gives the same multiple of the result, so this
+    is the row that reducing after each substitution would give.
     """
-    q, f = prow[0], row[1 + c]
-    out = [q * a - f * b for a, b in zip(row, prow)]
-    out[0] = q * row[0]
-    out[1 + c] = -f * prow[1 + c]
-    return _reduce_ints(out)
+    for q, terms in ops:
+        prow, c, g = terms[0]
+        out = [q * a - g * b for a, b in zip(row, prow)]
+        out[1 + c] -= q * row[1 + c]
+        for prow, c, g in terms[1:]:
+            out = [a - g * b for a, b in zip(out, prow)]
+            out[1 + c] -= q * row[1 + c]
+        out[0] = q * row[0]
+        row = out
+    return _reduce_ints(row)
+
+
+def _plan(row: list[int], pending) -> list[tuple[int, list]]:
+    """The substitutions into `row` of the pairs (prow, c) in `pending`: one
+    over the lcm q of the basic coefficients prow[0] of the pairs whose
+    column c of `row` is nonzero, or none if there are no such pairs."""
+    terms = [(prow, c, row[1 + c]) for prow, c in pending if row[1 + c]]
+    if not terms:
+        return []
+    q = lcm(*[prow[0] for prow, _, _ in terms])
+    return [(q, [(prow, c, f * (q // prow[0])) for prow, c, f in terms])]
+
+
+def _pivot_op(prow: list[int], c: int, f: int) -> tuple[int, tuple]:
+    """The substitution of the swapped pivot row prow into column c of a row
+    whose entry there is f, as _Tableau._entry reads it."""
+    return prow[0], ((prow, c, f),)
 
 
 @dataclass(frozen=True)
@@ -322,32 +414,6 @@ def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult) -> bo
     return True
 
 
-def _substitute(row: list[int], pending: list[tuple[int, int]],
-                rows: list[list[int]]) -> list[int]:
-    """`row` with each x-column in `pending` replaced by a final free row.
-
-    pending[t] = (r, c): column c of `row` still holds the free variable
-    that has since entered the basis at row r, while column c of rows[r]
-    (and of the result) holds the variable that left for it.  So the
-    x-coefficients are set aside before any row is added, and each free
-    variable is replaced once, over the lcm q of the basic coefficients.
-    """
-    terms = [(rows[r], c, row[1 + c]) for r, c in pending if row[1 + c]]
-    if not terms:
-        return row
-    out = list(row)
-    for _, c, _ in terms:
-        out[1 + c] = 0
-    q = lcm(*(prow[0] for prow, _, _ in terms))
-    if q > 1:
-        out = [q * a for a in out]
-    for prow, _, f in terms:
-        g = f * (q // prow[0])
-        out = [a - g * b for a, b in zip(out, prow)]
-    out[0] = q * row[0]
-    return _reduce_ints(out)
-
-
 def _phase_one(cone: ConeH) -> _Tableau:
     """Dictionary of the slice sum(x) = 1 at a feasible basis, its
     artificial variable banned.  Raises Infeasible.
@@ -369,10 +435,12 @@ def _phase_one(cone: ConeH) -> _Tableau:
     the same.  After the last free pivot, each row still holds the
     x-columns of the variables that entered after its last replay.  The
     frozen rows are finished newest first, so each draws only on finished
-    rows, and then every bounded row; each replaces each of its x-columns
-    once (_substitute).  A gcd-reduced dictionary row with a positive basic
-    coefficient is determined by the basis, so the dictionary is the one
-    that rewriting every row at every pivot would give.
+    rows, and each replaces each of its x-columns once (_substitute, given
+    the finished rows themselves).  Every bounded row owes the same
+    substitution, applied only when the row is read in full (_Tableau).  A
+    gcd-reduced dictionary row with a positive basic coefficient is
+    determined by the basis, so the dictionary is the one that rewriting
+    every row at every pivot would give.
 
     An artificial variable that is basic at the phase-one optimum is never
     at 0, so no degenerate artificial row is left to pivot out.  Every
@@ -406,7 +474,7 @@ def _phase_one(cone: ConeH) -> _Tableau:
             row = tab.rows[i]
             for r, col in frozen[level[i]:]:
                 if row[1 + col]:
-                    row = _eliminate(row, tab.rows[r], col)
+                    row = _substitute(row, [_pivot_op(tab.rows[r], col, row[1 + col])])
             tab.rows[i] = row
             level[i] = len(frozen)
             if row[1 + c]:
@@ -415,10 +483,16 @@ def _phase_one(cone: ConeH) -> _Tableau:
                 level[i] += 1
                 break
 
-    order = [r for r, _ in reversed(frozen)]
-    order += [i for i, b in enumerate(tab.basis) if b >= k]
-    for i in order:
-        tab.rows[i] = _substitute(tab.rows[i], frozen[level[i]:], tab.rows)
+    # (finished row, column) of each free pivot; frozen row t still holds
+    # the x-columns of frozen[t + 1:], whose rows are finished before it
+    final: list = [None] * len(frozen)
+    for t in reversed(range(len(frozen))):
+        r, c = frozen[t]
+        tab.rows[r] = _substitute(tab.rows[r], _plan(tab.rows[r], final[t + 1:]))
+        final[t] = (tab.rows[r], c)
+    for i, b in enumerate(tab.basis):
+        if b >= k:
+            tab.owed[i] = _plan(tab.rows[i], final[level[i]:])
 
     tab.set_objective(art)
     tab.optimize()
@@ -437,12 +511,15 @@ def lp_min(cone: ConeH, objective_index: int) -> LpResult:
     same ConeH start phase two from the basis at which the previous call
     returned, which is feasible because the region is shared.  The minimum
     does not depend on the order of the calls, but at a degenerate optimum
-    the witness and multipliers may.  The pivot limit applies per call.
+    the witness and multipliers may.  The pivot limit applies per call, and
+    a bounded row keeps the substitutions it owes (_Tableau) from call to
+    call until it is read in full.
 
     The result is read out of the integer dictionary as it stands: the
     witness numerators over the lcm of the basic coefficients of the nonzero
-    coordinates, and the multipliers straight from the objective row over
-    its scale sigma = z[0].  The only Fraction built is the minimum.  The
+    coordinates, whose rows are free and owe nothing, and the multipliers
+    straight from the objective row over its scale sigma = z[0].  The only
+    Fraction built is the minimum.  The
     result is re-checked by `verify_lp_minimum` before it is returned.
     Raises Infeasible / Unbounded.
     """

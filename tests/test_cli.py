@@ -64,8 +64,9 @@ def test_cone_cert_passes(capsys):
 
 
 # sha256 of `cone-cert --n N --format json` stdout, recorded before the
-# phase-one rewrite that froze the free pivot rows: the certificates must
-# stay byte for byte the same
+# phase-one rewrite that froze the free pivot rows (n = 200: before bounded
+# rows deferred their pivots): the certificates must stay byte for byte the
+# same
 CONE_CERT_JSON_SHA256 = {
     3: "b2b7c2e36c75e26764a9ec57a0158a5fa7d778ddd25203087af8deaa76041e2e",
     4: "93afc5fc73bc232df07ab3c14eaa1d67a48c14dfa390f78f921e93571046f58e",
@@ -74,6 +75,7 @@ CONE_CERT_JSON_SHA256 = {
     32: "e1f698275230b7bee4d03d756bc411f671682edd875b49d2ce5b2442c9a00624",
     64: "c6ba3b126f3df55a9e5dd985c131d2c262d380320d4aa30274b175f2d5c0c1e7",
     100: "330d4850353bef1f658e9650d6cc696548d2c34fb68f76cbc4dee16a5b22f72f",
+    200: "559473eb7b70624ad1989a3e3fef971fef30c646741721f0c65c49d532246624",
 }
 
 

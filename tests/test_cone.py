@@ -537,7 +537,8 @@ def test_warm_start_keeps_the_pivot_limit_per_call(monkeypatch):
 
 
 def _gauss_jordan_phase_one(cone):
-    """Reference phase one that rewrites every row at every free pivot."""
+    """Reference phase one that rewrites every row at every free pivot: it
+    reads every row in full before each one."""
     k, m = cone.num_vars, len(cone.rows)
     art = k + m
     rows = []
@@ -549,22 +550,26 @@ def _gauss_jordan_phase_one(cone):
     rows.append([1] * (k + 2))
     tab = cone_module._Tableau(rows, [k + i for i in range(m)] + [art],
                                list(range(k)), k)
+
+    def pivot(r, c):
+        tab._pivot(r, c, [row[1 + c] for row in map(tab.row, range(len(rows)))])
+
     for j in range(k):
         c = tab.nonbasic.index(j)
-        r = next((i for i, b in enumerate(tab.basis) if b >= k and tab.rows[i][1 + c]),
+        r = next((i for i, b in enumerate(tab.basis) if b >= k and tab.row(i)[1 + c]),
                  None)
         if r is not None:
-            tab._pivot(r, c)
+            pivot(r, c)
     tab.set_objective(art)
     tab.optimize()
     if art in tab.basis:
         r = tab.basis.index(art)
-        if tab.rows[r][-1]:
+        if tab.row(r)[-1]:
             raise Infeasible("cone slice sum(x) = 1 is empty")
-        nonzero = [c for c in range(k) if tab.rows[r][1 + c]]
+        nonzero = [c for c in range(k) if tab.row(r)[1 + c]]
         if not nonzero:
             raise ConeError("degenerate artificial row cannot be pivoted out")
-        tab._pivot(r, min(nonzero, key=tab.nonbasic.__getitem__))
+        pivot(r, min(nonzero, key=tab.nonbasic.__getitem__))
     tab.banned.add(art)
     return tab
 
@@ -574,7 +579,8 @@ def _phase_one_outcome(phase_one, cone):
         tab = phase_one(cone)
     except ConeError as exc:
         return type(exc)
-    return tab.rows, tab.basis, tab.nonbasic, tab.pivots, tab.z, tab.banned
+    rows = [tab.row(i) for i in range(len(tab.rows))]  # owed substitutions applied
+    return rows, tab.basis, tab.nonbasic, tab.pivots, tab.z, tab.banned
 
 
 def test_phase_one_matches_gauss_jordan_on_pairing_matrices():
@@ -617,11 +623,11 @@ def test_phase_one_leaves_the_artificial_variable_nonbasic(monkeypatch):
     def value(tab):
         if artificial(tab) not in tab.basis:
             return None
-        row = tab.rows[tab.basis.index(artificial(tab))]
+        row = tab.row(tab.basis.index(artificial(tab)))
         return Q(row[-1], row[0])
 
-    def checked_pivot(self, r, c):
-        pivot(self, r, c)
+    def checked_pivot(self, r, c, col):
+        pivot(self, r, c, col)
         assert value(self) in (None, 1)
 
     def checked_optimize(self):
@@ -642,6 +648,87 @@ def test_phase_one_leaves_the_artificial_variable_nonbasic(monkeypatch):
         assert artificial(tab) not in tab.basis
         returned += 1
     assert sum(basic_at_optimum) == infeasible > 0 and returned > 0
+
+
+def _ratio_test_reference(tab, cone, i, c):
+    """(entry in column c, right-hand side) of bounded row i over its basic
+    coefficient, as Fractions.  They are computed from the original equation
+    of its basic variable, with each basic coordinate replaced by its free
+    row; the free rows are rewritten at every pivot and owe nothing."""
+    k = tab.num_free
+    b = tab.basis[i]
+    if b < k + len(cone.rows):  # s - row . x = 0
+        coeffs, rhs = [-a for a in cone.rows[b - k]], Q(0)
+    else:  # art + sum(x) = 1
+        coeffs, rhs = [1] * k, Q(1)
+    entry = Q(0)
+    for j, a in enumerate(coeffs):
+        if a and j in tab.basis:
+            row = tab.rows[tab.basis.index(j)]
+            entry -= Q(a * row[1 + c], row[0])
+            rhs -= Q(a * row[-1], row[0])
+        elif a and tab.nonbasic[c] == j:
+            entry += a
+    return entry, rhs
+
+
+def _positive_multiple(pair, reference):
+    """Whether pair == t * reference for some t > 0."""
+    (a, b), (x, y) = pair, reference
+    return a * y == b * x and all(u * w > 0 or u == w == 0 for u, w in ((a, x), (b, y)))
+
+
+def test_deferred_ratio_test_reads_match_the_full_rows(monkeypatch):
+    # at every ratio test, each bounded row's (entry, right-hand side) read
+    # through the substitutions it owes is a positive multiple of the pair
+    # in the full dictionary row, which a dropped or reordered one breaks;
+    # and no row owes as many substitutions as it has entries
+    column = cone_module._Tableau._column
+    current = [None]  # the cone being solved
+    owing = [0, 0]  # rows read owing one substitution, and two or more
+
+    def checked_column(self, c):
+        col = column(self, c)
+        for i, b in enumerate(self.basis):
+            assert len(self.owed[i]) < len(self.rows[i])
+            if b >= self.num_free:
+                pair = (col[i], self._entry(i, -1))
+                assert _positive_multiple(pair, _ratio_test_reference(self, current[0], i, c))
+                if self.owed[i]:
+                    owing[len(self.owed[i]) > 1] += 1
+        return col
+
+    monkeypatch.setattr(cone_module._Tableau, "_column", checked_column)
+    cones = chain((pairing_matrix(n) for n in range(3, 61)), phase_one_rows())
+    for rows in cones:
+        current[0] = cone_of(rows)
+        for j in range(current[0].num_vars):
+            try:
+                lp_min(current[0], j)
+            except (Infeasible, Unbounded):
+                pass
+    assert min(owing) > 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 32, 100])
+def test_bounded_rows_are_rewritten_at_most_once_per_pivot(monkeypatch, n):
+    # a pivot rewrites the free rows and z only; a bounded row is computed
+    # in full when it leaves the basis or becomes the objective row
+    counts = {"pivots": 0, "rewrites": 0}
+    pivot, row = cone_module._Tableau._pivot, cone_module._Tableau.row
+
+    def counted_pivot(self, r, c, col):
+        counts["pivots"] += 1
+        return pivot(self, r, c, col)
+
+    def counted_row(self, i):
+        counts["rewrites"] += bool(self.owed[i]) and self.basis[i] >= self.num_free
+        return row(self, i)
+
+    monkeypatch.setattr(cone_module._Tableau, "_pivot", counted_pivot)
+    monkeypatch.setattr(cone_module._Tableau, "row", counted_row)
+    cone_certificate(n)
+    assert 0 < counts["rewrites"] <= counts["pivots"]
 
 
 def test_cone_rows_are_ints():
