@@ -7,27 +7,20 @@ taken once the certificate has shown the effective cone to be the orthant,
 along a big direction L, one in the open orthant: it is max -b/d.
 
 No floating point anywhere: the cone rows are ints and every produced
-number is an exact rational.  The LP solver is a simplex in
-dictionary form: it stores only the nonbasic columns, as gcd-reduced
-integer rows (constraint rows are scale-free), and uses Bland's
-smallest-index rule for both the entering and the leaving variable, so it
-terminates on degenerate inputs.  The coordinates are free variables; each
-enters the basis once, before phase one, and never leaves.  These k
-entries are freezes alone: each pivot row is frozen as it stands when its
-free variable enters, a bounded row replays the frozen rows it has missed
-only when the choice of the next pivot row reads it, and at the end every
-frozen row replaces each free variable it still holds once, by that
-variable's final row.  A simplex pivot swaps a variable into the basis on
-its row (`_freeze`) and then rewrites the free rows and the objective row.
-A bounded row, whose basic variable is a slack or the artificial variable,
-is rewritten only when it is read in full: when it leaves the basis, when
-its variable becomes the objective, or when it would owe as many
-substitutions as it has entries.  Until then it owes the final
-substitution and the pivots since, and the ratio test reads its entry and
-right-hand side through them, as the revised simplex reads only the pivot
-row and column.  The resulting dictionary is the one Gauss-Jordan pivots
-would give.  Every error raised here is a ConeError, the pivot limit
-included.
+number is an exact rational.  The LP solver is a simplex in dictionary
+form: it stores only the nonbasic columns, as gcd-reduced integer rows
+(constraint rows are scale-free), and uses Bland's smallest-index rule for
+both the entering and the leaving variable, so it terminates on degenerate
+inputs.  The coordinates are free variables; each enters the basis once,
+before phase one, by a freeze that rewrites no other row (_phase_one), and
+never leaves.  From then on one rule holds for every row but the objective
+row: a row owes each substitution that meets it, and it is rewritten only
+when it is read in full or when it would owe as many substitutions as it
+has entries (_Tableau).  The ratio test reads one entry and the right-hand
+side through what a row owes, as the revised simplex reads only the pivot
+row and column, and the dictionary is the one Gauss-Jordan pivots would
+give.  The artificial variable is minimized only while basic and never
+enters.  Every error raised here is a ConeError, the pivot limit included.
 
 Every coordinate minimum over the slice shares its feasible region, so
 phase one runs once per ConeH (again after a solver error) and each later
@@ -50,7 +43,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
 
 from ._terms import _exact
 
@@ -150,14 +142,14 @@ class _Tableau:
 
     A row is stored as it was last computed in full, rows[i], followed by
     the substitutions it still owes, owed[i], oldest first, in the form
-    _substitute takes.  Only a bounded row, one whose basic variable is a
-    slack or the artificial variable, owes any: phase one's final
-    substitution of its x-columns, then each later pivot that meets it.
-    They are applied only when the whole row is read (`row`): when it leaves
-    the basis, when `set_objective` takes it, and when it would owe as many
-    substitutions as it has entries (_pivot).  The ratio test reads one
-    entry and the right-hand side through them (`_entry`).  Free rows and z
-    owe nothing.
+    _substitute takes: each pivot that meets it, after phase one's final
+    substitution of its x-columns if it is a bounded row, one whose basic
+    variable is a slack or the artificial variable.  They are applied only
+    when the whole row is read (`row`): when it leaves the basis, when
+    `set_objective` takes it, when `lp_min` reads a coordinate's value, and
+    when it would owe as many substitutions as it has entries (_pivot).
+    Each pivot's column and the ratio test read one entry and the
+    right-hand side through them (`_entry`).  Only z owes nothing.
 
     A free variable is pivoted in once, by _freeze before phase one, and
     never leaves: its row takes no part in the ratio test.  A free variable
@@ -174,7 +166,6 @@ class _Tableau:
         self.nonbasic = nonbasic
         self.num_free = num_free  # variables 0..num_free-1 are free
         self.z = [1] + [0] * (len(nonbasic) + 1)  # no objective yet
-        self.banned: set[int] = set()
         self.pivots = 0
 
     def row(self, i: int) -> list[int]:
@@ -204,13 +195,12 @@ class _Tableau:
         return [self._entry(i, 1 + c) for i in range(len(self.rows))]
 
     def set_objective(self, var: int) -> None:
-        """Minimize the single variable `var`."""
-        if var in self.basis:
-            row = self.row(self.basis.index(var))
-            self.z = [row[0]] + [-a for a in row[1:]]
-        else:
-            self.z = [1] + [0] * len(self.nonbasic) + [0]
-            self.z[1 + self.nonbasic.index(var)] = 1
+        """Minimize the single variable `var`.  A nonbasic one is free, with
+        a zero column in every bounded row, so it is unbounded below."""
+        if var not in self.basis:
+            raise Unbounded("objective unbounded below")
+        row = self.row(self.basis.index(var))
+        self.z = [row[0]] + [-a for a in row[1:]]
 
     def _pivot(self, r: int, c: int, col: list[int]) -> None:
         """Swap nonbasic[c] into the basis at row r (_freeze), then remove
@@ -219,16 +209,17 @@ class _Tableau:
         col is _column(c), read before the swap.  Each row with col[i] != 0
         owes the pivot, with col[i] as the multiplier of the pivot row,
         which it holds as it stands (_freeze never changes a row in place).
-        A free row pays at once, and so does a bounded row that would owe as
-        many substitutions as it has entries: reading an entry through them
-        would cost about as much as rewriting it.  z is rewritten at once.
+        A row pays at once only when it would owe as many substitutions as
+        it has entries: reading an entry through them would cost about as
+        much as rewriting it.  A pairing-matrix row owes at most 3 for every
+        n <= 300.  z is rewritten at once.
         """
         self._freeze(r, c)
         prow = self.rows[r]
         for i, f in enumerate(col):
             if f and i != r:
                 self.owed[i].append(_pivot_op(prow, c, f))
-                if self.basis[i] < self.num_free or len(self.owed[i]) >= len(prow):
+                if len(self.owed[i]) >= len(prow):
                     self.row(i)
         if self.z[1 + c]:
             self.z = _substitute(self.z, [_pivot_op(prow, c, self.z[1 + c])])
@@ -259,14 +250,17 @@ class _Tableau:
     def optimize(self) -> None:
         """Bland's rule loop; raises Unbounded if no leaving row exists.
 
-        The ratio test compares rhs / entry across rows, which no positive
-        scale of a row changes, so it reads both through _entry."""
+        The artificial variable never enters: phase one pivots it out, and
+        phase two keeps it out.  The ratio test compares rhs / entry across
+        rows, which no positive scale of a row changes, so it reads both
+        through _entry."""
         if any(self.z[1 + c] for c, v in enumerate(self.nonbasic) if v < self.num_free):
             raise Unbounded("objective unbounded below")
+        art = self.num_free + len(self.rows) - 1
         while True:
             enter = -1
             for c, v in enumerate(self.nonbasic):
-                if (self.z[1 + c] < 0 and v not in self.banned
+                if (self.z[1 + c] < 0 and v != art
                         and (enter < 0 or v < self.nonbasic[enter])):
                     enter = c
             if enter < 0:
@@ -368,6 +362,11 @@ def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult) -> bo
     sum_i mu_i A_i + nu * (1, ..., 1) == e_obj becomes an identity of
     integer vectors with sigma in place of 1, summed over the nonzero
     entries of the rows with a nonzero multiplier.
+
+    Complementary slackness needs no check of its own.  The identity dotted
+    with X gives sum_i mu_i s_i = sigma X_obj - nu D (weak duality, with
+    s_i = A_i . X), and the two value checks make the right side 0 for
+    every input that passes them, so each product of two factors >= 0 is 0.
     """
     k = cone.num_vars
     if not 0 <= objective_index < k:
@@ -409,14 +408,12 @@ def verify_lp_minimum(cone: ConeH, objective_index: int, result: LpResult) -> bo
         raise ConeError("dual multipliers do not reproduce the objective")
     if nu * value.denominator != value.numerator * sigma:
         raise ConeError("dual objective does not match the minimum")
-    if any(map(mul, mus, slacks)):  # both factors are >= 0 here
-        raise ConeError("complementary slackness fails")
     return True
 
 
 def _phase_one(cone: ConeH) -> _Tableau:
     """Dictionary of the slice sum(x) = 1 at a feasible basis, its
-    artificial variable banned.  Raises Infeasible.
+    artificial variable nonbasic.  Raises Infeasible.
 
     The start basis is the slacks plus one artificial variable on the
     normalization row.  Each free x_j is then pivoted in once, on the first
@@ -437,7 +434,7 @@ def _phase_one(cone: ConeH) -> _Tableau:
     frozen rows are finished newest first, so each draws only on finished
     rows, and each replaces each of its x-columns once (_substitute, given
     the finished rows themselves).  Every bounded row owes the same
-    substitution, applied only when the row is read in full (_Tableau).  A
+    substitution, and the one rule of _Tableau holds from there on.  A
     gcd-reduced dictionary row with a positive basic coefficient is
     determined by the basis, so the dictionary is the one that rewriting
     every row at every pivot would give.
@@ -449,7 +446,8 @@ def _phase_one(cone: ConeH) -> _Tableau:
     ratio 0, so each simplex pivot of phase one is either degenerate, and
     keeps every right-hand side, or takes the artificial variable's row.
     So while the artificial variable is basic its value stays 1, and if it
-    is basic at the phase-one optimum the slice is empty.
+    is basic at the phase-one optimum the slice is empty.  It is minimized
+    only while it is basic.
     """
     k = cone.num_vars
     m = len(cone.rows)
@@ -494,11 +492,11 @@ def _phase_one(cone: ConeH) -> _Tableau:
         if b >= k:
             tab.owed[i] = _plan(tab.rows[i], final[level[i]:])
 
-    tab.set_objective(art)
-    tab.optimize()
     if art in tab.basis:
-        raise Infeasible("cone slice sum(x) = 1 is empty")
-    tab.banned.add(art)
+        tab.set_objective(art)
+        tab.optimize()
+        if art in tab.basis:
+            raise Infeasible("cone slice sum(x) = 1 is empty")
     return tab
 
 
@@ -512,12 +510,12 @@ def lp_min(cone: ConeH, objective_index: int) -> LpResult:
     returned, which is feasible because the region is shared.  The minimum
     does not depend on the order of the calls, but at a degenerate optimum
     the witness and multipliers may.  The pivot limit applies per call, and
-    a bounded row keeps the substitutions it owes (_Tableau) from call to
-    call until it is read in full.
+    a row keeps the substitutions it owes (_Tableau) from call to call
+    until it is read in full.
 
-    The result is read out of the integer dictionary as it stands: the
-    witness numerators over the lcm of the basic coefficients of the nonzero
-    coordinates, whose rows are free and owe nothing, and the multipliers
+    The result is read out of the integer dictionary: the witness
+    numerators over the lcm of the basic coefficients of the nonzero
+    coordinates, each coordinate's row read in full, and the multipliers
     straight from the objective row over its scale sigma = z[0].  The only
     Fraction built is the minimum.  The
     result is re-checked by `verify_lp_minimum` before it is returned.
@@ -538,8 +536,8 @@ def lp_min(cone: ConeH, objective_index: int) -> LpResult:
     tab.optimize()
 
     # basic coordinates with a nonzero value, over a common denominator
-    values = [(v, row[-1], row[0]) for v, row in zip(tab.basis, tab.rows)
-              if v < k and row[-1]]
+    rows = [(v, tab.row(i)) for i, v in enumerate(tab.basis) if v < k]
+    values = [(v, row[-1], row[0]) for v, row in rows if row[-1]]
     d_x = lcm(*(den for _, _, den in values))
     xs = [0] * k
     for v, num, den in values:

@@ -382,7 +382,10 @@ def test_verify_rejects_a_denominator_that_is_not_positive(case):
 def _agree_on_tampers(rng, cone, j, res):
     """Tamper one field of the Fraction view res six times; both re-checks
     must agree on each tampered result, also with both of its integer blocks
-    scaled by a common factor.  Returns how many the reference rejects."""
+    scaled by a common factor.  The reference never rejects one for
+    complementary slackness alone: given its earlier checks, weak duality
+    makes sum_i mu_i * slack_i zero.  Returns how many the reference
+    rejects."""
     rejected = 0
     for _ in range(6):
         field = rng.choice(["value", "witness", "row_multipliers",
@@ -395,6 +398,7 @@ def _agree_on_tampers(rng, cone, j, res):
         else:
             bad = replace(res, **{field: getattr(res, field) + delta})
         expected = fraction_verify(cone, j, bad)
+        assert expected != "complementary slackness fails"
         blocks = from_fractions(bad)
         assert integer_verify(cone, j, blocks) == expected
         assert integer_verify(cone, j, scaled(blocks, rng.randint(2, 9),
@@ -560,8 +564,9 @@ def _gauss_jordan_phase_one(cone):
                  None)
         if r is not None:
             pivot(r, c)
-    tab.set_objective(art)
-    tab.optimize()
+    if art in tab.basis:  # minimized only while it is basic
+        tab.set_objective(art)
+        tab.optimize()
     if art in tab.basis:
         r = tab.basis.index(art)
         if tab.row(r)[-1]:
@@ -570,7 +575,6 @@ def _gauss_jordan_phase_one(cone):
         if not nonzero:
             raise ConeError("degenerate artificial row cannot be pivoted out")
         pivot(r, min(nonzero, key=tab.nonbasic.__getitem__))
-    tab.banned.add(art)
     return tab
 
 
@@ -580,7 +584,7 @@ def _phase_one_outcome(phase_one, cone):
     except ConeError as exc:
         return type(exc)
     rows = [tab.row(i) for i in range(len(tab.rows))]  # owed substitutions applied
-    return rows, tab.basis, tab.nonbasic, tab.pivots, tab.z, tab.banned
+    return rows, tab.basis, tab.nonbasic, tab.pivots, tab.z
 
 
 def test_phase_one_matches_gauss_jordan_on_pairing_matrices():
@@ -654,7 +658,8 @@ def _ratio_test_reference(tab, cone, i, c):
     """(entry in column c, right-hand side) of bounded row i over its basic
     coefficient, as Fractions.  They are computed from the original equation
     of its basic variable, with each basic coordinate replaced by its free
-    row; the free rows are rewritten at every pivot and owe nothing."""
+    row, read through the substitutions that row owes without applying
+    them to the tableau."""
     k = tab.num_free
     b = tab.basis[i]
     if b < k + len(cone.rows):  # s - row . x = 0
@@ -664,7 +669,8 @@ def _ratio_test_reference(tab, cone, i, c):
     entry = Q(0)
     for j, a in enumerate(coeffs):
         if a and j in tab.basis:
-            row = tab.rows[tab.basis.index(j)]
+            r = tab.basis.index(j)
+            row = cone_module._substitute(tab.rows[r], tab.owed[r])
             entry -= Q(a * row[1 + c], row[0])
             rhs -= Q(a * row[-1], row[0])
         elif a and tab.nonbasic[c] == j:
@@ -712,8 +718,8 @@ def test_deferred_ratio_test_reads_match_the_full_rows(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 10, 32, 100])
 def test_bounded_rows_are_rewritten_at_most_once_per_pivot(monkeypatch, n):
-    # a pivot rewrites the free rows and z only; a bounded row is computed
-    # in full when it leaves the basis or becomes the objective row
+    # a pivot rewrites z only; a bounded row is computed in full when it
+    # leaves the basis or becomes the objective row
     counts = {"pivots": 0, "rewrites": 0}
     pivot, row = cone_module._Tableau._pivot, cone_module._Tableau.row
 
@@ -729,6 +735,23 @@ def test_bounded_rows_are_rewritten_at_most_once_per_pivot(monkeypatch, n):
     monkeypatch.setattr(cone_module._Tableau, "row", counted_row)
     cone_certificate(n)
     assert 0 < counts["rewrites"] <= counts["pivots"]
+
+
+@pytest.mark.parametrize("n, calls, entries", [(32, 127, 5214), (100, 399, 50298)])
+def test_certificate_row_rewrites_are_pinned(monkeypatch, n, calls, entries):
+    # the rows a certificate rewrites, and the row entries they read: one
+    # per entry of the row for each row substituted into it
+    work = [0, 0]
+    substitute = cone_module._substitute
+
+    def counted(row, ops):
+        work[0] += 1
+        work[1] += len(row) * sum(len(terms) for _, terms in ops)
+        return substitute(row, ops)
+
+    monkeypatch.setattr(cone_module, "_substitute", counted)
+    cone_certificate(n)
+    assert work == [calls, entries]
 
 
 def test_cone_rows_are_ints():

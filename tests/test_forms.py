@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from effcone import forms as forms_module
 from effcone.forms import (
     BinaryForm,
     DegreeTooSmall,
@@ -354,6 +355,36 @@ def test_resultant_is_the_sylvester_determinant_with_cofactors():
         assert len(u) == len(v) == d, (p, q)
         assert [x + y for x, y in zip(poly_mul(u, p), poly_mul(v, q))] == \
             [0] * (2 * d - 1) + [r], (p, q)
+
+
+def test_resultant_steps_grow_quadratically(monkeypatch):
+    # coefficient operations of the chain, each one big-int product or
+    # difference, on dense forms with a nonzero discriminant, so that every
+    # chain runs down to a constant: O(n^2) steps give about x4 per doubling
+    # of the degree, and an O(n^3) elimination x8
+    steps = [0]
+    pseudo_divide, combine = forms_module._pseudo_divide, forms_module._combine
+
+    def counted_pseudo_divide(a, b):
+        # per step: the quotient and the remainder's tail scaled, b subtracted
+        steps[0] += (len(a) - len(b) + 1) * (len(a) + len(b) - 2)
+        return pseudo_divide(a, b)
+
+    def counted_combine(k, x, quo, y):
+        steps[0] += len(x) + len(quo) * len(y)
+        return combine(k, x, quo, y)
+
+    monkeypatch.setattr(forms_module, "_pseudo_divide", counted_pseudo_divide)
+    monkeypatch.setattr(forms_module, "_combine", counted_combine)
+    counts = []
+    for n in (20, 40, 80):
+        rng = random.Random(n)
+        f = BinaryForm(tuple(rng.choice((-1, 1)) * rng.randint(1, 9)
+                             for _ in range(n + 1)))
+        steps[0] = 0
+        assert disc(f)
+        counts.append(steps[0])
+    assert all(big <= 4.5 * small for small, big in zip(counts, counts[1:])), counts
 
 
 def test_disc_degree_too_small():
