@@ -40,7 +40,7 @@ def _emit(payload: dict, fmt: str, csv_rows=None) -> None:
 
 # Largest n for cone-cert, pairings and relation.  From n = 150 to 300 the
 # certificate's in-process cost grows about like n^2.2: `cone-cert --n 300`
-# takes 0.5-0.75 s and 53 MiB as a process on a 2-core Xeon (CPython 3.11.7)
+# takes 0.4-0.55 s and 42 MiB as a process on a 2-core Xeon (CPython 3.11.7)
 # and prints 2.6 MB of JSON.  The relation trace prints O(n^2) digits.
 MAX_N = 300
 # Largest n for kodaira and fiber-check.  fiber-check reads n + 1 integer

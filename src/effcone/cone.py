@@ -34,7 +34,10 @@ integer blocks, the witness over one positive denominator and the dual
 multipliers over the objective row's positive scale; `verify_lp_minimum`
 re-checks those ints over the nonzero entries of the witness and of the
 constraint rows; and each entry is printed as a reduced "p/q" straight from
-its block.  The one `Fraction` per coordinate is its minimum.
+its block.  The one `Fraction` per coordinate is its minimum.  The witness
+is the basic solution, built once per basis through what the coordinates'
+rows owe, with no row rewritten for it; every result at that basis shares
+it, and a certificate prints each distinct witness block once.
 """
 
 from __future__ import annotations
@@ -146,10 +149,10 @@ class _Tableau:
     substitution of its x-columns if it is a bounded row, one whose basic
     variable is a slack or the artificial variable.  They are applied only
     when the whole row is read (`row`): when it leaves the basis, when
-    `set_objective` takes it, when `lp_min` reads a coordinate's value, and
-    when it would owe as many substitutions as it has entries (_pivot).
-    Each pivot's column and the ratio test read one entry and the
-    right-hand side through them (`_entry`).  Only z owes nothing.
+    `set_objective` takes it, and when it would owe as many substitutions
+    as it has entries (_pivot).  Each pivot's column and the ratio test read
+    one entry and the right-hand side through them (`_entry`), and so does
+    `basic_point` for each coordinate's value.  Only z owes nothing.
 
     A free variable is pivoted in once, by _freeze before phase one, and
     never leaves: its row takes no part in the ratio test.  A free variable
@@ -167,6 +170,7 @@ class _Tableau:
         self.num_free = num_free  # variables 0..num_free-1 are free
         self.z = [1] + [0] * (len(nonbasic) + 1)  # no objective yet
         self.pivots = 0
+        self.point: tuple[tuple[int, ...], int] | None = None  # of this basis
 
     def row(self, i: int) -> list[int]:
         """Row i in full: the substitutions it owes are applied, with the
@@ -189,6 +193,32 @@ class _Tableau:
                     w -= q * v
             v = w
         return v
+
+    def basic_point(self) -> tuple[tuple[int, ...], int]:
+        """The basic solution of the current basis, as the coordinates'
+        numerators over their lcm denominator, built on the first call after
+        a basis change (_freeze clears it).  Each basic coordinate's value
+        is read through what its row owes and rewrites no row: _entry(i, -1)
+        over rows[i][0] times each owed multiplier q, the scale _entry
+        reports in, reduced by their gcd."""
+        if self.point is None:
+            k = self.num_free
+            values = []
+            for i, v in enumerate(self.basis):
+                if v < k:
+                    num = self._entry(i, -1)
+                    if num:
+                        den = self.rows[i][0]
+                        for q, _ in self.owed[i]:
+                            den *= q
+                        g = gcd(num, den)
+                        values.append((v, num // g, den // g))
+            d_x = lcm(*(den for _, _, den in values))
+            xs = [0] * k
+            for v, num, den in values:
+                xs[v] = num * (d_x // den)
+            self.point = (tuple(xs), d_x)
+        return self.point
 
     def _column(self, c: int) -> list[int]:
         """Entry 1 + c of every row, through _entry."""
@@ -240,6 +270,7 @@ class _Tableau:
         prow[0], prow[1 + c] = prow[1 + c], prow[0]
         self.rows[r] = _reduce_ints(prow)
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
+        self.point = None
         self._count_pivot()
 
     def _count_pivot(self) -> None:
@@ -513,12 +544,14 @@ def lp_min(cone: ConeH, objective_index: int) -> LpResult:
     a row keeps the substitutions it owes (_Tableau) from call to call
     until it is read in full.
 
-    The result is read out of the integer dictionary: the witness
-    numerators over the lcm of the basic coefficients of the nonzero
-    coordinates, each coordinate's row read in full, and the multipliers
-    straight from the objective row over its scale sigma = z[0].  The only
-    Fraction built is the minimum.  The
-    result is re-checked by `verify_lp_minimum` before it is returned.
+    The result is read out of the integer dictionary: the witness is the
+    basic point of the optimal basis (_Tableau.basic_point), each
+    coordinate's value read through what its row owes, over the lcm of the
+    reduced denominators; it is built once per basis, and every result at
+    that basis holds the same tuple.  The multipliers come straight from
+    the objective row over its scale sigma = z[0].  The only Fraction built
+    is the minimum.  The result is re-checked by `verify_lp_minimum` before
+    it is returned.
     Raises Infeasible / Unbounded.
     """
     k = cone.num_vars
@@ -535,13 +568,7 @@ def lp_min(cone: ConeH, objective_index: int) -> LpResult:
     tab.set_objective(objective_index)
     tab.optimize()
 
-    # basic coordinates with a nonzero value, over a common denominator
-    rows = [(v, tab.row(i)) for i, v in enumerate(tab.basis) if v < k]
-    values = [(v, row[-1], row[0]) for v, row in rows if row[-1]]
-    d_x = lcm(*(den for _, _, den in values))
-    xs = [0] * k
-    for v, num, den in values:
-        xs[v] = num * (d_x // den)
+    xs, d_x = tab.basic_point()
     # reduced costs times sigma of the slacks and of the artificial variable
     m = len(cone.rows)
     z = tab.z
@@ -553,8 +580,7 @@ def lp_min(cone: ConeH, objective_index: int) -> LpResult:
                 mus[v - k] = z[1 + c]
             else:
                 nu = -z[1 + c]
-    result = LpResult(Fraction(xs[objective_index], d_x), tuple(xs), d_x,
-                      tuple(mus), nu, z[0])
+    result = LpResult(Fraction(xs[objective_index], d_x), xs, d_x, tuple(mus), nu, z[0])
     verify_lp_minimum(cone, objective_index, result)
     cone._warm.append(tab)
     return result
@@ -611,12 +637,22 @@ class Certificate:
         # every certificate has a witness per coordinate, so its slice is
         # nonempty: an empty one raises Infeasible and builds no certificate
         results = self.results
+        constraints = []
+        for ints in self.cone._int_rows:
+            row = ["0"] * self.cone.num_vars
+            for j, a in ints:
+                row[j] = str(a)
+            constraints.append(row)
+        # results at one basis share a witness: each distinct one is
+        # formatted once, and every result gets its own copy of the list
+        witnesses = {key: _block(*key)
+                     for key in {(res.witness, res.witness_den) for res in results}}
         return {
             "variables": list(self.labels),
-            "constraints": [[str(q) for q in row] for row in self.cone.rows],
+            "constraints": constraints,
             "normalization": "sum = 1",
             "minima": {lab: str(res.value) for lab, res in zip(self.labels, results)},
-            "witnesses": [_block(res.witness, res.witness_den) for res in results],
+            "witnesses": [witnesses[res.witness, res.witness_den][:] for res in results],
             "row_multipliers": [_block(res.row_multipliers, res.multiplier_den)
                                 for res in results],
             "normalization_multipliers": [
@@ -639,7 +675,7 @@ def dual_contained_in_orthant(matrix, labels) -> Certificate:
     certifies nothing, raises ConeError.
     """
     cone = ConeH(matrix, labels)
-    if all(q == 0 for row in cone.rows for q in row):
+    if not any(cone._int_rows):
         raise ConeError("constraint matrix is zero")
     results = tuple(lp_min(cone, j) for j in range(cone.num_vars))
     cone._warm.clear()  # the certificate keeps the cone, not the solver's tableau

@@ -1,8 +1,9 @@
 import json
 import random
+from copy import deepcopy
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import comb, gcd, lcm
 
 import pytest
@@ -737,7 +738,7 @@ def test_bounded_rows_are_rewritten_at_most_once_per_pivot(monkeypatch, n):
     assert 0 < counts["rewrites"] <= counts["pivots"]
 
 
-@pytest.mark.parametrize("n, calls, entries", [(32, 127, 5214), (100, 399, 50298)])
+@pytest.mark.parametrize("n, calls, entries", [(32, 96, 5148), (100, 300, 50096)])
 def test_certificate_row_rewrites_are_pinned(monkeypatch, n, calls, entries):
     # the rows a certificate rewrites, and the row entries they read: one
     # per entry of the row for each row substituted into it
@@ -752,6 +753,55 @@ def test_certificate_row_rewrites_are_pinned(monkeypatch, n, calls, entries):
     monkeypatch.setattr(cone_module, "_substitute", counted)
     cone_certificate(n)
     assert work == [calls, entries]
+
+
+def _full_row_point(tab):
+    """The basic solution of tab's coordinates as Fractions, each read from
+    its row in full on a deep copy, so tab itself is not rewritten; and
+    whether any of those rows owed a substitution."""
+    tab = deepcopy(tab)
+    point = [Q(0)] * tab.num_free
+    owing = False
+    for i, v in enumerate(tab.basis):
+        if v < tab.num_free:
+            owing = owing or bool(tab.owed[i])
+            row = tab.row(i)
+            point[v] = Q(row[-1], row[0])
+    return point, owing
+
+
+def test_read_out_matches_the_full_rows():
+    # after every lp_min, the witness read through the substitutions the
+    # coordinates' rows owe is the basic solution of their full rows over
+    # the least common denominator, and every result at one basis shares
+    # one witness object, so there are as many as bases visited
+    owing = 0
+    n32 = pairing_matrix(32)
+    for rows in chain([n32], islice(phase_one_rows(), 0, None, 4)):
+        cone = cone_of(rows)
+        basis = witness = None
+        visits, witnesses = 0, []
+        for j in range(cone.num_vars):
+            try:
+                res = lp_min(cone, j)
+            except (Infeasible, Unbounded):
+                basis = None  # the next call starts phase one again
+                continue
+            tab = cone._warm[0]
+            point, owed = _full_row_point(tab)
+            owing += owed
+            assert (res.witness, res.witness_den) == tab.point
+            assert [Q(x, res.witness_den) for x in res.witness] == point
+            assert res.witness_den == lcm(*(x.denominator for x in point))
+            if tab.basis != basis:
+                basis, witness = tab.basis[:], res.witness
+                visits += 1
+            assert res.witness is witness
+            witnesses.append(res.witness)
+        assert len(set(map(id, witnesses))) == visits
+        if rows is n32:
+            assert len(set(witnesses)) == visits > 1
+    assert owing > 0
 
 
 def test_cone_rows_are_ints():
@@ -818,6 +868,28 @@ def test_certificate_json_round_trip():
     assert data["minima"] == {"B[2]": "1/4", "B[3]": "1/2"}
     assert data["witnesses"][0] == ["1/4", "3/4"]
     assert json.dumps(data, sort_keys=True) == text
+
+
+def test_certificate_formats_each_witness_once(monkeypatch):
+    # the results of a certificate share their witnesses, and as_dict
+    # formats each distinct one once, into lists that no two results share
+    cert = cone_certificate(32)
+    block = cone_module._block
+    formatted = []
+
+    def counted(nums, den):
+        formatted.append(nums)
+        return block(nums, den)
+
+    monkeypatch.setattr(cone_module, "_block", counted)
+    data = cert.as_dict()
+    witnesses = {res.witness for res in cert.results}
+    assert 1 < len(witnesses) < cert.cone.num_vars
+    assert sum(nums in witnesses for nums in formatted) == len(witnesses)
+    assert data["witnesses"] == [block(res.witness, res.witness_den)
+                                 for res in cert.results]
+    assert len(set(map(id, data["witnesses"]))) == cert.cone.num_vars
+    assert data["constraints"] == [[str(a) for a in row] for row in cert.cone.rows]
 
 
 def test_certificate_requires_one_entry_per_label():
