@@ -40,8 +40,9 @@ def _emit(payload: dict, fmt: str, csv_rows=None) -> None:
 
 # Largest n for cone-cert, pairings and relation.  From n = 150 to 300 the
 # certificate's in-process cost grows about like n^2.2: `cone-cert --n 300`
-# takes 0.4-0.55 s and 42 MiB as a process on a 2-core Xeon (CPython 3.11.7)
-# and prints 2.6 MB of JSON.  The relation trace prints O(n^2) digits.
+# takes 0.44-0.52 s and 42 MiB as a process on a 2-core Xeon (CPython 3.11.7,
+# no bytecode cache) and prints 2.6 MB of JSON.  The relation trace prints
+# O(n^2) digits.
 MAX_N = 300
 # Largest n for kodaira and fiber-check.  fiber-check reads n + 1 integer
 # coordinates for each of n - 3 classes: --n 1000 takes about 0.17 s and
@@ -89,7 +90,7 @@ def _cmd_cone_cert(args) -> int:
                "certificate": cert.as_dict(),
                "verdict": "pass" if cert.passed else "fail"}
     csv_rows = [["coordinate", "minimum"]] + [
-        [lab, str(mn)] for lab, mn in zip(cert.labels, cert.minima)
+        [lab, mn] for lab, mn in payload["certificate"]["minima"].items()
     ] + [["verdict", payload["verdict"]]]
     _emit(payload, args.format, csv_rows)
     return 0 if cert.passed else 1
@@ -109,12 +110,12 @@ def _cmd_kodaira(args) -> int:
 
 def _cmd_relation(args) -> int:
     n = _require_n(args, MAX_N)
+    counts = picard.pair_incidence_counts(n)
     trace = [{"s": s, "subsets_per_pair": per_pair,
               "pair_incidences": incidences, "subsets": subsets,
               "coefficient": str(per_subset)}
-             for s, per_pair, incidences, subsets, per_subset
-             in picard.pair_incidence_counts(n)]
-    rel = picard.derive_l_relation(n)
+             for s, per_pair, incidences, subsets, per_subset in counts]
+    rel = picard.derive_l_relation(counts)
     payload = {"command": "relation", "n": n, "relation": str(rel),
                "coefficients": trace}
     csv_rows = [["s", "coefficient"]] + [[t["s"], t["coefficient"]] for t in trace]

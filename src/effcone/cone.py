@@ -651,7 +651,7 @@ class Certificate:
             "variables": list(self.labels),
             "constraints": constraints,
             "normalization": "sum = 1",
-            "minima": {lab: str(res.value) for lab, res in zip(self.labels, results)},
+            "minima": {lab: str(mn) for lab, mn in zip(self.labels, self.minima)},
             "witnesses": [witnesses[res.witness, res.witness_den][:] for res in results],
             "row_multipliers": [_block(res.row_multipliers, res.multiplier_den)
                                 for res in results],

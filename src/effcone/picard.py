@@ -34,8 +34,8 @@ class DivisorClass:
 
     `coeff_B` maps s to the coefficient of B[s]; absent keys mean zero and
     zero entries are dropped on construction so equality is coefficientwise.
-    Instances are immutable; arithmetic is componentwise and exact, in ints
-    until a coefficient is really non-integral.
+    Instances are immutable and do no class arithmetic: a sum or a threshold
+    is taken on the integer vectors of _cleared_b_vector.
     """
 
     n: int
@@ -57,17 +57,6 @@ class DivisorClass:
 
     def b(self, s: int) -> int | Fraction:
         return self.coeff_B.get(s, 0)
-
-    def _same_space(self, other: "DivisorClass") -> None:
-        if self.n != other.n:
-            raise ValueError("classes live on different spaces")
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._same_space(other)
-        coeffs = dict(self.coeff_B)
-        for s, q in other.coeff_B.items():
-            coeffs[s] = coeffs.get(s, 0) + q
-        return DivisorClass(self.n, self.coeff_L + other.coeff_L, coeffs)
 
     def __str__(self) -> str:
         return format_divisor(self)
@@ -105,12 +94,12 @@ def pair_incidence_counts(n: int) -> list[tuple[int, int, int, int, int]]:
     return counts
 
 
-def derive_l_relation(n: int) -> DivisorClass:
+def derive_l_relation(counts: list[tuple[int, int, int, int, int]]) -> DivisorClass:
     """The class (n-1)*L - sum_s s(s-1)/2 * B[s], which is zero in the
-    invariant Picard group, with its B-coefficients produced by counting
-    (pair_incidence_counts)."""
-    return DivisorClass(n, n - 1, {s: -per_subset for s, *_, per_subset
-                                   in pair_incidence_counts(n)})
+    invariant Picard group, read from the tuples of pair_incidence_counts(n):
+    the last tuple's s is n, and B[s] gets minus its count per subset."""
+    n = counts[-1][0]
+    return DivisorClass(n, n - 1, {s: -per_subset for s, *_, per_subset in counts})
 
 
 def _cleared_b_vector(c: DivisorClass) -> list[int | Fraction]:
@@ -253,7 +242,10 @@ def kodaira_full(n: int) -> Fraction:
     B-coordinates against the orthant; equals 2/n.
 
     Both vectors are taken over the common denominator 2(n-1), in ints: a
-    common positive scale leaves every threshold -b/d unchanged."""
-    base = standard_class(n, "canonical") + standard_class(n, "boundary")
-    direction = standard_class(n, "hyperplane")
-    return cone.kodaira_energy(_cleared_b_vector(base), _cleared_b_vector(direction))
+    common positive scale leaves every threshold -b/d unchanged.  Clearing
+    is linear, so K + B is the sum of the two cleared int vectors."""
+    canonical = _cleared_b_vector(standard_class(n, "canonical"))
+    boundary = _cleared_b_vector(standard_class(n, "boundary"))
+    base = [k + b for k, b in zip(canonical, boundary)]
+    direction = _cleared_b_vector(standard_class(n, "hyperplane"))
+    return cone.kodaira_energy(base, direction)

@@ -5,7 +5,9 @@ the plain box enumerator of determinant-1 matrices, fraction-free
 (Bareiss) elimination of Sylvester matrices, the classical cubic
 discriminant, forms built from their roots, the pairing of a curve at the
 level of subsets, and the bilinear pairing of a divisor class with a curve.
-No command-line path runs them, so they live here and not in the package.
+`added` sums two divisor classes, which the package does only on cleared
+integer vectors.  No command-line path runs them, so they live here and
+not in the package.
 """
 
 from __future__ import annotations
@@ -281,3 +283,11 @@ def pair(c: DivisorClass, curve: CurveClass) -> int | Fraction:
     for s, q in c.coeff_B.items():
         total += q * row[s - 2]
     return total
+
+
+def added(c1: DivisorClass, c2: DivisorClass) -> DivisorClass:
+    """The divisor class c1 + c2 of two classes on one space."""
+    coeffs = dict(c1.coeff_B)
+    for s, q in c2.coeff_B.items():
+        coeffs[s] = coeffs.get(s, 0) + q
+    return DivisorClass(c1.n, c1.coeff_L + c2.coeff_L, coeffs)

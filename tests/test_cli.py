@@ -297,6 +297,22 @@ def test_relation_trace(capsys):
         "subsets": 6, "coefficient": "1"}
 
 
+@pytest.mark.parametrize("n", [4, 300])
+def test_relation_counts_once(capsys, monkeypatch, n):
+    # the trace and the relation read the same count tuples
+    from effcone import picard
+
+    calls = []
+    real = picard.pair_incidence_counts
+    monkeypatch.setattr(picard, "pair_incidence_counts",
+                        lambda m: calls.append(m) or real(m))
+    code, out, _ = run(capsys, "relation", "--n", str(n), "--format", "json")
+    assert code == 0
+    assert calls == [n]
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CLASS_OUTPUT_SHA256["relation", n, "json"]
+
+
 def test_fiber_check(capsys):
     code, out, _ = run(capsys, "fiber-check", "--n", "3", "--format", "json")
     assert code == 0

@@ -1012,14 +1012,15 @@ def kodaira_via_lp(base, direction):
 def test_kodaira_energy_agrees_with_lp_route():
     from effcone.fiber import fiber_class, to_A_basis
     from effcone.picard import _cleared_b_vector, kodaira_full, standard_class
+    from oracles import added
 
     def b_vector(c):
         """B[2..n]-coordinates of c with L eliminated by the relation."""
         return tuple(Q(v, 2 * (c.n - 1)) for v in _cleared_b_vector(c))
 
     for n in range(3, 13):
-        base = b_vector(standard_class(n, "canonical")
-                        + standard_class(n, "boundary"))
+        base = b_vector(added(standard_class(n, "canonical"),
+                              standard_class(n, "boundary")))
         direction = b_vector(standard_class(n, "hyperplane"))
         assert kodaira_via_lp(base, direction) == kodaira_full(n) == Q(2, n)
         k = to_A_basis(fiber_class(n, "K"))
