@@ -2,16 +2,19 @@
 
 Each verified statement maps to one subcommand with machine-readable
 output.  Exit codes: 0 = pass or pure query, 1 = verification, solver or
-exactness failure, 2 = invalid input.  A subcommand returns 0 or 1 for
-its verdict and raises on failure; `main` alone maps the exceptions to
-exit codes: a `cone.ConeError` or an `ExactnessError` to 1, a ValueError
-to 2.  Exact rationals are printed as "p/q"; only `fit` prints decimals
-(it is statistical by nature).
+exactness failure, 2 = invalid input.  A subcommand returns what it
+computed, a payload and, where the default key/value rows do not fit, its
+csv rows, and raises on failure.  `main` alone names the payload after its
+subcommand, prints it, and maps the verdict and the exceptions to exit
+codes: a "fail" verdict, a `cone.ConeError` or an `ExactnessError` to 1, a
+ValueError to 2.  Exact rationals are printed as "p/q"; only `fit` prints
+decimals (it is statistical by nature).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -21,21 +24,34 @@ from . import cone, counting, fiber, forms, picard
 from ._terms import ExactnessError
 
 
+def _text(value):
+    """A list or dict prints as its JSON text, in one cell or one line."""
+    if isinstance(value, (list, dict)):
+        return json.dumps(value, sort_keys=True)
+    return value
+
+
 def _emit(payload: dict, fmt: str, csv_rows=None) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
-    elif fmt == "csv":
-        rows = csv_rows if csv_rows is not None else [
-            (key, payload[key]) for key in sorted(payload)
-        ]
-        for row in rows:
-            print(",".join(str(cell) for cell in row))
-    else:
-        for key in payload:
-            value = payload[key]
-            if isinstance(value, (list, dict)):
-                value = json.dumps(value, sort_keys=True)
-            print(f"{key}: {value}")
+    # an exact result prints in full: CPython's int-to-str digit limit
+    # (3.10.7 on) is lifted while printing, so it still refuses long input
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, sort_keys=True))
+        elif fmt == "csv":
+            rows = csv_rows if csv_rows is not None else [
+                (key, payload[key]) for key in sorted(payload)
+            ]
+            csv.writer(sys.stdout, lineterminator="\n").writerows(
+                [_text(cell) for cell in row] for row in rows)
+        else:
+            for key in payload:
+                print(f"{key}: {_text(payload[key])}")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 # Largest n for cone-cert, pairings and relation.  From n = 150 to 300 the
@@ -45,7 +61,7 @@ def _emit(payload: dict, fmt: str, csv_rows=None) -> None:
 # O(n^2) digits.
 MAX_N = 300
 # Largest n for kodaira and fiber-check.  fiber-check reads n + 1 integer
-# coordinates for each of n - 3 classes: --n 1000 takes about 0.17 s and
+# coordinates for each of n - 3 classes: --n 1000 takes 0.16-0.23 s and
 # 17 MiB as a process on the same host.
 MAX_N_FIBER = 1000
 # Largest degree for every --coeffs.  On a dense degree-100 form (entries
@@ -69,46 +85,38 @@ def _read_form(args) -> forms.BinaryForm:
     return f
 
 
-def _cmd_pairings(args) -> int:
+def _cmd_pairings(args):
     n = _require_n(args, MAX_N)
     matrix = picard.pairing_matrix(n)
     curves = [c.label() for c in picard.matrix_curves(n)]
     cols = picard.b_labels(n)
-    payload = {
-        "command": "pairings", "n": n, "columns": cols,
-        "rows": [{"curve": lab, "pairings": row} for lab, row in zip(curves, matrix)],
-    }
-    csv_rows = [["curve"] + cols] + [[lab] + row for lab, row in zip(curves, matrix)]
-    _emit(payload, args.format, csv_rows)
-    return 0
+    return ({"n": n, "columns": cols,
+             "rows": [{"curve": lab, "pairings": row}
+                      for lab, row in zip(curves, matrix)]},
+            [["curve"] + cols] + [[lab] + row for lab, row in zip(curves, matrix)])
 
 
-def _cmd_cone_cert(args) -> int:
+def _cmd_cone_cert(args):
     n = _require_n(args, MAX_N)
     cert = picard.cone_certificate(n)
-    payload = {"command": "cone-cert", "n": n,
-               "certificate": cert.as_dict(),
-               "verdict": "pass" if cert.passed else "fail"}
-    csv_rows = [["coordinate", "minimum"]] + [
-        [lab, mn] for lab, mn in payload["certificate"]["minima"].items()
-    ] + [["verdict", payload["verdict"]]]
-    _emit(payload, args.format, csv_rows)
-    return 0 if cert.passed else 1
+    certificate = cert.as_dict()
+    verdict = "pass" if cert.passed else "fail"
+    return ({"n": n, "certificate": certificate, "verdict": verdict},
+            [["coordinate", "minimum"]] + list(certificate["minima"].items())
+            + [["verdict", verdict]])
 
 
-def _cmd_kodaira(args) -> int:
+def _cmd_kodaira(args):
     n = _require_n(args, MAX_N_FIBER)
     value = (picard.kodaira_full(n) if args.space == "full"
              else fiber.kodaira_fiber(n))
     expected = Fraction(2, n)
-    verdict = "pass" if value == expected else "fail"
-    payload = {"command": "kodaira", "n": n, "space": args.space,
-               "value": str(value), "expected": str(expected), "verdict": verdict}
-    _emit(payload, args.format)
-    return 0 if verdict == "pass" else 1
+    return ({"n": n, "space": args.space, "value": str(value),
+             "expected": str(expected),
+             "verdict": "pass" if value == expected else "fail"}, None)
 
 
-def _cmd_relation(args) -> int:
+def _cmd_relation(args):
     n = _require_n(args, MAX_N)
     counts = picard.pair_incidence_counts(n)
     trace = [{"s": s, "subsets_per_pair": per_pair,
@@ -116,14 +124,11 @@ def _cmd_relation(args) -> int:
               "coefficient": str(per_subset)}
              for s, per_pair, incidences, subsets, per_subset in counts]
     rel = picard.derive_l_relation(counts)
-    payload = {"command": "relation", "n": n, "relation": str(rel),
-               "coefficients": trace}
-    csv_rows = [["s", "coefficient"]] + [[t["s"], t["coefficient"]] for t in trace]
-    _emit(payload, args.format, csv_rows)
-    return 0
+    return ({"n": n, "relation": str(rel), "coefficients": trace},
+            [["s", "coefficient"]] + [[t["s"], t["coefficient"]] for t in trace])
 
 
-def _cmd_fiber_check(args) -> int:
+def _cmd_fiber_check(args):
     n = _require_n(args, MAX_N_FIBER)
     checks: list[tuple[str, bool]] = []
 
@@ -161,59 +166,45 @@ def _cmd_fiber_check(args) -> int:
         check("large_diagonal_coherence",
               lambda: fiber.fiber_class(3, "B2_n3") == fiber.fiber_class(3, "A_sub"))
 
-    verdict = "pass" if all(ok for _, ok in checks) else "fail"
-    payload = {"command": "fiber-check", "n": n,
-               "checks": [{"name": name, "pass": ok} for name, ok in checks],
-               "verdict": verdict}
-    csv_rows = [["check", "pass"]] + [[name, ok] for name, ok in checks]
-    _emit(payload, args.format, csv_rows)
-    return 0 if verdict == "pass" else 1
+    return ({"n": n,
+             "checks": [{"name": name, "pass": ok} for name, ok in checks],
+             "verdict": "pass" if all(ok for _, ok in checks) else "fail"},
+            [["check", "pass"]] + [[name, ok] for name, ok in checks])
 
 
-def _cmd_disc(args) -> int:
+def _cmd_disc(args):
     f = _read_form(args)
-    payload = {"command": "disc", "coeffs": list(f.coeffs), "disc": forms.disc(f)}
-    _emit(payload, args.format)
-    return 0
+    return {"coeffs": list(f.coeffs), "disc": forms.disc(f)}, None
 
 
-def _cmd_act(args) -> int:
+def _cmd_act(args):
     f = _read_form(args)
     m = forms.UnimodularMatrix.from_csv(args.matrix)
-    g = forms.act(f, m)
-    payload = {"command": "act", "coeffs": list(f.coeffs),
-               "matrix": list(m.entries()), "result": list(g.coeffs)}
-    _emit(payload, args.format)
-    return 0
+    return ({"coeffs": list(f.coeffs), "matrix": list(m.entries()),
+             "result": list(forms.act(f, m).coeffs)}, None)
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     f = _read_form(args)
     if args.grid < 1 or args.bmax < 1:
         raise ValueError("grid length and bmax must be positive")
     steps = min(args.grid, args.bmax.bit_length())  # later steps give 0
-    grid = sorted({args.bmax // 2**k for k in range(steps)} - {0})
-    series = counting.count_series(f, grid)
-    payload = {"command": "count", "coeffs": list(f.coeffs),
-               "series": [[b, cnt] for b, cnt in series.points]}
-    csv_rows = [["B", "N"]] + [[b, cnt] for b, cnt in series.points]
-    _emit(payload, args.format, csv_rows)
-    return 0
+    points = counting.count_series(
+        f, [args.bmax >> k for k in reversed(range(steps))]).points
+    return ({"coeffs": list(f.coeffs), "series": [[b, cnt] for b, cnt in points]},
+            [["B", "N"]] + [[b, cnt] for b, cnt in points])
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     try:
         with open(args.infile, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:  # an unreadable file is bad input
         raise ValueError(str(exc)) from exc
     result = counting.fit_exponent(counting.CountSeries.from_csv(text))
-    payload = {"command": "fit", "slope": result.slope,
-               "intercept": result.intercept,
-               "residual_norm": result.residual_norm,
-               "points_used": result.points_used}
-    _emit(payload, args.format)
-    return 0
+    return ({"slope": result.slope, "intercept": result.intercept,
+             "residual_norm": result.residual_norm,
+             "points_used": result.points_used}, None)
 
 
 @functools.cache
@@ -297,14 +288,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.fn(args)
+        payload, csv_rows = args.fn(args)
+        payload = {"command": args.command, **payload}
+        _emit(payload, args.format, csv_rows)
     except (cone.ConeError, ExactnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
+    return 1 if payload.get("verdict") == "fail" else 0
 
 if __name__ == "__main__":
     sys.exit(main())

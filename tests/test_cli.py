@@ -1,6 +1,8 @@
 import ast
+import csv
 import hashlib
 import inspect
+import io
 import json
 import math
 import sys
@@ -42,17 +44,131 @@ def test_kodaira_spaces_agree(capsys):
         assert json.loads(full_out)["value"] == json.loads(fiber_out)["value"]
 
 
-def test_json_round_trips_byte_identical(capsys):
+def test_json_round_trips_byte_identical(capsys, tmp_path):
+    series = tmp_path / "series.csv"
+    series.write_text("B,N\n10,4\n20,8\n40,16\n")
     for argv in (("kodaira", "--n", "5"),
                  ("cone-cert", "--n", "4"),
                  ("pairings", "--n", "5"),
                  ("relation", "--n", "6"),
                  ("fiber-check", "--n", "4"),
                  ("disc", "--coeffs", "1,0,-1,-1"),
-                 ("act", "--coeffs", "1,0,-1", "--matrix", "1,1,0,1")):
+                 ("act", "--coeffs", "1,0,-1", "--matrix", "1,1,0,1"),
+                 ("count", "--coeffs=1,0,-1,-1", "--bmax", "100", "--grid", "2"),
+                 ("fit", "--in", str(series))):
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
         assert json.dumps(json.loads(out), sort_keys=True) == out.strip()
+        assert json.loads(out)["command"] == argv[0]
+
+
+def _printed_verdict(command, fmt, out):
+    if fmt == "json":
+        return json.loads(out)["verdict"]
+    if fmt == "human":
+        return next(line.removeprefix("verdict: ")
+                    for line in out.splitlines() if line.startswith("verdict: "))
+    rows = list(csv.reader(io.StringIO(out)))
+    if command == "fiber-check":  # its rows are the checks alone
+        return "pass" if all(ok == "True" for _, ok in rows[1:]) else "fail"
+    return dict(rows)["verdict"]
+
+
+# each judged subcommand, and one input that, monkeypatched, makes it fail
+# without an error
+VERDICT_BREAKS = {
+    ("cone-cert",): ("picard", "pairing_matrix",
+                     lambda real: lambda n: [[1, 0], [1, 2]]),  # minima 0, -1
+    ("kodaira", "--space", "full"): ("picard", "kodaira_full",
+                                     lambda real: lambda n: real(n) / 2),
+    ("kodaira", "--space", "fiber"): ("fiber", "kodaira_fiber",
+                                      lambda real: lambda n: real(n) / 2),
+    ("fiber-check",): ("fiber", "pair_R", lambda real: lambda x: real(x) + 1),
+}
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("command", sorted(VERDICT_BREAKS))
+def test_printed_verdict_sets_the_exit_code(capsys, monkeypatch, command, fmt):
+    from effcone import fiber, picard
+
+    argv = (*command, "--n", "3", "--format", fmt)
+    code, out, err = run(capsys, *argv)
+    assert (code, err, _printed_verdict(command[0], fmt, out)) == (0, "", "pass")
+    module, name, broken = VERDICT_BREAKS[command]
+    module = {"fiber": fiber, "picard": picard}[module]
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    code, out, err = run(capsys, *argv)
+    assert (code, err, _printed_verdict(command[0], fmt, out)) == (1, "", "fail")
+
+
+def test_csv_list_cells_read_back(capsys):
+    for argv in (("disc", "--coeffs=1,0,-1,-1"),
+                 ("act", "--coeffs=1,0,-1,-1", "--matrix", "1,1,0,1")):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert all(len(row) == 2 for row in rows)
+        _, json_out, _ = run(capsys, *argv, "--format", "json")
+        expected = json.loads(json_out)
+        for key, cell in rows:
+            if isinstance(expected[key], list):
+                assert json.loads(cell) == expected[key]
+    assert rows == [["coeffs", "[1, 0, -1, -1]"], ["command", "act"],
+                    ["matrix", "[1, 1, 0, 1]"], ["result", "[1, 3, 2, -1]"]]
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def _read_long_ints(text):
+    """json.loads with the int-to-str digit limit lifted."""
+    limit = _digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_results_past_the_digit_limit_print_in_full(capsys, fmt):
+    # a 4,413-digit discriminant and a 4,500-digit image coefficient print
+    # whole and exit 0; inputs stay within the limit
+    from effcone import forms
+
+    before = _digit_limit()
+    coeffs = [10 ** 200 + i * i for i in range(13)]
+    code, out, err = run(capsys, "disc", "--coeffs=" + ",".join(map(str, coeffs)),
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        printed = _read_long_ints(out)["disc"]
+    else:  # the last line is "disc: D" or "disc,D"
+        printed = _read_long_ints(out.splitlines()[-1][5:])
+    assert printed == forms.disc(forms.BinaryForm(tuple(coeffs)))
+    assert 10 ** 4412 <= abs(printed) < 10 ** 4413
+    code, out, err = run(capsys, "act", "--coeffs=" + ",".join(["1"] * 101),
+                         "--matrix", f"1,{10 ** 45},0,1", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        f = forms.BinaryForm((1,) * 101)
+        m = forms.UnimodularMatrix(1, 10 ** 45, 0, 1)
+        assert _read_long_ints(out)["result"] == list(forms.act(f, m).coeffs)
+    assert _digit_limit() == before
+
+
+def test_input_past_the_digit_limit_exits_two(capsys):
+    before = _digit_limit()
+    if before is None:
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    code, out, err = run(capsys, "disc", "--coeffs=1,0,-1," + "9" * (before + 100))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert _digit_limit() == before
 
 
 def test_cone_cert_passes(capsys):
