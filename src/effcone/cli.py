@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import json
+import operator
 import sys
 from fractions import Fraction
 
@@ -56,13 +57,13 @@ def _emit(payload: dict, fmt: str, csv_rows=None) -> None:
 
 # Largest n for cone-cert, pairings and relation.  From n = 150 to 300 the
 # certificate's in-process cost grows about like n^2.2: `cone-cert --n 300`
-# takes 0.44-0.52 s and 42 MiB as a process on a 2-core Xeon (CPython 3.11.7,
+# takes 0.49-0.80 s and 39 MiB as a process on a 2-core Xeon (CPython 3.11.7,
 # no bytecode cache) and prints 2.6 MB of JSON.  The relation trace prints
 # O(n^2) digits.
 MAX_N = 300
 # Largest n for kodaira and fiber-check.  fiber-check reads n + 1 integer
-# coordinates for each of n - 3 classes: --n 1000 takes 0.16-0.23 s and
-# 17 MiB as a process on the same host.
+# coordinates for each of the n + 1 basis rows, so its cost grows about like
+# n^2: --n 1000 takes 0.17-0.27 s and 17 MiB as a process on the same host.
 MAX_N_FIBER = 1000
 # Largest degree for every --coeffs.  On a dense degree-100 form (entries
 # +-1..9), `disc` takes 0.2-0.4 s and `count --bmax 1` 0.5-1.0 s as a process
@@ -140,25 +141,24 @@ def _cmd_fiber_check(args):
             ok = False
         checks.append((name, ok))
 
+    # an AClass holds doubled coordinates: (2, 0) is A_sub, (0, 2) is A_top
     k = fiber.fiber_class(n, "K")
     check("canonical_in_A_basis",
-          lambda: fiber.to_A_basis(k) == fiber.AClass(n, -1, -2))
+          lambda: fiber.to_A_basis(k) == fiber.AClass(n, -2, -4))
+    # Lhalf, half of (n-2) A_sub + n A_top, equals
+    # (n-2)(g1 + g2 + g3) - (n-3) E - (n-2)(F4 + ... + Fn), coordinatewise;
+    # each F row is added as it is read, so one row is held at a time
     lh = fiber.fiber_class(n, "Lhalf")
-    lhs = ((n - 2) * fiber.fiber_class(n, "A_sub")
-           + n * fiber.fiber_class(n, "A_top"))
-    rhs = (n - 2) * (fiber.fiber_class(n, "g1") + fiber.fiber_class(n, "g2")
-                     + fiber.fiber_class(n, "g3"))
-    rhs = rhs - (n - 3) * fiber.fiber_class(n, "E")
-    # F_4 + ... + F_n summed coordinatewise, then scaled once
     f_sum = [0] * (n + 1)
     for m in range(4, n + 1):
-        for i, q in enumerate(fiber.fiber_class(n, f"F{m}").coords):
-            if q:
-                f_sum[i] += q
-    rhs = rhs - (n - 2) * fiber.FiberClass(n, tuple(f_sum))
-    check("hyperplane_expansion", lambda: lhs == 2 * rhs and lhs == 2 * lh)
-    check("curve_pairing_A_sub", lambda: fiber.pair_R(fiber.AClass(n, 1, 0)) == n)
-    check("curve_pairing_A_top", lambda: fiber.pair_R(fiber.AClass(n, 0, 1)) == 2 - n)
+        f_sum = list(map(operator.add, f_sum, fiber.fiber_class(n, f"F{m}").coords))
+    g1, g2, g3, e = (fiber.fiber_class(n, label).coords
+                     for label in ("g1", "g2", "g3", "E"))
+    rhs = tuple((n - 2) * (c1 + c2 + c3 - c_f) - (n - 3) * c_e
+                for c1, c2, c3, c_e, c_f in zip(g1, g2, g3, e, f_sum))
+    check("hyperplane_expansion", lambda: lh.coords == rhs)
+    check("curve_pairing_A_sub", lambda: fiber.pair_R(fiber.AClass(n, 2, 0)) == n)
+    check("curve_pairing_A_top", lambda: fiber.pair_R(fiber.AClass(n, 0, 2)) == 2 - n)
     check("hyperplane_misses_curve", lambda: fiber.pair_R(fiber.to_A_basis(lh)) == 0)
     check("threshold_matches_full_space",
           lambda: fiber.kodaira_fiber(n) == picard.kodaira_full(n))
@@ -166,10 +166,12 @@ def _cmd_fiber_check(args):
         check("large_diagonal_coherence",
               lambda: fiber.fiber_class(3, "B2_n3") == fiber.fiber_class(3, "A_sub"))
 
+    verdict = "pass" if all(ok for _, ok in checks) else "fail"
     return ({"n": n,
              "checks": [{"name": name, "pass": ok} for name, ok in checks],
-             "verdict": "pass" if all(ok for _, ok in checks) else "fail"},
-            [["check", "pass"]] + [[name, ok] for name, ok in checks])
+             "verdict": verdict},
+            [["check", "pass"]] + [[name, ok] for name, ok in checks]
+            + [["verdict", verdict]])
 
 
 def _cmd_disc(args):

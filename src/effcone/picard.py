@@ -34,8 +34,9 @@ class DivisorClass:
 
     `coeff_B` maps s to the coefficient of B[s]; absent keys mean zero and
     zero entries are dropped on construction so equality is coefficientwise.
-    Instances are immutable and do no class arithmetic: a sum or a threshold
-    is taken on the integer vectors of _cleared_b_vector.
+    Instances are immutable and do no class arithmetic: kodaira_full
+    clears its classes to integer vectors straight from
+    standard_coefficients.
     """
 
     n: int
@@ -54,9 +55,6 @@ class DivisorClass:
             if q:
                 cleaned[int(s)] = q
         object.__setattr__(self, "coeff_B", cleaned)
-
-    def b(self, s: int) -> int | Fraction:
-        return self.coeff_B.get(s, 0)
 
     def __str__(self) -> str:
         return format_divisor(self)
@@ -102,25 +100,17 @@ def derive_l_relation(counts: list[tuple[int, int, int, int, int]]) -> DivisorCl
     return DivisorClass(n, n - 1, {s: -per_subset for s, *_, per_subset in counts})
 
 
-def _cleared_b_vector(c: DivisorClass) -> list[int | Fraction]:
-    """2(n-1) times the B-coordinates of c with L eliminated by the
-    relation: each B[s] gains coeff_L * s(s-1) / (2(n-1)), so entry s - 2 is
-    2(n-1) * coeff_B[s] + coeff_L * s(s-1), an int for an integral class."""
-    n = c.n
-    return [2 * (n - 1) * c.b(s) + c.coeff_L * (s * (s - 1))
-            for s in range(2, n + 1)]
-
-
-def standard_class(n: int, which: str) -> DivisorClass:
-    """The canonical class, the total boundary, or the hyperplane pullback."""
+def standard_coefficients(n: int, which: str) -> tuple[int, dict[int, int]]:
+    """(coefficient of L, {s: coefficient of B[s]}) of the canonical class,
+    the total boundary, or the hyperplane pullback; absent keys mean zero."""
     if n < 3:
         raise ValueError("need at least 3 marked points")
     if which == "canonical":
-        return DivisorClass(n, -2, {s: s - 2 for s in range(3, n + 1)})
+        return -2, {s: s - 2 for s in range(3, n + 1)}
     if which == "boundary":
-        return DivisorClass(n, 0, {s: 1 for s in range(2, n + 1)})
+        return 0, {s: 1 for s in range(2, n + 1)}
     if which == "hyperplane":
-        return DivisorClass(n, 1, {})
+        return 1, {}
     raise ValueError(f"unknown standard class {which!r}")
 
 
@@ -144,20 +134,14 @@ class CurveClass:
         if self.kind == "R" and self.s < 2:
             raise ValueError("R-curves need a component with at least 2 points")
 
-    def validate(self, n: int) -> None:
-        if self.kind == "C" and not 3 <= self.s <= n:
-            raise ValueError(f"C_{self.s} does not exist for n={n}")
-        if self.kind == "R" and not 2 <= self.s <= n - 1:
-            raise ValueError(f"R_{self.s} does not exist for n={n}")
-
     def label(self) -> str:
         return f"{self.kind}_{self.s}"
 
 
-def pair_L(curve: CurveClass) -> int:
-    """Intersection with the hyperplane pullback: C-curves are collapsed
-    (0), R-curves map to lines (1)."""
-    return 0 if curve.kind == "C" else 1
+def pair_L(kind: str) -> int:
+    """Intersection of a curve family with the hyperplane pullback:
+    C-curves are collapsed (0), R-curves map to lines (1)."""
+    return 0 if kind == "C" else 1
 
 
 def _off_diagonal(kind: str, s: int, n: int) -> dict[int, int]:
@@ -181,39 +165,42 @@ def derive_self_pairing(kind: str, s: int, n: int) -> int:
     a remainder raises ExactnessError.  The results are -(s-2) for C and
     -1 for R, which callers may assert but must not assume.
     """
-    curve = CurveClass(kind, s)
-    curve.validate(n)
+    if not (3 <= s <= n if kind == "C" else kind == "R" and 2 <= s < n):
+        raise ValueError(f"no curve family {kind}_{s} for n={n}")
     acc = sum(j * (j - 1) * v for j, v in _off_diagonal(kind, s, n).items())
-    self_term, rem = divmod(2 * (n - 1) * pair_L(curve) - acc, s * (s - 1))
+    self_term, rem = divmod(2 * (n - 1) * pair_L(kind) - acc, s * (s - 1))
     if rem:
-        raise ExactnessError(
-            f"self term of {curve.label()} is not an integer at n={n}")
+        raise ExactnessError(f"self term of {kind}_{s} is not an integer at n={n}")
     return self_term
 
 
+def matrix_rows(n: int) -> list[tuple[str, int]]:
+    """Row order of the pairing matrix as (kind, s): C_3..C_n, then
+    R_2..R_{n-1}."""
+    return [("C", s) for s in range(3, n + 1)] + [("R", s) for s in range(2, n)]
+
+
 def matrix_curves(n: int) -> list[CurveClass]:
-    """Row order of the pairing matrix: C_3..C_n, then R_2..R_{n-1}."""
-    return ([CurveClass("C", s) for s in range(3, n + 1)]
-            + [CurveClass("R", s) for s in range(2, n)])
+    """The curve family of each row of the pairing matrix."""
+    return [CurveClass(kind, s) for kind, s in matrix_rows(n)]
 
 
 def b_labels(n: int) -> list[str]:
     return [f"B[{s}]" for s in range(2, n + 1)]
 
 
-def _pairing_row(curve: CurveClass, n: int) -> list[int]:
-    """The averaged pairings of the curve with B[2], ..., B[n], from the
-    closed-form tables.
+def _pairing_row(kind: str, s: int, n: int) -> list[int]:
+    """The averaged pairings of the family kind_s with B[2], ..., B[n],
+    from the closed-form tables.
 
     C_s: s at j = s-1 and the derived self term at j = s.  R_s: 1 at
     j = s+1, n-s-1 at j = 2 and the derived self term at j = s; for s = 2
     the j = 2 and j = s contributions land on the same class and add up
     (to n-4).  Every pairing of a curve family is read from this row.
     """
-    s = curve.s
-    self_term = derive_self_pairing(curve.kind, s, n)  # validates the curve
+    self_term = derive_self_pairing(kind, s, n)  # validates the family
     row = [0] * (n - 1)  # entry j - 2 pairs with B[j]
-    for j, v in _off_diagonal(curve.kind, s, n).items():
+    for j, v in _off_diagonal(kind, s, n).items():
         row[j - 2] += v
     row[s - 2] += self_term
     return row
@@ -221,10 +208,10 @@ def _pairing_row(curve: CurveClass, n: int) -> list[int]:
 
 def pairing_matrix(n: int) -> list[list[int]]:
     """(2n-4) x (n-1) integer matrix of curve/boundary pairings, row by
-    row, in the order of matrix_curves."""
+    row, in the order of matrix_rows."""
     if n < 3:
         raise ValueError("need at least 3 marked points")
-    return [_pairing_row(curve, n) for curve in matrix_curves(n)]
+    return [_pairing_row(kind, s, n) for kind, s in matrix_rows(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +228,17 @@ def kodaira_full(n: int) -> Fraction:
     """Effectivity threshold of K + B along L on the full space, computed in
     B-coordinates against the orthant; equals 2/n.
 
-    Both vectors are taken over the common denominator 2(n-1), in ints: a
-    common positive scale leaves every threshold -b/d unchanged.  Clearing
-    is linear, so K + B is the sum of the two cleared int vectors."""
-    canonical = _cleared_b_vector(standard_class(n, "canonical"))
-    boundary = _cleared_b_vector(standard_class(n, "boundary"))
-    base = [k + b for k, b in zip(canonical, boundary)]
-    direction = _cleared_b_vector(standard_class(n, "hyperplane"))
-    return cone.kodaira_energy(base, direction)
+    Each class is cleared straight from standard_coefficients over the
+    common denominator 2(n-1), in ints: with L eliminated by the relation,
+    B[s] gains coeff_L * s(s-1) / (2(n-1)), so entry s - 2 is
+    2(n-1) * coeff_B[s] + coeff_L * s(s-1).  A common positive scale leaves
+    every threshold -b/d unchanged, and clearing is linear, so K + B is the
+    sum of the two cleared vectors."""
+    cleared = []
+    for which in ("canonical", "boundary", "hyperplane"):
+        coeff_L, coeff_B = standard_coefficients(n, which)
+        cleared.append([2 * (n - 1) * coeff_B.get(s, 0) + coeff_L * (s * (s - 1))
+                        for s in range(2, n + 1)])
+    canonical, boundary, direction = cleared
+    return cone.kodaira_energy([k + b for k, b in zip(canonical, boundary)],
+                               direction)

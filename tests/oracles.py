@@ -5,9 +5,11 @@ the plain box enumerator of determinant-1 matrices, fraction-free
 (Bareiss) elimination of Sylvester matrices, the classical cubic
 discriminant, forms built from their roots, the pairing of a curve at the
 level of subsets, and the bilinear pairing of a divisor class with a curve.
-`added` sums two divisor classes, which the package does only on cleared
-integer vectors.  No command-line path runs them, so they live here and
-not in the package.
+`added` sums two divisor classes and `combined` forms an integer
+combination of fiber classes, which the package does only on plain integer
+vectors; `standard_class` and `b_coordinates` build a standard divisor
+class and its B-coordinates from the package's coefficient table.  No
+command-line path runs them, so they live here and not in the package.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from effcone.fiber import FiberClass
 from effcone.forms import BinaryForm, UnimodularMatrix
 from effcone.picard import (CurveClass, DivisorClass, _pairing_row,
-                            derive_self_pairing, pair_L)
+                            derive_self_pairing, pair_L, standard_coefficients)
 
 
 def height(f: BinaryForm) -> int:
@@ -278,8 +281,8 @@ def pair_subset(curve: SubsetCurve, T, n: int) -> int:
 def pair(c: DivisorClass, curve: CurveClass) -> int | Fraction:
     """Bilinear extension of the curve's pairing-matrix row to any divisor
     class."""
-    row = _pairing_row(curve, c.n)
-    total = c.coeff_L * pair_L(curve)
+    row = _pairing_row(curve.kind, curve.s, c.n)
+    total = c.coeff_L * pair_L(curve.kind)
     for s, q in c.coeff_B.items():
         total += q * row[s - 2]
     return total
@@ -291,3 +294,27 @@ def added(c1: DivisorClass, c2: DivisorClass) -> DivisorClass:
     for s, q in c2.coeff_B.items():
         coeffs[s] = coeffs.get(s, 0) + q
     return DivisorClass(c1.n, c1.coeff_L + c2.coeff_L, coeffs)
+
+
+def standard_class(n: int, which: str) -> DivisorClass:
+    """The canonical class, the total boundary, or the hyperplane pullback,
+    from the package's coefficient table."""
+    return DivisorClass(n, *standard_coefficients(n, which))
+
+
+def b_coordinates(c: DivisorClass) -> tuple[int | Fraction, ...]:
+    """The B[2..n]-coordinates of c with L eliminated by the relation
+    (n-1) L = sum_s s(s-1)/2 B[s]: B[s] gains coeff_L * s(s-1) / (2(n-1))."""
+    n = c.n
+    return tuple(c.coeff_B.get(s, 0)
+                 + c.coeff_L * Fraction(s * (s - 1), 2 * (n - 1))
+                 for s in range(2, n + 1))
+
+
+def combined(*terms: tuple[int, FiberClass]) -> FiberClass:
+    """The fiber class sum q * c over (q, c) pairs of classes on one fiber."""
+    n = terms[0][1].n
+    if any(c.n != n for _, c in terms):
+        raise ValueError("classes live on different fibers")
+    return FiberClass(n, tuple(sum(q * c.coords[i] for q, c in terms)
+                               for i in range(n + 1)))

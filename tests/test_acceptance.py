@@ -13,8 +13,8 @@ from itertools import combinations
 from math import comb
 
 from effcone import counting, fiber, forms, picard
-from oracles import (SubsetCurve, disc_cubic_reference, enumerate_unimodular,
-                     form_from_roots, matmul, pair_subset)
+from oracles import (SubsetCurve, combined, disc_cubic_reference,
+                     enumerate_unimodular, form_from_roots, matmul, pair_subset)
 
 Q = Fraction
 
@@ -86,7 +86,7 @@ def test_criterion_4_pairing_table_reproduction():
         for curve, row in zip(picard.matrix_curves(n), picard.pairing_matrix(n)):
             weighted = sum(Q(j * (j - 1), 2) * row[j - 2]
                            for j in range(2, n + 1))
-            ok = ok and weighted == (n - 1) * picard.pair_L(curve)
+            ok = ok and weighted == (n - 1) * picard.pair_L(curve.kind)
     elapsed = time.monotonic() - start
     report(4, "pairing tables: derived self terms, subset sums, relation", ok,
            elapsed)
@@ -98,12 +98,12 @@ def test_criterion_5_fiber_basis_identities():
     ok = True
     for n in range(3, 31):
         k = fiber.to_A_basis(fiber.fiber_class(n, "K"))
-        ok = ok and (k.a_sub, k.a_top) == (Q(-1), Q(-2))
-        lhs = ((n - 2) * fiber.fiber_class(n, "A_sub")
-               + n * fiber.fiber_class(n, "A_top"))
+        ok = ok and (Q(k.sub2, 2), Q(k.top2, 2)) == (Q(-1), Q(-2))
+        lhs = combined((n - 2, fiber.fiber_class(n, "A_sub")),
+                       (n, fiber.fiber_class(n, "A_top")))
         coords = [2 * (n - 2)] * 3 + [-2 * (n - 3)] + [-2 * (n - 2)] * (n - 3)
         ok = ok and lhs == fiber.FiberClass(n, tuple(coords))
-        ok = ok and lhs == 2 * fiber.fiber_class(n, "Lhalf")
+        ok = ok and lhs == combined((2, fiber.fiber_class(n, "Lhalf")))
     elapsed = time.monotonic() - start
     report(5, "fiber basis identities (canonical and hyperplane)", ok, elapsed)
     assert ok

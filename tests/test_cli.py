@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from effcone.cli import main
+from oracles import combined
 
 
 def run(capsys, *argv):
@@ -62,16 +63,13 @@ def test_json_round_trips_byte_identical(capsys, tmp_path):
         assert json.loads(out)["command"] == argv[0]
 
 
-def _printed_verdict(command, fmt, out):
+def _printed_verdict(fmt, out):
     if fmt == "json":
         return json.loads(out)["verdict"]
     if fmt == "human":
         return next(line.removeprefix("verdict: ")
                     for line in out.splitlines() if line.startswith("verdict: "))
-    rows = list(csv.reader(io.StringIO(out)))
-    if command == "fiber-check":  # its rows are the checks alone
-        return "pass" if all(ok == "True" for _, ok in rows[1:]) else "fail"
-    return dict(rows)["verdict"]
+    return dict(csv.reader(io.StringIO(out)))["verdict"]
 
 
 # each judged subcommand, and one input that, monkeypatched, makes it fail
@@ -94,12 +92,12 @@ def test_printed_verdict_sets_the_exit_code(capsys, monkeypatch, command, fmt):
 
     argv = (*command, "--n", "3", "--format", fmt)
     code, out, err = run(capsys, *argv)
-    assert (code, err, _printed_verdict(command[0], fmt, out)) == (0, "", "pass")
+    assert (code, err, _printed_verdict(fmt, out)) == (0, "", "pass")
     module, name, broken = VERDICT_BREAKS[command]
     module = {"fiber": fiber, "picard": picard}[module]
     monkeypatch.setattr(module, name, broken(getattr(module, name)))
     code, out, err = run(capsys, *argv)
-    assert (code, err, _printed_verdict(command[0], fmt, out)) == (1, "", "fail")
+    assert (code, err, _printed_verdict(fmt, out)) == (1, "", "fail")
 
 
 def test_csv_list_cells_read_back(capsys):
@@ -228,50 +226,52 @@ def test_cone_cert_text_bytes_are_pinned(capsys, n, fmt):
 # in each format, recorded before the class arithmetic moved from Fraction
 # to int, and of `relation --n N`, recorded while its trace still
 # recomputed the counts that the relation checks: the outputs must stay
-# byte for byte the same
+# byte for byte the same.  The fiber-check csv digests were recorded again
+# when its csv gained a closing verdict row (see
+# test_fiber_check_csv_ends_with_its_verdict).
 CLASS_OUTPUT_SHA256 = {
     ("fiber-check", 3, "human"):
         "44f413f9fb3841cb37cfa40400fcdfd8768b361efbc9f7dfa0de785e145a76f1",
     ("fiber-check", 3, "json"):
         "463194ca5f46947fe804caf9537f0a5c34d6fc70854692ebcca8aeae74ff04b4",
     ("fiber-check", 3, "csv"):
-        "215668a950188f91773988ce66e3bd13acb8117ed9ff9b6ba1e6a462f01a19a3",
+        "2734c410a5c56911a52b21a4c5ae72d2318f8f7edb96989c9543ed77f70eba63",
     ("fiber-check", 4, "human"):
         "6c940c3529f50107b9211da2183ba2b90cecd2acfbd63a99856966cd0bb45d73",
     ("fiber-check", 4, "json"):
         "1277a03bdaf094edac5568b497be238b1f642bc97b26692fda67b2d9bec81b2f",
     ("fiber-check", 4, "csv"):
-        "06b6f1bede65ff60748c4d4523487d4cca11cacc2c4f3412c1b35e991afe212f",
+        "322f8cc7b28a0c73c76fc202baed3e8dae641498f8bcce3eb2a8ba36591a1c2a",
     ("fiber-check", 5, "human"):
         "6a42905c361522bbc7d908c0e77ca4cb23a5f9be1595c4c5d96142fbd1a47d77",
     ("fiber-check", 5, "json"):
         "546cfab1c7eb39400fef24ac3841c1eae1b94e59c07db4a792a8c557b31934fe",
     ("fiber-check", 5, "csv"):
-        "06b6f1bede65ff60748c4d4523487d4cca11cacc2c4f3412c1b35e991afe212f",
+        "322f8cc7b28a0c73c76fc202baed3e8dae641498f8bcce3eb2a8ba36591a1c2a",
     ("fiber-check", 10, "human"):
         "e725938a9b1e83bd538cbb273f3ca583b8c482e5628aed1f060af94316c7e4ed",
     ("fiber-check", 10, "json"):
         "3e276fb115b7ef8ff1200aee56c4c7ac58c17890f34a292ca7f2ef99442babc9",
     ("fiber-check", 10, "csv"):
-        "06b6f1bede65ff60748c4d4523487d4cca11cacc2c4f3412c1b35e991afe212f",
+        "322f8cc7b28a0c73c76fc202baed3e8dae641498f8bcce3eb2a8ba36591a1c2a",
     ("fiber-check", 32, "human"):
         "267ef561770aacbcc076bea1b33a3938a2340153055cc9345a6977037f7bf8a4",
     ("fiber-check", 32, "json"):
         "cf75270d432aa1286bddf4d8c2d96f30678801f5c60fde86f88fb27b840267ae",
     ("fiber-check", 32, "csv"):
-        "06b6f1bede65ff60748c4d4523487d4cca11cacc2c4f3412c1b35e991afe212f",
+        "322f8cc7b28a0c73c76fc202baed3e8dae641498f8bcce3eb2a8ba36591a1c2a",
     ("fiber-check", 100, "human"):
         "1dab311f5487f19e71359afa19e886552a226a7d23afe779069be0766d8c5d69",
     ("fiber-check", 100, "json"):
         "14630066fbfa9c879be7255bd61a27b81f07ac900ec198fdc546cdb92e5e0538",
     ("fiber-check", 100, "csv"):
-        "06b6f1bede65ff60748c4d4523487d4cca11cacc2c4f3412c1b35e991afe212f",
+        "322f8cc7b28a0c73c76fc202baed3e8dae641498f8bcce3eb2a8ba36591a1c2a",
     ("fiber-check", 1000, "human"):
         "03d3712484bd37b7eca4024183a65c04cb58e5f6e3346d123fc2c6bf2c274da2",
     ("fiber-check", 1000, "json"):
         "166f6487335a794f3ccfb7ebe9f0a9a8c5a9e6728745467b46a00d6607f84f83",
     ("fiber-check", 1000, "csv"):
-        "06b6f1bede65ff60748c4d4523487d4cca11cacc2c4f3412c1b35e991afe212f",
+        "322f8cc7b28a0c73c76fc202baed3e8dae641498f8bcce3eb2a8ba36591a1c2a",
     ("kodaira --space full", 3, "human"):
         "1c2a671b21e49f42421fb23585bae069a0bec11d79470b6de24030368512802f",
     ("kodaira --space full", 3, "json"):
@@ -454,6 +454,27 @@ def test_fiber_check_large_n(capsys, monkeypatch):
     assert failed == ["hyperplane_expansion"]
 
 
+# sha256 of `fiber-check --n N --format csv` before its verdict row: the
+# same for every n >= 4, whose checks are the same
+FIBER_CHECK_CSV_BEFORE_VERDICT = {
+    3: "215668a950188f91773988ce66e3bd13acb8117ed9ff9b6ba1e6a462f01a19a3",
+    **dict.fromkeys(
+        (4, 32, 1000),
+        "06b6f1bede65ff60748c4d4523487d4cca11cacc2c4f3412c1b35e991afe212f"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(FIBER_CHECK_CSV_BEFORE_VERDICT))
+def test_fiber_check_csv_ends_with_its_verdict(capsys, n):
+    # the csv is the check rows as before plus exactly one closing line
+    code, out, err = run(capsys, "fiber-check", "--n", str(n), "--format", "csv")
+    assert (code, err) == (0, "")
+    body, last = out.removesuffix("\n").rsplit("\n", 1)
+    assert last == "verdict,pass"
+    digest = hashlib.sha256((body + "\n").encode()).hexdigest()
+    assert digest == FIBER_CHECK_CSV_BEFORE_VERDICT[n]
+
+
 # each input of fiber-check, perturbed alone, and the checks that must fail
 FIBER_CHECK_MUTATIONS = {
     "K": ["canonical_in_A_basis", "threshold_matches_full_space"],
@@ -483,7 +504,8 @@ def test_fiber_check_fails_exactly_where_an_input_is_wrong(
 
         def perturbed(m, name):
             c = table(m, name)
-            return c + 2 * table(m, shift[target]) if name == target else c
+            return (combined((1, c), (2, table(m, shift[target])))
+                    if name == target else c)
 
         monkeypatch.setattr(fiber, "fiber_class", perturbed)
     else:
@@ -716,7 +738,7 @@ def test_exactness_failures_exit_one(capsys, monkeypatch, target, argv):
         # K + g1 leaves span(A_sub, A_top)
         table = fiber.fiber_class
         monkeypatch.setattr(fiber, "fiber_class", lambda n, name: (
-            table(n, name) + table(n, "g1") if name == target
+            combined((1, table(n, name)), (1, table(n, "g1"))) if name == target
             else table(n, name)))
     else:
         # R + 1 is no multiple of n^(n-2) for n >= 3

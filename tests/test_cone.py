@@ -1011,22 +1011,18 @@ def kodaira_via_lp(base, direction):
 
 def test_kodaira_energy_agrees_with_lp_route():
     from effcone.fiber import fiber_class, to_A_basis
-    from effcone.picard import _cleared_b_vector, kodaira_full, standard_class
-    from oracles import added
-
-    def b_vector(c):
-        """B[2..n]-coordinates of c with L eliminated by the relation."""
-        return tuple(Q(v, 2 * (c.n - 1)) for v in _cleared_b_vector(c))
+    from effcone.picard import kodaira_full
+    from oracles import added, b_coordinates, standard_class
 
     for n in range(3, 13):
-        base = b_vector(added(standard_class(n, "canonical"),
-                              standard_class(n, "boundary")))
-        direction = b_vector(standard_class(n, "hyperplane"))
+        base = b_coordinates(added(standard_class(n, "canonical"),
+                                   standard_class(n, "boundary")))
+        direction = b_coordinates(standard_class(n, "hyperplane"))
         assert kodaira_via_lp(base, direction) == kodaira_full(n) == Q(2, n)
         k = to_A_basis(fiber_class(n, "K"))
         lh = to_A_basis(fiber_class(n, "Lhalf"))
-        assert kodaira_via_lp((k.a_sub + 1, k.a_top + 1),
-                              (lh.a_sub, lh.a_top)) == Q(2, n)
+        assert kodaira_via_lp((Q(k.sub2, 2) + 1, Q(k.top2, 2) + 1),
+                              (Q(lh.sub2, 2), Q(lh.top2, 2))) == Q(2, n)
 
     rng = random.Random(77)
     for _ in range(40):

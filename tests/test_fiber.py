@@ -15,6 +15,7 @@ from effcone.fiber import (
     to_A_basis,
 )
 from effcone.picard import kodaira_full
+from oracles import combined
 
 Q = Fraction
 
@@ -25,11 +26,11 @@ def text(c):
 
 
 def expand(a):
-    """The fiber class a_sub * A_sub + a_top * A_top of an AClass, whose
-    coordinates are ints when a_sub and a_top are halves of two integers
-    of one parity: halve the class of the doubled coordinates."""
-    sub2, top2 = int(2 * a.a_sub), int(2 * a.a_top)
-    twice = sub2 * fiber_class(a.n, "A_sub") + top2 * fiber_class(a.n, "A_top")
+    """The fiber class (sub2 * A_sub + top2 * A_top) / 2 of an AClass, whose
+    coordinates are ints because sub2 and top2 have one parity: halve the
+    class of the doubled coordinates."""
+    twice = combined((a.sub2, fiber_class(a.n, "A_sub")),
+                     (a.top2, fiber_class(a.n, "A_top")))
     return FiberClass(a.n, tuple(q // 2 for q in twice.coords))
 
 
@@ -37,10 +38,9 @@ def large_diagonal(n, k):
     """F_k for k <= 3, the relabelled large diagonal
     g_i + g_j - E - (F4 + ... + Fn) with {i, j, k} = {1, 2, 3}."""
     i, j = sorted({1, 2, 3} - {k})
-    c = fiber_class(n, f"g{i}") + fiber_class(n, f"g{j}") - fiber_class(n, "E")
-    for m in range(4, n + 1):
-        c = c - fiber_class(n, f"F{m}")
-    return c
+    return combined((1, fiber_class(n, f"g{i}")), (1, fiber_class(n, f"g{j}")),
+                    (-1, fiber_class(n, "E")),
+                    *((-1, fiber_class(n, f"F{m}")) for m in range(4, n + 1)))
 
 
 def test_basis_units():
@@ -66,10 +66,8 @@ def test_symmetric_generators():
     assert fiber_class(4, "A_top").coords == (0, 0, 0, 1, 0)
     assert fiber_class(4, "A_sub").coords == (2, 2, 2, -3, -2)
     for n in (3, 4, 5, 9, 17, 30):
-        total = large_diagonal(n, 1)
-        for k in range(2, n + 1):
-            f_k = large_diagonal(n, k) if k <= 3 else fiber_class(n, f"F{k}")
-            total = total + f_k
+        total = combined(*((1, large_diagonal(n, k) if k <= 3
+                            else fiber_class(n, f"F{k}")) for k in range(1, n + 1)))
         assert total == fiber_class(n, "A_sub")
 
 
@@ -82,15 +80,17 @@ def test_bad_names_and_indices():
 
 
 def test_to_A_basis_canonical():
+    # K = -A_sub - 2 A_top, in doubled coordinates
     for n in range(3, 31):
         a = to_A_basis(fiber_class(n, "K"))
-        assert (a.a_sub, a.a_top) == (Q(-1), Q(-2))
+        assert (a.sub2, a.top2) == (-2, -4)
 
 
 def test_to_A_basis_hyperplane():
+    # Lhalf = (n-2)/2 A_sub + n/2 A_top
     for n in range(3, 31):
         a = to_A_basis(fiber_class(n, "Lhalf"))
-        assert (a.a_sub, a.a_top) == (Q(n - 2, 2), Q(n, 2))
+        assert (a.sub2, a.top2) == (n - 2, n)
 
 
 def test_to_A_basis_rejects_asymmetric_class():
@@ -101,12 +101,16 @@ def test_to_A_basis_rejects_asymmetric_class():
 
 
 def test_a_class_coordinates_are_exact():
-    # an A-coordinate is an int or a Fraction: a float, a string or a bool
-    # is refused, not read as a Fraction
-    assert AClass(3, Q(1, 2), 2) == AClass(3, Q(1, 2), Q(2))
-    for a_sub, a_top in ((0.1, "2"), (1, "2"), (True, 1)):
-        with pytest.raises(ValueError, match="is not an int or a Fraction"):
-            AClass(3, a_sub, a_top)
+    # a doubled A-coordinate is an int: a float, a string, a bool or a
+    # Fraction is refused; and the two have one parity, as for every
+    # integral class, so halving the pairing with R is exact
+    assert AClass(3, 1, 3) == AClass(3, 1, 3)
+    for sub2, top2 in ((0.1, 2), (1, "3"), (True, 1), (Q(2), 0)):
+        with pytest.raises(ValueError, match="must be int"):
+            AClass(3, sub2, top2)
+    for sub2, top2 in ((1, 0), (0, 1), (2, -1)):
+        with pytest.raises(ValueError, match="unequal parity"):
+            AClass(3, sub2, top2)
 
 
 def test_to_A_basis_round_trip():
@@ -114,18 +118,18 @@ def test_to_A_basis_round_trip():
     for _ in range(40):
         n = rng.randint(3, 12)
         sub2 = rng.randint(-9, 9)
-        a = AClass(n, Q(sub2, 2), Q(sub2 + 2 * rng.randint(-9, 9), 2))
-        back = to_A_basis(expand(a))
-        assert (back.a_sub, back.a_top) == (a.a_sub, a.a_top)
+        a = AClass(n, sub2, sub2 + 2 * rng.randint(-9, 9))
+        assert to_A_basis(expand(a)) == a
 
 
 def test_hyperplane_expansion_identity():
     # (n-2) A_sub + n A_top = 2((n-2)(g1+g2+g3) - (n-3)E - (n-2)(F4+..+Fn))
     for n in range(3, 31):
-        lhs = (n - 2) * fiber_class(n, "A_sub") + n * fiber_class(n, "A_top")
+        lhs = combined((n - 2, fiber_class(n, "A_sub")),
+                       (n, fiber_class(n, "A_top")))
         coords = [2 * (n - 2)] * 3 + [-2 * (n - 3)] + [-2 * (n - 2)] * (n - 3)
         assert lhs == FiberClass(n, tuple(coords))
-        assert lhs == 2 * fiber_class(n, "Lhalf")
+        assert lhs == combined((2, fiber_class(n, "Lhalf")))
 
 
 def test_odd_hyperplane_coordinate_raises(monkeypatch):
@@ -135,16 +139,18 @@ def test_odd_hyperplane_coordinate_raises(monkeypatch):
 
     table = fiber.fiber_class
     monkeypatch.setattr(fiber, "fiber_class", lambda n, name: (
-        table(n, "E") + table(n, "g1") if name == "A_top" else table(n, name)))
-    with pytest.raises(ArithmeticError, match="not even"):
+        combined((1, table(n, "E")), (1, table(n, "g1"))) if name == "A_top"
+        else table(n, name)))
+    with pytest.raises(ArithmeticError, match="g1-coordinate 11 is not even"):
         fiber_class(5, "Lhalf")
     assert fiber_class(6, "Lhalf").coords[0] == 7
 
 
 def test_pair_R_values():
     for n in (3, 5, 12):
-        assert pair_R(AClass(n, 1, 0)) == n
-        assert pair_R(AClass(n, 0, 1)) == 2 - n
+        assert pair_R(AClass(n, 2, 0)) == n
+        assert pair_R(AClass(n, 0, 2)) == 2 - n
+        assert pair_R(AClass(n, 1, 1)) == 1
         assert pair_R(to_A_basis(fiber_class(n, "Lhalf"))) == 0
 
 
@@ -156,14 +162,15 @@ def test_kodaira_fiber_values():
 
 
 def test_kodaira_fiber_thresholds():
-    # base (0, -1), direction ((n-2)/2, n/2): thresholds 0 and 2/n
+    # base (0, -1), direction ((n-2)/2, n/2), both doubled: thresholds 0
+    # and 2/n
     n = 7
     k = to_A_basis(fiber_class(n, "K"))
-    base = (k.a_sub + 1, k.a_top + 1)
-    assert base == (Q(0), Q(-1))
+    base = (k.sub2 + 2, k.top2 + 2)
+    assert base == (0, -2)
     lh = to_A_basis(fiber_class(n, "Lhalf"))
-    assert -base[0] / lh.a_sub == 0
-    assert -base[1] / lh.a_top == Q(2, n)
+    assert Q(-base[0], lh.sub2) == 0
+    assert Q(-base[1], lh.top2) == Q(2, n)
 
 
 def test_fiber_matches_full_space():
@@ -177,18 +184,16 @@ def test_n3_large_diagonal_coherence():
 
 
 def test_class_arithmetic_and_text():
-    c = large_diagonal(4, 1) - 2 * fiber_class(4, "E")
+    c = combined((1, large_diagonal(4, 1)), (-2, fiber_class(4, "E")))
     assert c.coords == (0, 1, 1, -3, -1)
     assert text(c) == "1*g2 + 1*g3 - 3*E - 1*F4"
     assert text(FiberClass(3, (0, 0, 0, 0))) == "0"
-    with pytest.raises(ValueError):
-        fiber_class(3, "g1") + fiber_class(4, "g1")
     with pytest.raises(ValueError):
         FiberClass(4, (1, 2, 3))
     with pytest.raises(ValueError, match="must be int"):
         FiberClass(3, (0, 0, 0, Q(1)))
     with pytest.raises(ValueError, match="must be int"):
-        Q(1, 2) * fiber_class(3, "g1")
+        combined((Q(1, 2), fiber_class(3, "g1")))
 
 
 def parse_terms(text):

@@ -8,7 +8,6 @@ import pytest
 from effcone.picard import (
     CurveClass,
     DivisorClass,
-    _cleared_b_vector,
     _pairing_row,
     b_labels,
     cone_certificate,
@@ -17,12 +16,14 @@ from effcone.picard import (
     format_divisor,
     kodaira_full,
     matrix_curves,
+    matrix_rows,
     pair_L,
     pair_incidence_counts,
     pairing_matrix,
-    standard_class,
+    standard_coefficients,
 )
-from oracles import InvalidSubset, SubsetCurve, added, pair, pair_subset
+from oracles import (InvalidSubset, SubsetCurve, added, b_coordinates, pair,
+                     pair_subset, standard_class)
 
 Q = Fraction
 
@@ -35,12 +36,10 @@ def scaled(c, q):
 
 def reduce_to_B(c):
     """Eliminate the L coefficient using the relation (see
-    picard._cleared_b_vector)."""
+    oracles.b_coordinates)."""
     if not c.coeff_L:
         return c
-    n = c.n
-    return DivisorClass(n, 0, {s: Q(v, 2 * (n - 1))
-                               for s, v in enumerate(_cleared_b_vector(c), 2)})
+    return DivisorClass(c.n, 0, dict(enumerate(b_coordinates(c), 2)))
 
 
 def brute_relation_coefficient(n, s):
@@ -74,14 +73,14 @@ def test_relation_matches_brute_force_counting():
     for n in range(3, 9):
         rel = derive_l_relation(pair_incidence_counts(n))
         for s in range(2, n + 1):
-            assert -rel.b(s) == brute_relation_coefficient(n, s)
+            assert -rel.coeff_B.get(s, 0) == brute_relation_coefficient(n, s)
 
 
 def test_relation_closed_form_coefficients():
     for n in (*range(3, 13), 400):
         rel = derive_l_relation(pair_incidence_counts(n))
         for s in range(2, n + 1):
-            assert rel.b(s) == -Q(s * (s - 1), 2)
+            assert rel.coeff_B.get(s, 0) == -Q(s * (s - 1), 2)
 
 
 def test_reduce_to_b_examples():
@@ -114,7 +113,7 @@ def test_standard_classes():
     assert standard_class(4, "boundary").coeff_B == {2: Q(1), 3: Q(1), 4: Q(1)}
     assert standard_class(6, "hyperplane") == DivisorClass(6, Q(1), {})
     with pytest.raises(ValueError):
-        standard_class(4, "ample")
+        standard_coefficients(4, "ample")
     kb = reduce_to_B(added(standard_class(4, "canonical"),
                            standard_class(4, "boundary")))
     assert kb.coeff_B == {2: Q(1, 3), 4: Q(-1)}
@@ -152,9 +151,9 @@ def test_pair_subset_errors():
 
 def test_pair_averaged_examples():
     # entry j - 2 of a curve's row is its pairing with B[j]
-    assert _pairing_row(CurveClass("C", 4), 5)[3 - 2] == 4
-    assert _pairing_row(CurveClass("R", 3), 5)[2 - 2] == 1
-    assert _pairing_row(CurveClass("R", 2), 5)[2 - 2] == 1  # (n-s-1) + (-1)
+    assert _pairing_row("C", 4, 5)[3 - 2] == 4
+    assert _pairing_row("R", 3, 5)[2 - 2] == 1
+    assert _pairing_row("R", 2, 5)[2 - 2] == 1  # (n-s-1) + (-1)
 
 
 def test_pair_averaged_equals_subset_sums_all_representatives():
@@ -165,14 +164,14 @@ def test_pair_averaged_equals_subset_sums_all_representatives():
         for j in range(2, n + 1):
             size_j = [frozenset(t) for t in combinations(range(1, n + 1), j)]
             for s in range(3, n + 1):
-                expected = _pairing_row(CurveClass("C", s), n)[j - 2]
+                expected = _pairing_row("C", s, n)[j - 2]
                 for S in subsets:
                     if len(S) != s:
                         continue
                     curve = SubsetCurve("C", S)
                     assert sum(pair_subset(curve, t, n) for t in size_j) == expected
             for s in range(2, n):
-                expected = _pairing_row(CurveClass("R", s), n)[j - 2]
+                expected = _pairing_row("R", s, n)[j - 2]
                 for S in subsets:
                     if len(S) != s:
                         continue
@@ -183,8 +182,8 @@ def test_pair_averaged_equals_subset_sums_all_representatives():
 
 
 def test_pair_L_values():
-    assert pair_L(CurveClass("C", 3)) == 0
-    assert pair_L(CurveClass("R", 2)) == 1
+    assert pair_L("C") == 0
+    assert pair_L("R") == 1
 
 
 def test_relation_consistency_identity():
@@ -194,7 +193,7 @@ def test_relation_consistency_identity():
         for curve, row in zip(matrix_curves(n), pairing_matrix(n)):
             weighted = sum(Q(j * (j - 1), 2) * row[j - 2]
                            for j in range(2, n + 1))
-            assert weighted == (n - 1) * pair_L(curve)
+            assert weighted == (n - 1) * pair_L(curve.kind)
 
 
 def test_derive_self_pairing_closed_forms():
@@ -208,6 +207,12 @@ def test_derive_self_pairing_closed_forms():
     assert derive_self_pairing("C", 3, 3) == -1
 
 
+def test_derive_self_pairing_refuses_missing_families():
+    for kind, s in (("C", 2), ("C", 6), ("R", 1), ("R", 5), ("X", 3)):
+        with pytest.raises(ValueError, match=f"no curve family {kind}_{s} for n=5"):
+            derive_self_pairing(kind, s, 5)
+
+
 def test_inexact_self_term_raises(monkeypatch):
     # C_4 meeting B[3] 5 times instead of 4 leaves 2*4*(-30)/12, not an
     # integer: every path to the self term refuses instead of truncating
@@ -219,7 +224,7 @@ def test_inexact_self_term_raises(monkeypatch):
     with pytest.raises(ArithmeticError, match="C_4"):
         derive_self_pairing("C", 4, 5)
     with pytest.raises(ArithmeticError):
-        _pairing_row(CurveClass("C", 4), 5)
+        _pairing_row("C", 4, 5)
     with pytest.raises(ArithmeticError):
         pair_subset(SubsetCurve("C", {1, 2, 3, 4}), {1, 2, 3, 4}, 5)
     with pytest.raises(ArithmeticError):
@@ -265,6 +270,7 @@ def test_pairing_matrix_small_cases():
     assert pairing_matrix(3) == [[3, -1], [-1, 1]]
     assert pairing_matrix(4) == [[3, -1, 0], [0, 4, -2], [0, 1, 0], [0, -1, 1]]
     assert [c.label() for c in matrix_curves(4)] == ["C_3", "C_4", "R_2", "R_3"]
+    assert matrix_rows(4) == [("C", 3), ("C", 4), ("R", 2), ("R", 3)]
     assert b_labels(3) == ["B[2]", "B[3]"]
 
 
@@ -299,8 +305,9 @@ def test_pairing_matrix_rows_kill_relation():
         rel = derive_l_relation(pair_incidence_counts(n))
         matrix = pairing_matrix(n)
         for curve, row in zip(matrix_curves(n), matrix):
-            total = rel.coeff_L * pair_L(curve)
-            total += sum(rel.b(j) * row[j - 2] for j in range(2, n + 1))
+            total = rel.coeff_L * pair_L(curve.kind)
+            total += sum(rel.coeff_B.get(j, 0) * row[j - 2]
+                         for j in range(2, n + 1))
             assert total == 0
 
 
@@ -357,6 +364,21 @@ def test_divisor_class_validation():
 # ---------------------------------------------------------------------------
 # derived quantities
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 32, 300])
+def test_tables_build_no_class_objects(monkeypatch, n):
+    # the pairing rows and the cleared threshold vectors are read from the
+    # tables in plain ints, with no curve or divisor object per entry
+    built = []
+    for cls in (CurveClass, DivisorClass):
+        post_init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, post_init=post_init:
+                            built.append(self) or post_init(self))
+    matrix = pairing_matrix(n)
+    assert (len(matrix), built) == (2 * n - 4, [])
+    assert (kodaira_full(n), built) == (Q(2, n), [])
+
 
 def test_kodaira_full_example():
     assert kodaira_full(4) == Q(1, 2)
