@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import cone, counting, fiber, forms, picard
-from ._terms import ExactnessError
+from ._terms import ExactnessError, format_terms
 
 
 def _text(value):
@@ -89,7 +89,7 @@ def _read_form(args) -> forms.BinaryForm:
 def _cmd_pairings(args):
     n = _require_n(args, MAX_N)
     matrix = picard.pairing_matrix(n)
-    curves = [c.label() for c in picard.matrix_curves(n)]
+    curves = picard.curve_labels(n)
     cols = picard.b_labels(n)
     return ({"n": n, "columns": cols,
              "rows": [{"curve": lab, "pairings": row}
@@ -124,8 +124,10 @@ def _cmd_relation(args):
               "pair_incidences": incidences, "subsets": subsets,
               "coefficient": str(per_subset)}
              for s, per_pair, incidences, subsets, per_subset in counts]
-    rel = picard.derive_l_relation(counts)
-    return ({"n": n, "relation": str(rel), "coefficients": trace},
+    coeff_L, coeff_B = picard.derive_l_relation(counts)
+    relation = format_terms([(coeff_L, "L"), *zip(
+        (coeff_B.get(s, 0) for s in range(2, n + 1)), picard.b_labels(n))])
+    return ({"n": n, "relation": relation, "coefficients": trace},
             [["s", "coefficient"]] + [[t["s"], t["coefficient"]] for t in trace])
 
 
@@ -141,25 +143,25 @@ def _cmd_fiber_check(args):
             ok = False
         checks.append((name, ok))
 
-    # an AClass holds doubled coordinates: (2, 0) is A_sub, (0, 2) is A_top
+    # A-coordinates are doubled: (2, 0) is A_sub, (0, 2) is A_top
     k = fiber.fiber_class(n, "K")
-    check("canonical_in_A_basis",
-          lambda: fiber.to_A_basis(k) == fiber.AClass(n, -2, -4))
+    check("canonical_in_A_basis", lambda: fiber.to_A_basis(k) == (-2, -4))
     # Lhalf, half of (n-2) A_sub + n A_top, equals
     # (n-2)(g1 + g2 + g3) - (n-3) E - (n-2)(F4 + ... + Fn), coordinatewise;
     # each F row is added as it is read, so one row is held at a time
     lh = fiber.fiber_class(n, "Lhalf")
     f_sum = [0] * (n + 1)
     for m in range(4, n + 1):
-        f_sum = list(map(operator.add, f_sum, fiber.fiber_class(n, f"F{m}").coords))
-    g1, g2, g3, e = (fiber.fiber_class(n, label).coords
+        f_sum = list(map(operator.add, f_sum, fiber.fiber_class(n, f"F{m}")))
+    g1, g2, g3, e = (fiber.fiber_class(n, label)
                      for label in ("g1", "g2", "g3", "E"))
     rhs = tuple((n - 2) * (c1 + c2 + c3 - c_f) - (n - 3) * c_e
                 for c1, c2, c3, c_e, c_f in zip(g1, g2, g3, e, f_sum))
-    check("hyperplane_expansion", lambda: lh.coords == rhs)
-    check("curve_pairing_A_sub", lambda: fiber.pair_R(fiber.AClass(n, 2, 0)) == n)
-    check("curve_pairing_A_top", lambda: fiber.pair_R(fiber.AClass(n, 0, 2)) == 2 - n)
-    check("hyperplane_misses_curve", lambda: fiber.pair_R(fiber.to_A_basis(lh)) == 0)
+    check("hyperplane_expansion", lambda: lh == rhs)
+    check("curve_pairing_A_sub", lambda: fiber.pair_R(n, 2, 0) == n)
+    check("curve_pairing_A_top", lambda: fiber.pair_R(n, 0, 2) == 2 - n)
+    check("hyperplane_misses_curve",
+          lambda: fiber.pair_R(n, *fiber.to_A_basis(lh)) == 0)
     check("threshold_matches_full_space",
           lambda: fiber.kodaira_fiber(n) == picard.kodaira_full(n))
     if n == 3:

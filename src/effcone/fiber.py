@@ -11,15 +11,14 @@ named classes: the basis labels, A_top, A_sub, K, Lhalf and B2_n3 (n = 3).
 The symmetric subgroup is spanned by the boundary classes A[n-1] (sum of
 all F_k, the relabelled large diagonals included) and A[n] = E, and the
 symmetric effective cone is the A-orthant; the fiber effectivity threshold
-is computed there.  Classes stay in ints throughout: a class of the table
-is a row of integer coordinates, and a symmetric class is written by its
-doubled A-coordinates (2 a_sub, 2 a_top), which are integers of one parity
-for every integral class.
+is computed there.  Classes stay plain ints throughout: a class of the table
+is a tuple of its integer coordinates, and a symmetric class is written by
+the pair of its doubled A-coordinates (2 a_sub, 2 a_top), which are
+integers of one parity for every integral class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -42,27 +41,8 @@ def _basis_index(n: int) -> dict[str, int]:
     return {label: i for i, label in enumerate(basis_labels(n))}
 
 
-@dataclass(frozen=True)
-class FiberClass:
-    """Integer coordinates over the ordered basis (g1, g2, g3, E, F4..Fn);
-    a coordinate that is not an int raises ValueError."""
-
-    n: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("need at least 3 marked points")
-        coords = tuple(self.coords)
-        if not set(map(type, coords)) <= {int}:
-            raise ValueError("fiber coordinates must be int")
-        if len(coords) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} coordinates for n={self.n}")
-        object.__setattr__(self, "coords", coords)
-
-
-def fiber_class(n: int, name: str) -> FiberClass:
-    """The named class in basis coordinates, read from a table.
+def fiber_class(n: int, name: str) -> tuple[int, ...]:
+    """The named class as its tuple of basis coordinates, read from a table.
 
     Names: the basis labels g1 g2 g3 E F4..Fn, A_top (= E), A_sub
     (= F1 + ... + Fn, the relabelled large diagonals F1..F3 included),
@@ -84,7 +64,7 @@ def fiber_class(n: int, name: str) -> FiberClass:
         coords = [-2, -2, -2, 1] + [2] * (n - 3)
     elif name == "Lhalf":
         twice = [(n - 2) * x + n * y for x, y in zip(
-            fiber_class(n, "A_sub").coords, fiber_class(n, "A_top").coords)]
+            fiber_class(n, "A_sub"), fiber_class(n, "A_top"))]
         odd = [i for i, q in enumerate(twice) if q % 2]
         if odd:
             raise ExactnessError(
@@ -94,51 +74,38 @@ def fiber_class(n: int, name: str) -> FiberClass:
         coords = [2, 2, 2, -3]
     else:
         raise ValueError(f"no fiber class {name!r} for n={n}")
-    return FiberClass(n, tuple(coords))
+    return tuple(coords)
 
 
-@dataclass(frozen=True)
-class AClass:
-    """Doubled coordinates over the symmetric generators: the class
-    (sub2 * A[n-1] + top2 * A[n]) / 2.  It is integral exactly when sub2
-    and top2 are ints of one parity; anything else raises ValueError."""
+def to_A_basis(coords: tuple[int, ...]) -> tuple[int, int]:
+    """Solve coords = a_sub * A_sub + a_top * A_top exactly, in doubled
+    integer coordinates (2 a_sub, 2 a_top); NotInSpan otherwise.
 
-    n: int
-    sub2: int
-    top2: int
-
-    def __post_init__(self):
-        if type(self.sub2) is not int or type(self.top2) is not int:
-            raise ValueError("doubled A-coordinates must be int")
-        if (self.sub2 - self.top2) % 2:
-            raise ValueError("doubled A-coordinates of unequal parity")
-
-
-def to_A_basis(c: FiberClass) -> AClass:
-    """Solve c = a_sub * A_sub + a_top * A_top exactly, in doubled integer
-    coordinates; NotInSpan otherwise.
-
-    A_sub has g-coordinates (2,2,2) and E-coordinate -3, so 2 a_sub is the
-    g1 entry and 2 a_top = 2 (E entry) + 3 (g1 entry).  Twice the class is
-    then compared coordinatewise with 2 a_sub A_sub + 2 a_top A_top, read
-    from the table, so the membership test stays in ints.
-    """
-    sub2 = c.coords[0]
-    top2 = 2 * c.coords[3] + 3 * sub2
-    sub_coords = fiber_class(c.n, "A_sub").coords
-    top_coords = fiber_class(c.n, "A_top").coords
-    if any(2 * q != sub2 * x + top2 * y
-           for q, x, y in zip(c.coords, sub_coords, top_coords)):
+    A_top has no g1 entry, so 2 a_sub is twice the g1 entry over A_sub's,
+    and 2 a_top is what A_sub leaves of twice the E entry, over A_top's;
+    the three entries are read from the table rows.  A zero entry among
+    them, a remainder, or a coordinate where twice the class is not
+    2 a_sub A_sub + 2 a_top A_top raises NotInSpan, so the membership test
+    stays in ints."""
+    n = len(coords) - 1
+    sub_row, top_row = fiber_class(n, "A_sub"), fiber_class(n, "A_top")
+    if not (sub_row[0] and top_row[3]):
+        raise NotInSpan("A_sub has no g1 entry or A_top no E entry")
+    sub2, rem_sub = divmod(2 * coords[0], sub_row[0])
+    top2, rem_top = divmod(2 * coords[3] - sub2 * sub_row[3], top_row[3])
+    if rem_sub or rem_top or any(2 * q != sub2 * x + top2 * y
+                                 for q, x, y in zip(coords, sub_row, top_row)):
         raise NotInSpan("class is not symmetric (outside span of A_sub, A_top)")
-    return AClass(c.n, sub2, top2)
+    return sub2, top2
 
 
-def pair_R(c: AClass) -> int:
-    """Intersection with the curve R swept out inside the exceptional divisor:
-    A[n-1] meets it n times, A[n] restricts to degree 2-n.  The doubled
-    coordinates give twice the pairing, even because 2-n and n have one
-    parity and so have sub2 and top2."""
-    return (c.sub2 * c.n + c.top2 * (2 - c.n)) // 2
+def pair_R(n: int, sub2: int, top2: int) -> int:
+    """Intersection of the class (sub2 A[n-1] + top2 A[n]) / 2 with the
+    curve R swept out inside the exceptional divisor: A[n-1] meets it n
+    times, A[n] restricts to degree 2-n.  Twice the pairing is even, since
+    n and 2-n, and so sub2 and top2 of an integral class, have one parity:
+    to_A_basis gives top2 - sub2 = 2 (E entry + sub2) on the table."""
+    return (sub2 * n + top2 * (2 - n)) // 2
 
 
 def kodaira_fiber(n: int) -> Fraction:
@@ -147,6 +114,6 @@ def kodaira_fiber(n: int) -> Fraction:
 
     Both vectors are taken in doubled A-coordinates, in ints: a common
     positive scale leaves every threshold -b/d unchanged."""
-    k = to_A_basis(fiber_class(n, "K"))
-    lh = to_A_basis(fiber_class(n, "Lhalf"))
-    return cone.kodaira_energy((k.sub2 + 2, k.top2 + 2), (lh.sub2, lh.top2))
+    k_sub2, k_top2 = to_A_basis(fiber_class(n, "K"))
+    return cone.kodaira_energy((k_sub2 + 2, k_top2 + 2),
+                               to_A_basis(fiber_class(n, "Lhalf")))

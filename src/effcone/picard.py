@@ -12,58 +12,20 @@ Curve families C_s (forget the attaching point of a size-s boundary
 component) and R_s (forget one point off the component) pair against the
 B-classes through small combinatorial tables; the self-intersection entries
 are not hard-coded but derived by pairing the relation with each curve.
+
+Everything here is plain integer data: a class is its (coefficient of L,
+{s: coefficient of B[s]}) pair, a curve family its (kind, s) pair, and its
+pairings a row of ints.  `curve_labels` and `b_labels` name the rows and
+columns of the pairing matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import cone
-from ._terms import ExactnessError, _exact, format_terms
-
-
-# ---------------------------------------------------------------------------
-# divisor classes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DivisorClass:
-    """Exact rational combination of L and the boundary classes B[2..n].
-
-    `coeff_B` maps s to the coefficient of B[s]; absent keys mean zero and
-    zero entries are dropped on construction so equality is coefficientwise.
-    Instances are immutable and do no class arithmetic: kodaira_full
-    clears its classes to integer vectors straight from
-    standard_coefficients.
-    """
-
-    n: int
-    coeff_L: int | Fraction
-    coeff_B: dict[int, int | Fraction]
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("need at least 3 marked points")
-        object.__setattr__(self, "coeff_L", _exact(self.coeff_L))
-        cleaned = {}
-        for s, q in self.coeff_B.items():
-            if not 2 <= s <= self.n:
-                raise ValueError(f"B[{s}] does not exist for n={self.n}")
-            q = _exact(q)
-            if q:
-                cleaned[int(s)] = q
-        object.__setattr__(self, "coeff_B", cleaned)
-
-    def __str__(self) -> str:
-        return format_divisor(self)
-
-
-def format_divisor(c: DivisorClass) -> str:
-    """Canonical text form: L term first, then B[s] ascending in s."""
-    return format_terms([(c.coeff_L, "L")]
-                        + [(c.coeff_B[s], f"B[{s}]") for s in sorted(c.coeff_B)])
+from ._terms import ExactnessError
 
 
 def pair_incidence_counts(n: int) -> list[tuple[int, int, int, int, int]]:
@@ -92,12 +54,13 @@ def pair_incidence_counts(n: int) -> list[tuple[int, int, int, int, int]]:
     return counts
 
 
-def derive_l_relation(counts: list[tuple[int, int, int, int, int]]) -> DivisorClass:
-    """The class (n-1)*L - sum_s s(s-1)/2 * B[s], which is zero in the
-    invariant Picard group, read from the tuples of pair_incidence_counts(n):
-    the last tuple's s is n, and B[s] gets minus its count per subset."""
-    n = counts[-1][0]
-    return DivisorClass(n, n - 1, {s: -per_subset for s, *_, per_subset in counts})
+def derive_l_relation(counts: list[tuple[int, int, int, int, int]]
+                      ) -> tuple[int, dict[int, int]]:
+    """(coefficient of L, {s: coefficient of B[s]}) of the class
+    (n-1)*L - sum_s s(s-1)/2 * B[s], which is zero in the invariant Picard
+    group, read from the tuples of pair_incidence_counts(n): the last
+    tuple's s is n, and B[s] gets minus its count per subset."""
+    return counts[-1][0] - 1, {s: -per_subset for s, *_, per_subset in counts}
 
 
 def standard_coefficients(n: int, which: str) -> tuple[int, dict[int, int]]:
@@ -117,26 +80,6 @@ def standard_coefficients(n: int, which: str) -> tuple[int, dict[int, int]]:
 # ---------------------------------------------------------------------------
 # curve families and pairings
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CurveClass:
-    """Averaged curve family: kind "C" (forget the attaching point of a
-    size-s component) or "R" (forget one point off the component)."""
-
-    kind: str
-    s: int
-
-    def __post_init__(self):
-        if self.kind not in ("C", "R"):
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        if self.kind == "C" and self.s < 3:
-            raise ValueError("C-curves need a component with at least 3 points")
-        if self.kind == "R" and self.s < 2:
-            raise ValueError("R-curves need a component with at least 2 points")
-
-    def label(self) -> str:
-        return f"{self.kind}_{self.s}"
-
 
 def pair_L(kind: str) -> int:
     """Intersection of a curve family with the hyperplane pullback:
@@ -180,12 +123,13 @@ def matrix_rows(n: int) -> list[tuple[str, int]]:
     return [("C", s) for s in range(3, n + 1)] + [("R", s) for s in range(2, n)]
 
 
-def matrix_curves(n: int) -> list[CurveClass]:
-    """The curve family of each row of the pairing matrix."""
-    return [CurveClass(kind, s) for kind, s in matrix_rows(n)]
+def curve_labels(n: int) -> list[str]:
+    """The label kind_s of each row of the pairing matrix."""
+    return [f"{kind}_{s}" for kind, s in matrix_rows(n)]
 
 
 def b_labels(n: int) -> list[str]:
+    """The label B[s] of each column of the pairing matrix."""
     return [f"B[{s}]" for s in range(2, n + 1)]
 
 

@@ -5,11 +5,13 @@ the plain box enumerator of determinant-1 matrices, fraction-free
 (Bareiss) elimination of Sylvester matrices, the classical cubic
 discriminant, forms built from their roots, the pairing of a curve at the
 level of subsets, and the bilinear pairing of a divisor class with a curve.
-`added` sums two divisor classes and `combined` forms an integer
-combination of fiber classes, which the package does only on plain integer
-vectors; `standard_class` and `b_coordinates` build a standard divisor
-class and its B-coordinates from the package's coefficient table.  No
-command-line path runs them, so they live here and not in the package.
+The classes take the package's plain shapes: a divisor class is a
+(coefficient of L, {s: coefficient of B[s]}) pair, as
+`picard.standard_coefficients` returns it, a curve family a (kind, s)
+pair, and a fiber class a tuple of integer coordinates.  `added` sums two
+divisor classes, `b_coordinates` eliminates L, and `combined` forms an
+integer combination of fiber classes.  No command-line path runs them, so
+they live here and not in the package.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from effcone.fiber import FiberClass
 from effcone.forms import BinaryForm, UnimodularMatrix
-from effcone.picard import (CurveClass, DivisorClass, _pairing_row,
-                            derive_self_pairing, pair_L, standard_coefficients)
+from effcone.picard import _pairing_row, derive_self_pairing, pair_L
 
 
 def height(f: BinaryForm) -> int:
@@ -278,43 +278,35 @@ def pair_subset(curve: SubsetCurve, T, n: int) -> int:
     return 0
 
 
-def pair(c: DivisorClass, curve: CurveClass) -> int | Fraction:
-    """Bilinear extension of the curve's pairing-matrix row to any divisor
-    class."""
-    row = _pairing_row(curve.kind, curve.s, c.n)
-    total = c.coeff_L * pair_L(curve.kind)
-    for s, q in c.coeff_B.items():
-        total += q * row[s - 2]
-    return total
+def pair(n: int, c: tuple, curve: tuple[str, int]) -> int | Fraction:
+    """Bilinear extension of the (kind, s) family's pairing-matrix row to
+    the divisor class c = (coeff_L, {s: coeff_B}) on the space with n
+    marked points."""
+    kind, s = curve
+    row = _pairing_row(kind, s, n)
+    coeff_L, coeff_B = c
+    return coeff_L * pair_L(kind) + sum(q * row[j - 2] for j, q in coeff_B.items())
 
 
-def added(c1: DivisorClass, c2: DivisorClass) -> DivisorClass:
-    """The divisor class c1 + c2 of two classes on one space."""
-    coeffs = dict(c1.coeff_B)
-    for s, q in c2.coeff_B.items():
+def added(c1: tuple, c2: tuple) -> tuple:
+    """The divisor class c1 + c2, zero B-coefficients dropped, so that
+    equal classes compare equal."""
+    coeffs = dict(c1[1])
+    for s, q in c2[1].items():
         coeffs[s] = coeffs.get(s, 0) + q
-    return DivisorClass(c1.n, c1.coeff_L + c2.coeff_L, coeffs)
+    return c1[0] + c2[0], {s: q for s, q in coeffs.items() if q}
 
 
-def standard_class(n: int, which: str) -> DivisorClass:
-    """The canonical class, the total boundary, or the hyperplane pullback,
-    from the package's coefficient table."""
-    return DivisorClass(n, *standard_coefficients(n, which))
-
-
-def b_coordinates(c: DivisorClass) -> tuple[int | Fraction, ...]:
+def b_coordinates(n: int, c: tuple) -> tuple[int | Fraction, ...]:
     """The B[2..n]-coordinates of c with L eliminated by the relation
     (n-1) L = sum_s s(s-1)/2 B[s]: B[s] gains coeff_L * s(s-1) / (2(n-1))."""
-    n = c.n
-    return tuple(c.coeff_B.get(s, 0)
-                 + c.coeff_L * Fraction(s * (s - 1), 2 * (n - 1))
+    coeff_L, coeff_B = c
+    return tuple(coeff_B.get(s, 0) + coeff_L * Fraction(s * (s - 1), 2 * (n - 1))
                  for s in range(2, n + 1))
 
 
-def combined(*terms: tuple[int, FiberClass]) -> FiberClass:
-    """The fiber class sum q * c over (q, c) pairs of classes on one fiber."""
-    n = terms[0][1].n
-    if any(c.n != n for _, c in terms):
-        raise ValueError("classes live on different fibers")
-    return FiberClass(n, tuple(sum(q * c.coords[i] for q, c in terms)
-                               for i in range(n + 1)))
+def combined(*terms: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """The fiber class sum q * c over (q, c) pairs of coordinate tuples of
+    one fiber; tuples of unequal length raise ValueError."""
+    return tuple(sum(q * x for (q, _), x in zip(terms, column))
+                 for column in zip(*(c for _, c in terms), strict=True))

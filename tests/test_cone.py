@@ -1011,18 +1011,18 @@ def kodaira_via_lp(base, direction):
 
 def test_kodaira_energy_agrees_with_lp_route():
     from effcone.fiber import fiber_class, to_A_basis
-    from effcone.picard import kodaira_full
-    from oracles import added, b_coordinates, standard_class
+    from effcone.picard import kodaira_full, standard_coefficients
+    from oracles import added, b_coordinates
 
     for n in range(3, 13):
-        base = b_coordinates(added(standard_class(n, "canonical"),
-                                   standard_class(n, "boundary")))
-        direction = b_coordinates(standard_class(n, "hyperplane"))
+        base = b_coordinates(n, added(standard_coefficients(n, "canonical"),
+                                      standard_coefficients(n, "boundary")))
+        direction = b_coordinates(n, standard_coefficients(n, "hyperplane"))
         assert kodaira_via_lp(base, direction) == kodaira_full(n) == Q(2, n)
-        k = to_A_basis(fiber_class(n, "K"))
-        lh = to_A_basis(fiber_class(n, "Lhalf"))
-        assert kodaira_via_lp((Q(k.sub2, 2) + 1, Q(k.top2, 2) + 1),
-                              (Q(lh.sub2, 2), Q(lh.top2, 2))) == Q(2, n)
+        k_sub2, k_top2 = to_A_basis(fiber_class(n, "K"))
+        lh_sub2, lh_top2 = to_A_basis(fiber_class(n, "Lhalf"))
+        assert kodaira_via_lp((Q(k_sub2, 2) + 1, Q(k_top2, 2) + 1),
+                              (Q(lh_sub2, 2), Q(lh_top2, 2))) == Q(2, n)
 
     rng = random.Random(77)
     for _ in range(40):

@@ -5,17 +5,15 @@ from math import comb
 
 import pytest
 
+from effcone._terms import format_terms
 from effcone.picard import (
-    CurveClass,
-    DivisorClass,
     _pairing_row,
     b_labels,
     cone_certificate,
+    curve_labels,
     derive_l_relation,
     derive_self_pairing,
-    format_divisor,
     kodaira_full,
-    matrix_curves,
     matrix_rows,
     pair_L,
     pair_incidence_counts,
@@ -23,23 +21,29 @@ from effcone.picard import (
     standard_coefficients,
 )
 from oracles import (InvalidSubset, SubsetCurve, added, b_coordinates, pair,
-                     pair_subset, standard_class)
+                     pair_subset)
 
 Q = Fraction
 
 
 def scaled(c, q):
     """The divisor class q * c."""
-    return DivisorClass(c.n, q * c.coeff_L,
-                        {s: q * v for s, v in c.coeff_B.items()})
+    return q * c[0], {s: q * v for s, v in c[1].items()}
 
 
-def reduce_to_B(c):
+def reduce_to_B(n, c):
     """Eliminate the L coefficient using the relation (see
-    oracles.b_coordinates)."""
-    if not c.coeff_L:
-        return c
-    return DivisorClass(c.n, 0, dict(enumerate(b_coordinates(c), 2)))
+    oracles.b_coordinates), zero coefficients dropped."""
+    return 0, {s: q for s, q in enumerate(b_coordinates(n, c), 2) if q}
+
+
+def random_class(rng, n, bound):
+    """A divisor class with a random coefficient p/q, |p| <= bound and
+    1 <= q <= 4, on L and then on each B[s]; zero coefficients dropped."""
+    coeff_L = Q(rng.randint(-bound, bound), rng.randint(1, 4))
+    coeff_B = {s: Q(rng.randint(-bound, bound), rng.randint(1, 4))
+               for s in range(2, n + 1)}
+    return coeff_L, {s: q for s, q in coeff_B.items() if q}
 
 
 def brute_relation_coefficient(n, s):
@@ -61,62 +65,56 @@ def brute_relation_coefficient(n, s):
 # ---------------------------------------------------------------------------
 
 def test_relation_small_cases_frozen():
-    rel3 = derive_l_relation(pair_incidence_counts(3))
-    assert rel3.coeff_L == 2
-    assert rel3.coeff_B == {2: Q(-1), 3: Q(-3)}
-    rel4 = derive_l_relation(pair_incidence_counts(4))
-    assert rel4.coeff_L == 3
-    assert rel4.coeff_B == {2: Q(-1), 3: Q(-3), 4: Q(-6)}
+    assert derive_l_relation(pair_incidence_counts(3)) == (2, {2: -1, 3: -3})
+    assert derive_l_relation(pair_incidence_counts(4)) == (
+        3, {2: -1, 3: -3, 4: -6})
 
 
 def test_relation_matches_brute_force_counting():
     for n in range(3, 9):
-        rel = derive_l_relation(pair_incidence_counts(n))
+        _, coeff_B = derive_l_relation(pair_incidence_counts(n))
         for s in range(2, n + 1):
-            assert -rel.coeff_B.get(s, 0) == brute_relation_coefficient(n, s)
+            assert -coeff_B.get(s, 0) == brute_relation_coefficient(n, s)
 
 
 def test_relation_closed_form_coefficients():
     for n in (*range(3, 13), 400):
-        rel = derive_l_relation(pair_incidence_counts(n))
+        _, coeff_B = derive_l_relation(pair_incidence_counts(n))
         for s in range(2, n + 1):
-            assert rel.coeff_B.get(s, 0) == -Q(s * (s - 1), 2)
+            assert coeff_B.get(s, 0) == -Q(s * (s - 1), 2)
 
 
 def test_reduce_to_b_examples():
-    assert reduce_to_B(standard_class(4, "hyperplane")).coeff_B == {
-        2: Q(1, 3), 3: Q(1), 4: Q(2)}
-    zero = DivisorClass(5, 0, {})
-    assert reduce_to_B(zero) == zero
-    k3 = standard_class(3, "canonical")
-    assert reduce_to_B(k3).coeff_B == {2: Q(-1), 3: Q(-2)}
+    assert reduce_to_B(4, standard_coefficients(4, "hyperplane")) == (
+        0, {2: Q(1, 3), 3: Q(1), 4: Q(2)})
+    zero = (0, {})
+    assert reduce_to_B(5, zero) == zero
+    assert reduce_to_B(3, standard_coefficients(3, "canonical")) == (
+        0, {2: Q(-1), 3: Q(-2)})
 
 
 def test_reduce_to_b_is_projection():
     rng = random.Random(3)
     for _ in range(40):
         n = rng.randint(3, 9)
-        c = DivisorClass(n, Q(rng.randint(-5, 5), rng.randint(1, 4)),
-                         {s: Q(rng.randint(-5, 5), rng.randint(1, 4))
-                          for s in range(2, n + 1)})
-        reduced = reduce_to_B(c)
-        assert reduced.coeff_L == 0
-        assert reduce_to_B(reduced) == reduced
+        c = random_class(rng, n, 5)
+        reduced = reduce_to_B(n, c)
+        assert reduced[0] == 0
+        assert reduce_to_B(n, reduced) == reduced
         q = Q(rng.randint(-7, 7), rng.randint(1, 5))
         moved = added(c, scaled(derive_l_relation(pair_incidence_counts(n)), q))
-        assert reduce_to_B(moved) == reduced
+        assert reduce_to_B(n, moved) == reduced
 
 
 def test_standard_classes():
-    assert standard_class(3, "canonical").coeff_B == {3: Q(1)}
-    assert standard_class(3, "canonical").coeff_L == -2
-    assert standard_class(4, "boundary").coeff_B == {2: Q(1), 3: Q(1), 4: Q(1)}
-    assert standard_class(6, "hyperplane") == DivisorClass(6, Q(1), {})
+    assert standard_coefficients(3, "canonical") == (-2, {3: 1})
+    assert standard_coefficients(4, "boundary") == (0, {2: 1, 3: 1, 4: 1})
+    assert standard_coefficients(6, "hyperplane") == (1, {})
     with pytest.raises(ValueError):
         standard_coefficients(4, "ample")
-    kb = reduce_to_B(added(standard_class(4, "canonical"),
-                           standard_class(4, "boundary")))
-    assert kb.coeff_B == {2: Q(1, 3), 4: Q(-1)}
+    kb = reduce_to_B(4, added(standard_coefficients(4, "canonical"),
+                              standard_coefficients(4, "boundary")))
+    assert kb == (0, {2: Q(1, 3), 4: Q(-1)})
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +179,26 @@ def test_pair_averaged_equals_subset_sums_all_representatives():
                                    for t in size_j) == expected
 
 
+def test_pairing_rules_satisfy_the_projection_formula():
+    # the diagonal x_i = x_j of (P^1)^n has class H_i + H_j, and its
+    # pullback is the sum of the boundary divisors B_T with T containing
+    # {i, j}.  A C-curve is contracted, and an R-curve moves only its
+    # forgotten point tau along the line, so by the projection formula the
+    # sum pairs to 0 with a C-curve and to [tau in {i, j}] with an R-curve
+    for n in range(3, 8):
+        points = range(1, n + 1)
+        subsets = [frozenset(t) for size in range(2, n + 1)
+                   for t in combinations(points, size)]
+        curves = [SubsetCurve("C", S) for S in subsets if len(S) >= 3]
+        curves += [SubsetCurve("R", S, tau) for S in subsets if len(S) < n
+                   for tau in points if tau not in S]
+        for curve in curves:
+            for ij in combinations(points, 2):
+                total = sum(pair_subset(curve, T, n)
+                            for T in subsets if T.issuperset(ij))
+                assert total == (curve.kind == "R" and curve.tau in ij), (curve, ij)
+
+
 def test_pair_L_values():
     assert pair_L("C") == 0
     assert pair_L("R") == 1
@@ -190,10 +208,10 @@ def test_relation_consistency_identity():
     # pairing the relation against every curve gives zero, i.e.
     # sum_j j(j-1)/2 * pairing = (n-1) * pairing with L
     for n in range(3, 13):
-        for curve, row in zip(matrix_curves(n), pairing_matrix(n)):
+        for (kind, _), row in zip(matrix_rows(n), pairing_matrix(n)):
             weighted = sum(Q(j * (j - 1), 2) * row[j - 2]
                            for j in range(2, n + 1))
-            assert weighted == (n - 1) * pair_L(curve.kind)
+            assert weighted == (n - 1) * pair_L(kind)
 
 
 def test_derive_self_pairing_closed_forms():
@@ -239,37 +257,37 @@ def test_inexact_self_term_raises(monkeypatch):
 def test_pair_relation_is_zero():
     for n in range(3, 13):
         rel = derive_l_relation(pair_incidence_counts(n))
-        for curve in matrix_curves(n):
-            assert pair(rel, curve) == 0
+        for curve in matrix_rows(n):
+            assert pair(n, rel, curve) == 0
 
 
 def test_pair_examples():
-    kb = added(standard_class(4, "canonical"), standard_class(4, "boundary"))
-    assert pair(kb, CurveClass("C", 4)) == 2
-    assert pair(reduce_to_B(kb), CurveClass("C", 4)) == 2
-    assert pair(standard_class(5, "hyperplane"), CurveClass("R", 2)) == 1
+    kb = added(standard_coefficients(4, "canonical"),
+               standard_coefficients(4, "boundary"))
+    assert pair(4, kb, ("C", 4)) == 2
+    assert pair(4, reduce_to_B(4, kb), ("C", 4)) == 2
+    assert pair(5, standard_coefficients(5, "hyperplane"), ("R", 2)) == 1
 
 
 def test_pair_is_bilinear():
     rng = random.Random(9)
     for _ in range(30):
         n = rng.randint(3, 8)
-        mk = lambda: DivisorClass(
-            n, Q(rng.randint(-4, 4)),
-            {s: Q(rng.randint(-4, 4), rng.randint(1, 3))
-             for s in rng.sample(range(2, n + 1), k=min(3, n - 1))})
+        mk = lambda: (Q(rng.randint(-4, 4)),
+                      {s: Q(rng.randint(-4, 4), rng.randint(1, 3))
+                       for s in rng.sample(range(2, n + 1), k=min(3, n - 1))})
         c1, c2 = mk(), mk()
         q = Q(rng.randint(-6, 6), rng.randint(1, 4))
-        curves = matrix_curves(n)
+        curves = matrix_rows(n)
         curve = curves[rng.randrange(len(curves))]
-        assert (pair(added(c1, scaled(c2, q)), curve)
-                == pair(c1, curve) + q * pair(c2, curve))
+        assert (pair(n, added(c1, scaled(c2, q)), curve)
+                == pair(n, c1, curve) + q * pair(n, c2, curve))
 
 
 def test_pairing_matrix_small_cases():
     assert pairing_matrix(3) == [[3, -1], [-1, 1]]
     assert pairing_matrix(4) == [[3, -1, 0], [0, 4, -2], [0, 1, 0], [0, -1, 1]]
-    assert [c.label() for c in matrix_curves(4)] == ["C_3", "C_4", "R_2", "R_3"]
+    assert curve_labels(4) == ["C_3", "C_4", "R_2", "R_3"]
     assert matrix_rows(4) == [("C", 3), ("C", 4), ("R", 2), ("R", 3)]
     assert b_labels(3) == ["B[2]", "B[3]"]
 
@@ -279,10 +297,9 @@ def test_pairing_matrix_equals_per_entry_tables():
     # and -1 at B[s], entry by entry
     for n in range(3, 61):
         expected = []
-        for curve in matrix_curves(n):
-            s = curve.s
+        for kind, s in matrix_rows(n):
             row = {j: 0 for j in range(2, n + 1)}
-            if curve.kind == "C":
+            if kind == "C":
                 row[s - 1] += s
                 row[s] += -(s - 2)
             else:
@@ -302,11 +319,11 @@ def test_pairing_matrix_shape():
 
 def test_pairing_matrix_rows_kill_relation():
     for n in range(3, 13):
-        rel = derive_l_relation(pair_incidence_counts(n))
+        coeff_L, coeff_B = derive_l_relation(pair_incidence_counts(n))
         matrix = pairing_matrix(n)
-        for curve, row in zip(matrix_curves(n), matrix):
-            total = rel.coeff_L * pair_L(curve.kind)
-            total += sum(rel.coeff_B.get(j, 0) * row[j - 2]
+        for (kind, _), row in zip(matrix_rows(n), matrix):
+            total = coeff_L * pair_L(kind)
+            total += sum(coeff_B.get(j, 0) * row[j - 2]
                          for j in range(2, n + 1))
             assert total == 0
 
@@ -315,16 +332,22 @@ def test_pairing_matrix_rows_kill_relation():
 # textual format
 # ---------------------------------------------------------------------------
 
+def text(n, c):
+    """The canonical text of the divisor class c, as `relation` prints it:
+    the L term first, then B[s] ascending in s."""
+    coeff_L, coeff_B = c
+    return format_terms([(coeff_L, "L"), *zip(
+        (coeff_B.get(s, 0) for s in range(2, n + 1)), b_labels(n))])
+
+
 def test_format_canonical():
-    c = DivisorClass(4, Q(-2), {3: Q(1), 4: Q(2)})
-    assert format_divisor(c) == "-2*L + 1*B[3] + 2*B[4]"
-    assert str(DivisorClass(5, 0, {})) == "0"
-    assert format_divisor(DivisorClass(4, Q(0), {2: Q(1, 3), 4: Q(-1)})) == \
-        "1/3*B[2] - 1*B[4]"
+    assert text(4, (Q(-2), {3: Q(1), 4: Q(2)})) == "-2*L + 1*B[3] + 2*B[4]"
+    assert text(5, (0, {})) == "0"
+    assert text(4, (Q(0), {2: Q(1, 3), 4: Q(-1)})) == "1/3*B[2] - 1*B[4]"
 
 
 def parse_terms(text):
-    """{name: coefficient} of the canonical text that format_divisor writes."""
+    """{name: coefficient} of the canonical text that format_terms writes."""
     if text == "0":
         return {}
     terms = (t.split("*") for t in text.replace(" - ", " + -").split(" + "))
@@ -336,49 +359,16 @@ def test_parse_round_trip():
     rng = random.Random(17)
     for _ in range(40):
         n = rng.randint(3, 9)
-        c = DivisorClass(n, Q(rng.randint(-9, 9), rng.randint(1, 4)),
-                         {s: Q(rng.randint(-9, 9), rng.randint(1, 4))
-                          for s in range(2, n + 1)})
-        terms = parse_terms(format_divisor(c))
+        c = random_class(rng, n, 9)
+        terms = parse_terms(text(n, c))
         coeff_L = terms.pop("L", 0)
-        assert DivisorClass(n, coeff_L, {int(name[2:-1]): q
-                                         for name, q in terms.items()}) == c
-    assert parse_terms(format_divisor(DivisorClass(6, 0, {}))) == {}
-
-
-def test_divisor_class_validation():
-    with pytest.raises(ValueError):
-        DivisorClass(2, Q(1), {})
-    with pytest.raises(ValueError):
-        DivisorClass(4, Q(0), {5: Q(1)})
-    # a coefficient is an int or a Fraction: a float, a string or a bool
-    # is refused, not read as a Fraction
-    with pytest.raises(ValueError, match="0.1 is not an int or a Fraction"):
-        DivisorClass(3, 0.1, {})
-    with pytest.raises(ValueError, match="is not an int or a Fraction"):
-        DivisorClass(3, "1/2", {2: True})
-    with pytest.raises(ValueError, match="True is not an int or a Fraction"):
-        DivisorClass(3, Q(1, 2), {2: True})
+        assert (coeff_L, {int(name[2:-1]): q for name, q in terms.items()}) == c
+    assert parse_terms(text(6, (0, {}))) == {}
 
 
 # ---------------------------------------------------------------------------
 # derived quantities
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("n", [3, 32, 300])
-def test_tables_build_no_class_objects(monkeypatch, n):
-    # the pairing rows and the cleared threshold vectors are read from the
-    # tables in plain ints, with no curve or divisor object per entry
-    built = []
-    for cls in (CurveClass, DivisorClass):
-        post_init = cls.__post_init__
-        monkeypatch.setattr(cls, "__post_init__",
-                            lambda self, post_init=post_init:
-                            built.append(self) or post_init(self))
-    matrix = pairing_matrix(n)
-    assert (len(matrix), built) == (2 * n - 4, [])
-    assert (kodaira_full(n), built) == (Q(2, n), [])
-
 
 def test_kodaira_full_example():
     assert kodaira_full(4) == Q(1, 2)
