@@ -596,7 +596,21 @@ def test_exit_codes_for_invalid_input(capsys, tmp_path):
         bad.write_text(f"B,N\n10,4\n{row}\n20,8\n40,16\n")
         assert run(capsys, "fit", "--in", str(bad)) == (
             2, "", f"error: line 3: expected B,N as two integers, got '{row}'\n")
-    assert run(capsys, "act", "--coeffs", "1,0,1", "--matrix", "1,1,1,1")[0] == 2
+    # outside input is checked where it enters, word for word
+    int_error = "error: invalid literal for int() with base 10: "
+    for argv, err in (
+            (("act", "--coeffs=5", "--matrix", "1,0,0,1"),
+             "error: a binary form has degree at least 1"),
+            (("act", "--coeffs=1,0,1", "--matrix", "1,0,0"),
+             "error: expected 4 comma-separated entries a,b,c,d"),
+            (("act", "--coeffs=1,0,1", "--matrix", "1,0,0,1,0"),
+             "error: expected 4 comma-separated entries a,b,c,d"),
+            (("act", "--coeffs=1,0,1", "--matrix", "a,0,0,1"), int_error + "'a'"),
+            (("act", "--coeffs=1,0,1", "--matrix", "1,1,1,1"),
+             "error: matrix determinant must be 1"),
+            (("count", "--coeffs=1.5,0,-1,-1", "--bmax", "100"), int_error + "'1.5'"),
+            (("disc", "--coeffs="), int_error + "''")):
+        assert run(capsys, *argv) == (2, "", err + "\n")
     for argv in (("--grid", "0", "--bmax", "100"), ("--bmax", "0")):
         assert run(capsys, "count", "--coeffs=1,0,-1,-1", *argv) == (
             2, "", "error: grid length and bmax must be positive\n")
