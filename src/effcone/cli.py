@@ -7,8 +7,10 @@ computed, a payload and, where the default key/value rows do not fit, its
 csv rows, and raises on failure.  `main` alone names the payload after its
 subcommand, prints it, and maps the verdict and the exceptions to exit
 codes: a "fail" verdict, a `cone.ConeError` or an `ExactnessError` to 1, a
-ValueError to 2.  Exact rationals are printed as "p/q"; only `fit` prints
-decimals (it is statistical by nature).
+ValueError to 2.  Outside input, the --coeffs and --matrix lists and the
+`fit` file, is read and checked here, where it enters; the library takes
+plain integer tuples.  Exact rationals are printed as "p/q"; only `fit`
+prints decimals (it is statistical by nature).
 """
 
 from __future__ import annotations
@@ -79,11 +81,38 @@ def _require_n(args, limit: int) -> int:
     return args.n
 
 
-def _read_form(args) -> forms.BinaryForm:
-    f = forms.BinaryForm.from_csv(args.coeffs)
-    if f.degree > MAX_DEGREE:
-        raise ValueError(f"degree must be at most {MAX_DEGREE} (got {f.degree})")
-    return f
+def _read_form(args) -> tuple[int, ...]:
+    xs = tuple(int(part) for part in args.coeffs.split(","))
+    if len(xs) < 2:
+        raise ValueError("a binary form has degree at least 1")
+    if len(xs) - 1 > MAX_DEGREE:
+        raise ValueError(f"degree must be at most {MAX_DEGREE} (got {len(xs) - 1})")
+    return xs
+
+
+def _read_series(text: str) -> tuple[tuple[int, int], ...]:
+    """The (B, N) pairs of a `fit` file: rows `B,N` of two integers, B >= 1
+    increasing and N >= 0 nondecreasing; blank lines are skipped, and a
+    first line `B,N` (in either case) is the header.  A row that is not two
+    integers raises a ValueError that names its line."""
+    points = []
+    for number, line in enumerate(text.splitlines(), 1):
+        row = line.strip()
+        if not row or (number == 1 and row.lower() == "b,n"):
+            continue
+        try:
+            b, n = map(int, row.split(","))
+        except ValueError:
+            raise ValueError(f"line {number}: expected B,N as two "
+                             f"integers, got {row!r}") from None
+        points.append((b, n))
+    for b, n in points:
+        if b < 1 or n < 0:
+            raise ValueError(f"point ({b}, {n}) needs B >= 1 and N >= 0")
+    for (b1, n1), (b2, n2) in zip(points, points[1:]):
+        if b2 <= b1 or n2 < n1:
+            raise ValueError("series must be increasing in B, nondecreasing in N")
+    return tuple(points)
 
 
 def _cmd_pairings(args):
@@ -177,25 +206,30 @@ def _cmd_fiber_check(args):
 
 
 def _cmd_disc(args):
-    f = _read_form(args)
-    return {"coeffs": list(f.coeffs), "disc": forms.disc(f)}, None
+    xs = _read_form(args)
+    return {"coeffs": list(xs), "disc": forms.disc(xs)}, None
 
 
 def _cmd_act(args):
-    f = _read_form(args)
-    m = forms.UnimodularMatrix.from_csv(args.matrix)
-    return ({"coeffs": list(f.coeffs), "matrix": list(m.entries()),
-             "result": list(forms.act(f, m).coeffs)}, None)
+    xs = _read_form(args)
+    m = [int(part) for part in args.matrix.split(",")]
+    if len(m) != 4:
+        raise ValueError("expected 4 comma-separated entries a,b,c,d")
+    a, b, c, d = m
+    if a * d - b * c != 1:
+        raise ValueError("matrix determinant must be 1")
+    return ({"coeffs": list(xs), "matrix": m,
+             "result": list(forms.substitute(xs, *m))}, None)
 
 
 def _cmd_count(args):
-    f = _read_form(args)
+    xs = _read_form(args)
     if args.grid < 1 or args.bmax < 1:
         raise ValueError("grid length and bmax must be positive")
     steps = min(args.grid, args.bmax.bit_length())  # later steps give 0
     points = counting.count_series(
-        f, [args.bmax >> k for k in reversed(range(steps))]).points
-    return ({"coeffs": list(f.coeffs), "series": [[b, cnt] for b, cnt in points]},
+        xs, [args.bmax >> k for k in reversed(range(steps))])
+    return ({"coeffs": list(xs), "series": [[b, cnt] for b, cnt in points]},
             [["B", "N"]] + [[b, cnt] for b, cnt in points])
 
 
@@ -205,10 +239,7 @@ def _cmd_fit(args):
             text = handle.read()
     except OSError as exc:  # an unreadable file is bad input
         raise ValueError(str(exc)) from exc
-    result = counting.fit_exponent(counting.CountSeries.from_csv(text))
-    return ({"slope": result.slope, "intercept": result.intercept,
-             "residual_norm": result.residual_norm,
-             "points_used": result.points_used}, None)
+    return counting.fit_exponent(_read_series(text)), None
 
 
 @functools.cache

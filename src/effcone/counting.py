@@ -1,7 +1,10 @@
 """Counting unimodular-orbit forms of bounded height and fitting the growth.
 
+A form f is its coefficient tuple xs (see forms), and a count series is
+the tuple of its (B, N) pairs.
+
 Orbit counts are exact.  For a form f of degree n >= 3 with nonzero
-discriminant, `entry_bound(f, B)` is an integer T such that every
+discriminant, `entry_bound(xs, B)` is an integer T such that every
 determinant-1 matrix g with height(f o g) <= B has all entries in [-T, T];
 its docstring states and proves the lemma.  One exact descent over the
 Farey (Stern-Brocot) tree in integer arithmetic then visits every matrix of
@@ -34,13 +37,11 @@ most _MAX_BATCH gathered nodes of each kind, and the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from operator import neg
 
 from ._terms import ExactnessError
-from .forms import (BinaryForm, disc, gradient_pair, resultant, substitute,
-                    taylor_shift)
+from .forms import disc, gradient_pair, resultant, substitute, taylor_shift
 
 
 class NonGenericForm(ValueError):
@@ -55,65 +56,14 @@ class InsufficientData(ValueError):
     """Exponent fits need at least 3 nonzero counts."""
 
 
-@dataclass(frozen=True)
-class CountSeries:
-    """(B, N) pairs of ints with B >= 1 strictly increasing and N >= 0
-    nondecreasing; an entry that is not an int raises ValueError."""
-
-    points: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        pts = []
-        for point in self.points:
-            b, n = point
-            if type(b) is not int or type(n) is not int:
-                raise ValueError(f"point {tuple(point)} needs integers B and N")
-            if b < 1 or n < 0:
-                raise ValueError(f"point ({b}, {n}) needs B >= 1 and N >= 0")
-            pts.append((b, n))
-        pts = tuple(pts)
-        for (b1, n1), (b2, n2) in zip(pts, pts[1:]):
-            if b2 <= b1 or n2 < n1:
-                raise ValueError("series must be increasing in B, nondecreasing in N")
-        object.__setattr__(self, "points", pts)
-
-    @staticmethod
-    def from_csv(text: str) -> "CountSeries":
-        """Rows `B,N` of two integers; blank lines are skipped, and a first
-        line `B,N` (in either case) is the header.  Any other row raises a
-        ValueError that names its line."""
-        points = []
-        for number, line in enumerate(text.splitlines(), 1):
-            row = line.strip()
-            if not row or (number == 1 and row.lower() == "b,n"):
-                continue
-            try:
-                b, n = map(int, row.split(","))
-            except ValueError:
-                raise ValueError(f"line {number}: expected B,N as two "
-                                 f"integers, got {row!r}") from None
-            points.append((b, n))
-        return CountSeries(tuple(points))
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares fit of log N against log B (floating point, stated so)."""
-
-    slope: float
-    intercept: float
-    residual_norm: float
-    points_used: int
-
-
 # ---------------------------------------------------------------------------
 # entry bound
 # ---------------------------------------------------------------------------
 
-def entry_bound(f: BinaryForm, b: int) -> int:
+def entry_bound(xs: tuple[int, ...], b: int) -> int:
     """Largest integer T with |R| * T^(n-2) <= (n+1) * L * b, for R and L
     below: every determinant-1 matrix g with height(f o g) <= b has all
-    entries in [-T, T].
+    entries in [-T, T], for the form f with coefficients xs.
 
     f needs degree n >= 3 (ValueError otherwise) and a nonzero discriminant
     (NonGenericForm otherwise).
@@ -142,12 +92,12 @@ def entry_bound(f: BinaryForm, b: int) -> int:
 
     For n >= 3 the left side grows with T, so H <= b bounds T.
     """
-    n = f.degree
+    n = len(xs) - 1
     if n < 3:
         raise ValueError(f"orbit counting needs degree n >= 3 (got {n})")
-    if disc(f) == 0:
+    if disc(xs) == 0:
         raise NonGenericForm("orbit counting requires a nonzero discriminant")
-    r, l1 = _gradient_identities(f.coeffs)
+    r, l1 = _gradient_identities(xs)
     top = (n + 1) * l1 * b // r
     # the largest T with T^(n-2) <= top, bisecting lo^(n-2) <= top < hi^(n-2)
     lo, hi = 0, 1 << -(-top.bit_length() // (n - 2))
@@ -361,7 +311,7 @@ def _spine_level(nodes: list[tuple[int, ...]], width: int):
 def _farey_walk(xs: tuple[int, ...], b_max: int, box: int):
     """Yield levels (heights, live, coeffs, signs) that hold every
     recorded node of height <= b_max exactly once, for a box with
-    box >= entry_bound(f, b_max) (see the Farey-tree section).
+    box >= entry_bound(xs, b_max) (see the Farey-tree section).
 
     A level of L lanes is packed in lanes of W = _lane_width(len(xs), b_max)
     bits: the node in lane i has the height in lane i of heights and the
@@ -429,10 +379,11 @@ def _lane_form(coeffs: list[int], signs: list[int], i: int,
     return tuple(form)
 
 
-def count_series(f: BinaryForm, b_grid) -> CountSeries:
-    """Counts N(B) of distinct orbit coefficient vectors with height <= B,
-    for every B in the increasing grid of ints (a point of any other type
-    raises ValueError), from one walk over the box of entry_bound(f, max B).
+def count_series(xs: tuple[int, ...], b_grid) -> tuple[tuple[int, int], ...]:
+    """The pairs (B, N(B)), for every B in the increasing grid of ints (a
+    point of any other type raises ValueError), of the number N(B) of
+    distinct orbit coefficient vectors of the form xs with height <= B,
+    from one walk over the box of entry_bound(xs, max B).
     Memory is the walk's (see the module docstring) and the grid.
 
     The recorded nodes of height <= B of a level are counted from its
@@ -453,13 +404,13 @@ def count_series(f: BinaryForm, b_grid) -> CountSeries:
     if not grid or any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("grid must be nonempty and strictly increasing")
     b_max = grid[-1]
-    box = entry_bound(f, b_max)
-    width = _lane_width(len(f.coeffs), b_max)
-    odd = f.degree % 2
+    box = entry_bound(xs, b_max)
+    width = _lane_width(len(xs), b_max)
+    odd = (len(xs) - 1) % 2
     counts = [0] * len(grid)  # recorded nodes of height <= B
     hits = first_height = 0
     refs: tuple = ()  # one entry per matrix of a node with the first image
-    for heights, guards, coeffs, signs in _farey_walk(f.coeffs, b_max, box):
+    for heights, guards, coeffs, signs in _farey_walk(xs, b_max, box):
         ones = guards >> (width - 1)
         room = guards - heights  # lane i: 2^(W-1) - height, no borrow
         for j in reversed(range(len(grid))):  # down to a B with none
@@ -483,22 +434,24 @@ def count_series(f: BinaryForm, b_grid) -> CountSeries:
             hits += refs.count(_lane_form(coeffs, signs, i, width))
             same &= same - 1
     if not refs:
-        return CountSeries(tuple((b, 0) for b in grid))
+        return tuple((b, 0) for b in grid)
     matrices = [4 * c for c in counts]
     if (hits not in ((1, 3) if odd else (2, 4, 6))
             or any(m % hits for m in matrices)):
         raise CountingError(f"{hits} walked matrices hit one image, which is "
                             f"no stabilizer order dividing {matrices}")
-    return CountSeries(tuple((b, m // hits) for b, m in zip(grid, matrices)))
+    return tuple((b, m // hits) for b, m in zip(grid, matrices))
 
 
 # ---------------------------------------------------------------------------
 # exponent fit
 # ---------------------------------------------------------------------------
 
-def fit_exponent(series: CountSeries) -> FitResult:
-    """Ordinary least squares on (log B, log N), entries with N >= 1 only."""
-    pts = [(math.log(b), math.log(n)) for b, n in series.points if n >= 1]
+def fit_exponent(points) -> dict:
+    """Least-squares fit of log N against log B (floating point, stated so)
+    over the pairs (B, N) with N >= 1: slope, intercept, residual_norm and
+    points_used, in that order."""
+    pts = [(math.log(b), math.log(n)) for b, n in points if n >= 1]
     if len(pts) < 3:
         raise InsufficientData("need at least 3 entries with N >= 1")
     k = len(pts)
@@ -510,4 +463,5 @@ def fit_exponent(series: CountSeries) -> FitResult:
     slope = (k * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / k
     sse = sum((y - slope * x - intercept) ** 2 for x, y in pts)
-    return FitResult(slope, intercept, math.sqrt(sse), k)
+    return {"slope": slope, "intercept": intercept,
+            "residual_norm": math.sqrt(sse), "points_used": k}

@@ -1,7 +1,9 @@
 """Integer binary forms, the unimodular substitution action, discriminants.
 
-A form of degree n is stored as the coefficient vector (x0, ..., xn) of
-x0*z^n + x1*z^(n-1)*w + ... + xn*w^n.  The discriminant is
+A form of degree n is the tuple (x0, ..., xn) of the integer coefficients
+of x0*z^n + x1*z^(n-1)*w + ... + xn*w^n, and a matrix (a b; c d) is the
+tuple (a, b, c, d); outside input is checked where it enters, in cli.  The
+discriminant is
 
     (-1)^(n(n-1)/2) * Res(f_z, f_w) / n^(n-2),
 
@@ -13,7 +15,6 @@ so roots at infinity need no change of chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import dropwhile
 from operator import not_
 
@@ -24,63 +25,14 @@ class DegreeTooSmall(ValueError):
     """Discriminants need degree at least 2."""
 
 
-@dataclass(frozen=True)
-class BinaryForm:
-    """Integer coefficient vector (x0..xn) of a degree-n binary form; a
-    coefficient that is not an int raises ValueError."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if not set(map(type, coeffs)) <= {int}:
-            raise ValueError("form coefficients must be int")
-        if len(coeffs) < 2:
-            raise ValueError("a binary form has degree at least 1")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @staticmethod
-    def from_csv(text: str) -> "BinaryForm":
-        return BinaryForm(tuple(int(part) for part in text.split(",")))
-
-
-@dataclass(frozen=True)
-class UnimodularMatrix:
-    """2x2 integer matrix (a b; c d) with determinant 1; an entry that is
-    not an int raises ValueError."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if not set(map(type, self.entries())) <= {int}:
-            raise ValueError("matrix entries must be int")
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("matrix determinant must be 1")
-
-    @staticmethod
-    def from_csv(text: str) -> "UnimodularMatrix":
-        parts = [int(p) for p in text.split(",")]
-        if len(parts) != 4:
-            raise ValueError("expected 4 comma-separated entries a,b,c,d")
-        return UnimodularMatrix(*parts)
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-
 def substitute(xs: tuple[int, ...], a: int, b: int, c: int,
                d: int) -> tuple[int, ...]:
     """Coefficients of f(a*z + b*w, c*z + d*w) for the coefficient vector xs.
 
     The one expansion of the substitution, by Horner's rule in the first
-    linear form: h <- h * (a z + b w) + x_i * (c z + d w)^i.
+    linear form: h <- h * (a z + b w) + x_i * (c z + d w)^i.  A right
+    action: substituting m and then m2 is substituting the matrix product
+    m m2.
     """
     h = [xs[0]]
     qpow = [1]
@@ -114,15 +66,6 @@ def taylor_shift(xs: tuple[int, ...]) -> tuple[int, ...]:
         for j in range(1, top + 1):
             h[j] += h[j - 1]
     return tuple(h)
-
-
-def act(f: BinaryForm, m: UnimodularMatrix) -> BinaryForm:
-    """Coefficients of f(a*z + b*w, c*z + d*w), expanded exactly.
-
-    Satisfies the right-action law: act(act(f, m), m2) is act(f, m m2)
-    for the matrix product m m2.
-    """
-    return BinaryForm(substitute(f.coeffs, m.a, m.b, m.c, m.d))
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +143,15 @@ def resultant(p: list[int], q: list[int]) -> tuple[int, list[int], list[int]]:
     return num * b[0] // den, uv[:d], uv[d:]
 
 
-def disc(f: BinaryForm) -> int:
-    """Exact discriminant; zero iff the form has a repeated root on the
-    projective line (roots at infinity included).  Invariant under the
+def disc(xs: tuple[int, ...]) -> int:
+    """Exact discriminant of the form xs; zero iff it has a repeated root on
+    the projective line (roots at infinity included).  Invariant under the
     determinant-1 substitution action.  Raises ExactnessError if the
     resultant is not a multiple of n^(n-2)."""
-    n = f.degree
+    n = len(xs) - 1
     if n < 2:
         raise DegreeTooSmall("discriminant needs degree at least 2")
-    res = resultant(*gradient_pair(f.coeffs))[0]
+    res = resultant(*gradient_pair(xs))[0]
     quot, rem = divmod(res, n ** (n - 2))
     if rem:
         raise ExactnessError(f"Res(f_z, f_w) = {res} is not a multiple of "

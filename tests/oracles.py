@@ -4,8 +4,10 @@ Each is an independent route to a value the package computes another way:
 the plain box enumerator of determinant-1 matrices, fraction-free
 (Bareiss) elimination of Sylvester matrices, the classical cubic
 discriminant, forms built from their roots, the pairing of a curve at the
-level of subsets, and the bilinear pairing of a divisor class with a curve.
-The classes take the package's plain shapes: a divisor class is a
+level of subsets, the bilinear pairing of a divisor class with a curve,
+and the parse back of a sparse rational combination's text.  Everything
+takes the package's plain shapes: a form is its coefficient tuple, a
+matrix (a b; c d) the tuple (a, b, c, d), a divisor class is a
 (coefficient of L, {s: coefficient of B[s]}) pair, as
 `picard.standard_coefficients` returns it, a curve family a (kind, s)
 pair, and a fiber class a tuple of integer coordinates.  `added` sums two
@@ -20,23 +22,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from effcone.forms import BinaryForm, UnimodularMatrix
 from effcone.picard import _pairing_row, derive_self_pairing, pair_L
 
 
-def height(f: BinaryForm) -> int:
+def height(xs: tuple[int, ...]) -> int:
     """Largest absolute coefficient."""
-    return max(abs(x) for x in f.coeffs)
+    return max(abs(x) for x in xs)
 
 
-def matmul(m1: UnimodularMatrix, m2: UnimodularMatrix) -> UnimodularMatrix:
-    """The matrix product m1 m2."""
-    return UnimodularMatrix(
-        m1.a * m2.a + m1.b * m2.c,
-        m1.a * m2.b + m1.b * m2.d,
-        m1.c * m2.a + m1.d * m2.c,
-        m1.c * m2.b + m1.d * m2.d,
-    )
+def matmul(m1: tuple[int, int, int, int],
+           m2: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The matrix product m1 m2 of matrices (a, b, c, d)."""
+    a1, b1, c1, d1 = m1
+    a2, b2, c2, d2 = m2
+    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +95,8 @@ def _entries_for_top_row(a: int, b: int, bound: int):
 
 
 def enumerate_unimodular(bound: int):
-    """Yield every determinant-1 integer matrix with entries in [-T, T]
-    exactly once (T = bound).
+    """Yield every determinant-1 integer matrix (a, b, c, d) with entries in
+    [-T, T] exactly once (T = bound).
 
     For each coprime top row (a, b) the bottom rows form the integer family
     (c, d) = (c0 + t*a, d0 + t*b) through one extended-gcd base solution,
@@ -106,7 +106,7 @@ def enumerate_unimodular(bound: int):
         for b in range(-bound, bound + 1):
             if math.gcd(a, b) == 1:
                 for c, d in _entries_for_top_row(a, b, bound):
-                    yield UnimodularMatrix(a, b, c, d)
+                    yield a, b, c, d
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def disc_cubic_reference(x0: int, x1: int, x2: int, x3: int) -> int:
             + 4 * x0 * x2**3 + 4 * x1**3 * x3 - x1**2 * x2**2)
 
 
-def form_from_roots(leading: int, roots: list[int]) -> BinaryForm:
+def form_from_roots(leading: int, roots: list[int]) -> tuple[int, ...]:
     """The form leading * prod (z - r_i w): integer coefficients, with the
     discriminant leading^(2n-2) * prod_(i<j) (r_i - r_j)^2."""
     coeffs = [leading]
@@ -214,7 +214,7 @@ def form_from_roots(leading: int, roots: list[int]) -> BinaryForm:
             nxt[i] += c
             nxt[i + 1] -= c * r
         coeffs = nxt
-    return BinaryForm(tuple(coeffs))
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +310,12 @@ def combined(*terms: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
     one fiber; tuples of unequal length raise ValueError."""
     return tuple(sum(q * x for (q, _), x in zip(terms, column))
                  for column in zip(*(c for _, c in terms), strict=True))
+
+
+def parse_terms(text: str) -> dict[str, Fraction]:
+    """{name: coefficient} of the canonical text that format_terms writes,
+    the parse back of a sparse rational combination."""
+    if text == "0":
+        return {}
+    terms = (t.split("*") for t in text.replace(" - ", " + -").split(" + "))
+    return {name: Fraction(q) for q, name in terms}

@@ -147,15 +147,14 @@ def test_results_past_the_digit_limit_print_in_full(capsys, fmt):
         printed = _read_long_ints(out)["disc"]
     else:  # the last line is "disc: D" or "disc,D"
         printed = _read_long_ints(out.splitlines()[-1][5:])
-    assert printed == forms.disc(forms.BinaryForm(tuple(coeffs)))
+    assert printed == forms.disc(tuple(coeffs))
     assert 10 ** 4412 <= abs(printed) < 10 ** 4413
     code, out, err = run(capsys, "act", "--coeffs=" + ",".join(["1"] * 101),
                          "--matrix", f"1,{10 ** 45},0,1", "--format", fmt)
     assert (code, err) == (0, "")
     if fmt == "json":
-        f = forms.BinaryForm((1,) * 101)
-        m = forms.UnimodularMatrix(1, 10 ** 45, 0, 1)
-        assert _read_long_ints(out)["result"] == list(forms.act(f, m).coeffs)
+        assert _read_long_ints(out)["result"] == list(
+            forms.substitute((1,) * 101, 1, 10 ** 45, 0, 1))
     assert _digit_limit() == before
 
 

@@ -13,7 +13,7 @@ from effcone.fiber import (
     to_A_basis,
 )
 from effcone.picard import kodaira_full
-from oracles import combined
+from oracles import combined, parse_terms
 
 Q = Fraction
 
@@ -199,14 +199,6 @@ def test_class_arithmetic_and_text():
     assert c == (0, 1, 1, -3, -1)
     assert text(c) == "1*g2 + 1*g3 - 3*E - 1*F4"
     assert text((0, 0, 0, 0)) == "0"
-
-
-def parse_terms(text):
-    """{name: coefficient} of the canonical text of a fiber class."""
-    if text == "0":
-        return {}
-    terms = (t.split("*") for t in text.replace(" - ", " + -").split(" + "))
-    return {name: Q(q) for q, name in terms}
 
 
 def test_parse_fiber_class():

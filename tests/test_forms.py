@@ -7,10 +7,7 @@ import pytest
 
 from effcone import forms as forms_module
 from effcone.forms import (
-    BinaryForm,
     DegreeTooSmall,
-    UnimodularMatrix,
-    act,
     disc,
     gradient_pair,
     resultant,
@@ -20,7 +17,7 @@ from effcone.forms import (
 from oracles import (adjugate_solve, bareiss_det, disc_cubic_reference,
                      form_from_roots, height, matmul, sylvester_matrix)
 
-IDENTITY = UnimodularMatrix(1, 0, 0, 1)
+IDENTITY = (1, 0, 0, 1)
 
 
 def random_matrix(rng, bound=10):
@@ -30,11 +27,11 @@ def random_matrix(rng, bound=10):
         kind = rng.randrange(3)
         t = rng.randint(-bound, bound)
         if kind == 0:
-            m = matmul(m, UnimodularMatrix(1, t, 0, 1))
+            m = matmul(m, (1, t, 0, 1))
         elif kind == 1:
-            m = matmul(m, UnimodularMatrix(1, 0, t, 1))
+            m = matmul(m, (1, 0, t, 1))
         else:
-            m = matmul(m, UnimodularMatrix(0, -1, 1, 0))
+            m = matmul(m, (0, -1, 1, 0))
     return m
 
 
@@ -42,7 +39,7 @@ def random_form(rng, degree, bound=9):
     while True:
         coeffs = tuple(rng.randint(-bound, bound) for _ in range(degree + 1))
         if any(coeffs):
-            return BinaryForm(coeffs)
+            return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +48,13 @@ def random_form(rng, degree, bound=9):
 
 def test_act_binomial_row():
     for n in (1, 3, 5, 8):
-        f = BinaryForm((1,) + (0,) * n)
-        g = act(f, UnimodularMatrix(1, 1, 0, 1))
-        assert g.coeffs == tuple(comb(n, i) for i in range(n + 1))
+        f = (1,) + (0,) * n
+        assert substitute(f, 1, 1, 0, 1) == tuple(comb(n, i) for i in range(n + 1))
 
 
 def test_act_identity():
-    f = BinaryForm((3, -1, 4, 1))
-    assert act(f, IDENTITY) == f
+    f = (3, -1, 4, 1)
+    assert substitute(f, *IDENTITY) == f
 
 
 def test_act_inverse_round_trip():
@@ -66,9 +62,10 @@ def test_act_inverse_round_trip():
     for _ in range(100):
         f = random_form(rng, rng.choice([2, 3, 4, 5]))
         m = random_matrix(rng)
-        inverse = UnimodularMatrix(m.d, -m.b, -m.c, m.a)
+        a, b, c, d = m
+        inverse = (d, -b, -c, a)
         assert matmul(m, inverse) == IDENTITY
-        assert act(act(f, m), inverse) == f
+        assert substitute(substitute(f, *m), *inverse) == f
 
 
 def test_act_right_action_law():
@@ -76,18 +73,18 @@ def test_act_right_action_law():
     for _ in range(100):
         f = random_form(rng, rng.choice([2, 3, 4]))
         m1, m2 = random_matrix(rng), random_matrix(rng)
-        assert act(act(f, m1), m2) == act(f, matmul(m1, m2))
+        assert substitute(substitute(f, *m1), *m2) == substitute(f, *matmul(m1, m2))
 
 
 def test_act_negated_identity_parity():
     rng = random.Random(14)
     for degree in (2, 3, 4, 5):
         f = random_form(rng, degree)
-        g = act(f, UnimodularMatrix(-1, 0, 0, -1))
+        g = substitute(f, -1, 0, 0, -1)
         if degree % 2 == 0:
             assert g == f
         else:
-            assert g == BinaryForm(tuple(-x for x in f.coeffs))
+            assert g == tuple(-x for x in f)
         assert height(g) == height(f)
 
 
@@ -129,7 +126,7 @@ def test_act_matches_reference_expansion():
             xs = (1,) + xs[1:]
         a, b, c, d = random_det1_entries(rng)
         expected = reference_substitution(xs, a, b, c, d)
-        assert act(BinaryForm(xs), UnimodularMatrix(a, b, c, d)).coeffs == expected
+        assert substitute(xs, a, b, c, d) == expected
 
 
 def test_taylor_shift_and_mirror_match_substitute():
@@ -145,35 +142,10 @@ def test_taylor_shift_and_mirror_match_substitute():
     assert taylor_shift((0, 0, 0, 1)) == (0, 0, 0, 1)
 
 
-def test_unimodular_validation():
-    with pytest.raises(ValueError):
-        UnimodularMatrix(1, 0, 0, 2)
-    with pytest.raises(ValueError):
-        UnimodularMatrix.from_csv("1,0,0")
-    m = UnimodularMatrix.from_csv("2,3,1,2")
-    assert m.entries() == (2, 3, 1, 2)
-
-
-def test_unimodular_entries_are_ints():
-    # a float entry with determinant 1 is refused, not carried into act
-    for bad in ((0.5, 0, 0, 2), (Fraction(1), 0, 0, 1), (True, 0, 0, 1),
-                ("1", 0, 0, 1)):
-        with pytest.raises(ValueError, match="must be int"):
-            UnimodularMatrix(*bad)
-
-
-def test_form_coefficients_are_ints():
-    # nothing is truncated or converted: 1.5 is not 1, "3" is not 3
-    for bad in ((1.5, 0, 1), ("3", True, 1), (Fraction(1), 0, 1), (1.0, 0)):
-        with pytest.raises(ValueError, match="must be int"):
-            BinaryForm(bad)
-    assert BinaryForm([3, -1, 1]).coeffs == (3, -1, 1)
-
-
 def test_height():
-    assert height(BinaryForm((1, 0, -1, 0))) == 1
-    assert height(BinaryForm((0, 0, 0, 0))) == 0
-    assert height(BinaryForm((2, -7, 3))) == 7
+    assert height((1, 0, -1, 0)) == 1
+    assert height((0, 0, 0, 0)) == 0
+    assert height((2, -7, 3)) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +198,12 @@ def test_adjugate_solve():
 
 
 def test_disc_sign_convention_on_displayed_cubic():
-    f = BinaryForm((1, 0, -1, 0))
-    assert abs(disc(f)) == 4
+    assert abs(disc((1, 0, -1, 0))) == 4
     assert disc_cubic_reference(1, 0, -1, 0) == -4
 
 
 def test_disc_repeated_root_is_zero():
-    assert disc(BinaryForm((1, -2, 1, 0))) == 0  # z(z - w)^2
+    assert disc((1, -2, 1, 0)) == 0  # z(z - w)^2
     rng = random.Random(21)
     for _ in range(40):
         n = rng.choice([2, 3, 4, 5])
@@ -268,10 +239,10 @@ def test_disc_matches_root_product_formula():
         roots = [r, r - 1] + rng.sample(others, n - 2)
         lead = rng.choice([1, 2, 3, -2])
         f = form_from_roots(lead, roots)
-        at_infinity = act(f, UnimodularMatrix(r, -1, 1, 0))
-        both_ends = act(f, UnimodularMatrix(r, r - 1, 1, 1))
-        assert at_infinity.coeffs[0] == 0 != at_infinity.coeffs[1]
-        assert both_ends.coeffs[0] == both_ends.coeffs[-1] == 0
+        at_infinity = substitute(f, r, -1, 1, 0)
+        both_ends = substitute(f, r, r - 1, 1, 1)
+        assert at_infinity[0] == 0 != at_infinity[1]
+        assert both_ends[0] == both_ends[-1] == 0
         assert disc(at_infinity) == disc(both_ends) == root_product(lead, roots)
 
 
@@ -280,21 +251,20 @@ def test_disc_invariance_under_substitution():
     for _ in range(200):
         f = random_form(rng, rng.choice([3, 4, 5]))
         m = random_matrix(rng)
-        assert disc(act(f, m)) == disc(f)
+        assert disc(substitute(f, *m)) == disc(f)
 
 
 def test_disc_roots_at_infinity():
     # simple root at infinity: x0 = 0, the same disc as the reversed form
-    f = BinaryForm((0, 1, 0, -2))
-    assert disc(f) == disc(BinaryForm((-2, 0, 1, 0)))
+    f = (0, 1, 0, -2)
+    assert disc(f) == disc((-2, 0, 1, 0))
     assert disc(f) != 0
     # double root at infinity
-    assert disc(BinaryForm((0, 0, 1, 7))) == 0
+    assert disc((0, 0, 1, 7)) == 0
     # roots at zero and infinity: z*w*(z - w) has distinct roots
-    f = BinaryForm((0, 1, -1, 0))
+    f = (0, 1, -1, 0)
     assert disc(f) != 0
-    m = UnimodularMatrix(1, 0, 2, 1)
-    assert disc(f) == disc(act(f, m))
+    assert disc(f) == disc(substitute(f, 1, 0, 2, 1))
 
 
 def seeded_disc_forms(count=2000, seed=160):
@@ -314,7 +284,7 @@ def seeded_disc_forms(count=2000, seed=160):
             xs[-1] = 0
         if not any(xs):
             xs[n // 2] = 1
-        out.append(BinaryForm(tuple(xs)))
+        out.append(tuple(xs))
     return out
 
 
@@ -342,7 +312,7 @@ def test_resultant_is_the_sylvester_determinant_with_cofactors():
     rng = random.Random(27)
     pairs = []
     for f in seeded_disc_forms():
-        p, q = gradient_pair(f.coeffs)
+        p, q = gradient_pair(f)
         pairs += [(p, q), (p[::-1], q[::-1])]
     for _ in range(500):
         d = rng.randint(1, 6)
@@ -379,8 +349,7 @@ def test_resultant_steps_grow_quadratically(monkeypatch):
     counts = []
     for n in (20, 40, 80):
         rng = random.Random(n)
-        f = BinaryForm(tuple(rng.choice((-1, 1)) * rng.randint(1, 9)
-                             for _ in range(n + 1)))
+        f = tuple(rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n + 1))
         steps[0] = 0
         assert disc(f)
         counts.append(steps[0])
@@ -389,7 +358,7 @@ def test_resultant_steps_grow_quadratically(monkeypatch):
 
 def test_disc_degree_too_small():
     with pytest.raises(DegreeTooSmall):
-        disc(BinaryForm((1, 1)))
+        disc((1, 1))
 
 
 def test_disc_cubic_reference_values():
@@ -407,7 +376,7 @@ def convention_ratios(count, seed, bound=50):
         coeffs = tuple(rng.randint(-bound, bound) for _ in range(4))
         ref = disc_cubic_reference(*coeffs)
         if ref:
-            ratios.append(Fraction(disc(BinaryForm(coeffs)), ref))
+            ratios.append(Fraction(disc(coeffs), ref))
     return ratios
 
 
@@ -416,9 +385,3 @@ def test_convention_ratio_is_constant_minus_one():
     assert set(convention_ratios(1000, seed=0)) == {-1}
     assert set(convention_ratios(100, seed=5)) == {-1}
 
-
-def test_form_csv_round_trip():
-    f = BinaryForm.from_csv("1,-2,0,5")
-    assert f == BinaryForm((1, -2, 0, 5))
-    with pytest.raises(ValueError):
-        BinaryForm.from_csv("3")

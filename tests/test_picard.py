@@ -21,7 +21,7 @@ from effcone.picard import (
     standard_coefficients,
 )
 from oracles import (InvalidSubset, SubsetCurve, added, b_coordinates, pair,
-                     pair_subset)
+                     pair_subset, parse_terms)
 
 Q = Fraction
 
@@ -344,14 +344,6 @@ def test_format_canonical():
     assert text(4, (Q(-2), {3: Q(1), 4: Q(2)})) == "-2*L + 1*B[3] + 2*B[4]"
     assert text(5, (0, {})) == "0"
     assert text(4, (Q(0), {2: Q(1, 3), 4: Q(-1)})) == "1/3*B[2] - 1*B[4]"
-
-
-def parse_terms(text):
-    """{name: coefficient} of the canonical text that format_terms writes."""
-    if text == "0":
-        return {}
-    terms = (t.split("*") for t in text.replace(" - ", " + -").split(" + "))
-    return {name: Q(q) for q, name in terms}
 
 
 def test_parse_round_trip():
